@@ -1,7 +1,6 @@
 //! Suite-scale throughput: wall-clock of a whole multi-kernel sweep
 //! through the suite orchestrator's global work-stealing iteration
-//! queue, at jobs∈{1,4}, with the warm-resource path on and off, and
-//! with adaptive budget reallocation.
+//! queue, at jobs∈{1,4}, and with adaptive budget reallocation.
 //!
 //! Custom harness (not criterion): each sample is a whole suite over a
 //! real GoKer kernel subset, and what matters is end-to-end wall-clock
@@ -117,14 +116,11 @@ fn main() {
     let kernels = suite_kernels();
 
     // Sanity guard: the per-kernel results the legs below time must be
-    // identical work — jobs and warmth may only move wall-clock.
+    // identical work — jobs may only move wall-clock.
     let keep = base_cfg(false);
     let j1 = emit_stream(&keep, &SuiteConfig::default().with_jobs(1), &kernels);
-    for suite in
-        [SuiteConfig::default().with_jobs(4), SuiteConfig::default().with_jobs(4).with_warm(false)]
-    {
-        assert_eq!(j1, emit_stream(&keep, &suite, &kernels), "suite legs diverged");
-    }
+    let j4 = emit_stream(&keep, &SuiteConfig::default().with_jobs(4), &kernels);
+    assert_eq!(j1, j4, "suite legs diverged");
     let stop = base_cfg(true);
     let r1 = emit_stream(&stop, &SuiteConfig::default().with_jobs(1).with_realloc(true), &kernels);
     assert_eq!(
@@ -141,10 +137,9 @@ fn main() {
     println!("\"results\": [");
     streaming_guard();
 
-    let legs: [(&str, GoatConfig, SuiteConfig); 5] = [
+    let legs: [(&str, GoatConfig, SuiteConfig); 4] = [
         ("jobs1_warm", base_cfg(false), SuiteConfig::default().with_jobs(1)),
         ("jobs4_warm", base_cfg(false), SuiteConfig::default().with_jobs(4)),
-        ("jobs4_cold", base_cfg(false), SuiteConfig::default().with_jobs(4).with_warm(false)),
         ("jobs1_realloc", base_cfg(true), SuiteConfig::default().with_jobs(1).with_realloc(true)),
         ("jobs4_realloc", base_cfg(true), SuiteConfig::default().with_jobs(4).with_realloc(true)),
     ];

@@ -9,7 +9,7 @@
 //! under, and picks each iteration's arm epsilon-greedily over the
 //! rewards seen so far.
 //!
-//! ## Determinism, including under the parallel executor
+//! ## Determinism, including with many workers
 //!
 //! Guided campaigns must stay byte-identical run-to-run *and*
 //! sequential-vs-parallel. Two design rules make the selection a pure
@@ -22,11 +22,11 @@
 //!    persisting for checkpoint/resume.
 //! 2. **Fixed feedback lag.** The greedy statistics for iteration `i`
 //!    use exactly the rewards of iterations `0 ..= i − LAG` — never
-//!    "whatever has merged by now". The parallel executor caps its
+//!    "whatever has merged by now". The campaign engine caps its
 //!    claim window at [`GUIDED_LAG`], which guarantees those rewards
 //!    are merged before `i` can be claimed; a worker that is *further*
 //!    ahead of the merge point simply ignores the extra rewards, so
-//!    every executor computes the identical arm for every iteration.
+//!    every worker computes the identical arm for every iteration.
 //!
 //! Re-deriving instead of remembering: because selection is pure, the
 //! merge loop recomputes `select(i)` when attributing iteration `i`'s

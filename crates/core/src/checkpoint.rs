@@ -3,7 +3,7 @@
 //! A long campaign (thousands of iterations across 68 kernels) must
 //! survive being killed — by the OS, a CI timeout, or an operator —
 //! without redoing completed work. With `GOAT_CHECKPOINT=path` (or
-//! [`crate::GoatConfig::with_checkpoint`]) the streaming runner
+//! [`crate::GoatConfig::with_checkpoint`]) the campaign engine
 //! periodically persists everything the merge loop has accumulated:
 //! the completed-iteration count, per-iteration records, merged
 //! coverage, the requirement universe, the global goroutine tree, and

@@ -57,8 +57,9 @@ mod report;
 /// and passing executions.
 pub mod rootcause;
 mod runner;
-/// Suite-scale orchestration: global cross-kernel work stealing, warm
-/// shared resources, and adaptive budget reallocation (`-target all`).
+/// The campaign engine behind both [`Goat::test`] and [`run_suite`]:
+/// cross-kernel work stealing, warm shared resources, and adaptive
+/// budget reallocation (`-target all`).
 pub mod suite;
 /// Binary frame codec for the process-isolation data plane
 /// (`GOAT_IPC=bin`).

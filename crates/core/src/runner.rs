@@ -17,9 +17,9 @@ use goat_runtime::{
     go_internal, Chan, Config, RunOutcome, RunResult, Runtime, SchedCounters, StrategyKind,
 };
 use goat_trace::{Ect, GTree, TracePoolStats};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex as StdMutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Duplicate-schedule analysis memoization mode (`GOAT_MEMO`, or the
@@ -120,11 +120,12 @@ pub struct GoatConfig {
     pub native_preempt_prob: f64,
     /// Watchdog step bound per execution.
     pub max_steps: u64,
-    /// Host threads running iterations concurrently (runs are fully
+    /// Workers running iterations concurrently (runs are fully
     /// independent; results are identical to the sequential campaign
-    /// because per-iteration seeds are fixed and merged in order).
+    /// because per-iteration seeds are fixed and merged in order) —
+    /// the same engine parameter as [`crate::SuiteConfig::jobs`].
     /// Defaults to the `GOAT_PARALLELISM` environment variable (1 when
-    /// unset), so CI can sweep the streaming executor without code
+    /// unset), so CI can sweep the campaign engine without code
     /// changes.
     pub parallelism: usize,
     /// Run goroutines on the shared worker-thread pool (see
@@ -150,7 +151,7 @@ pub struct GoatConfig {
     /// default) disables, so repeat-crashing kernels keep recording
     /// `Crashed` verdicts unless explicitly opted in.
     pub quarantine_crashes: u32,
-    /// Checkpoint sidecar path: the streaming runner periodically
+    /// Checkpoint sidecar path: the campaign engine periodically
     /// persists completed-seed ranges plus merged coverage there, and
     /// resumes from it byte-identically. Defaults to the
     /// `GOAT_CHECKPOINT` environment variable (off when unset).
@@ -221,11 +222,7 @@ impl Default for GoatConfig {
             coverage_threshold: None,
             native_preempt_prob: 0.02,
             max_steps: 200_000,
-            parallelism: std::env::var("GOAT_PARALLELISM")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or(1),
+            parallelism: default_parallelism(),
             pool: true,
             iter_timeout_ms: std::env::var("GOAT_ITER_TIMEOUT_MS")
                 .ok()
@@ -270,6 +267,16 @@ impl Default for GoatConfig {
                 .unwrap_or(1),
         }
     }
+}
+
+/// Worker count from `GOAT_PARALLELISM` (1 when unset): the default of
+/// both [`GoatConfig::parallelism`] and [`crate::SuiteConfig::jobs`].
+pub(crate) fn default_parallelism() -> usize {
+    std::env::var("GOAT_PARALLELISM")
+        .ok()
+        .and_then(|v| v.parse::<usize>().ok())
+        .filter(|n| *n >= 1)
+        .unwrap_or(1)
 }
 
 fn env_u32(name: &str, default: u32) -> u32 {
@@ -499,11 +506,10 @@ pub struct CampaignTelemetry {
     pub wall_ns: u64,
     /// Per-iteration wall-time distribution, nanoseconds.
     pub iter_wall_ns: HistogramSnapshot,
-    /// Worker wait time per claim-queue checkout, nanoseconds
-    /// (empty for sequential campaigns).
+    /// Worker wait time per claim-queue checkout, nanoseconds.
     pub claim_wait_ns: HistogramSnapshot,
-    /// Deepest the reorder buffer grew while merging out-of-order
-    /// results (0 for sequential campaigns).
+    /// Deepest the reorder buffer grew while merging results (one
+    /// claimed batch at parallelism 1).
     pub reorder_depth_max: usize,
     /// Scheduler counters summed over all iterations.
     pub sched: SchedCounters,
@@ -714,8 +720,8 @@ impl CampaignResult {
     }
 }
 
-/// Everything a campaign accumulates, plus the single merge path both
-/// the sequential and the streaming executor funnel through.
+/// Everything a campaign accumulates, plus the single merge path the
+/// campaign engine funnels every iteration through.
 ///
 /// Merging is the *only* stateful step of a campaign (runs themselves
 /// are independent), so routing every iteration — in strict iteration
@@ -1250,72 +1256,6 @@ impl MergeState {
     }
 }
 
-/// Work queue of the streaming executor: hands out iteration indices to
-/// long-lived campaign workers, gated by a *claim window* so execution
-/// never races more than `window` iterations ahead of the merge point —
-/// this bounds both the reorder buffer and the work wasted past an
-/// early-exit cutoff.
-struct ClaimQueue {
-    state: StdMutex<ClaimState>,
-    cv: Condvar,
-    window: usize,
-}
-
-struct ClaimState {
-    /// Next unclaimed iteration index.
-    next: usize,
-    /// Iterations merged so far (claims must stay < merged + window).
-    merged: usize,
-    /// One past the last claimable index; shrinks on early exit.
-    cutoff: usize,
-}
-
-impl ClaimQueue {
-    fn new(start: usize, iterations: usize, window: usize) -> Self {
-        ClaimQueue {
-            state: StdMutex::new(ClaimState { next: start, merged: start, cutoff: iterations }),
-            cv: Condvar::new(),
-            window: window.max(1),
-        }
-    }
-
-    /// Claim up to `max` *contiguous* iteration indices `[lo, hi)`,
-    /// blocking while the claim window is exhausted; `None` once the
-    /// campaign is over. The range never reaches past the window, so
-    /// batched claims obey exactly the ordering constraint single
-    /// claims do (guided arm selection stays sound).
-    fn claim_batch(&self, max: usize) -> Option<(usize, usize)> {
-        let max = max.max(1);
-        let mut st = self.state.lock().expect("claim queue");
-        loop {
-            if st.next >= st.cutoff {
-                return None;
-            }
-            if st.next < st.merged + self.window {
-                let lo = st.next;
-                let hi = (st.merged + self.window).min(st.cutoff).min(lo + max);
-                st.next = hi;
-                return Some((lo, hi));
-            }
-            st = self.cv.wait(st).expect("claim queue");
-        }
-    }
-
-    /// Record one merged iteration, sliding the claim window forward.
-    fn advance_merged(&self) {
-        let mut st = self.state.lock().expect("claim queue");
-        st.merged += 1;
-        self.cv.notify_all();
-    }
-
-    /// Early exit: forbid all further claims.
-    fn stop(&self) {
-        let mut st = self.state.lock().expect("claim queue");
-        st.cutoff = st.cutoff.min(st.merged);
-        self.cv.notify_all();
-    }
-}
-
 /// The GoAT tool: drives instrumented executions of a program.
 #[derive(Debug, Clone, Default)]
 pub struct Goat {
@@ -1373,196 +1313,27 @@ impl Goat {
 
     /// Run a full testing campaign on `program`.
     ///
-    /// With [`GoatConfig::parallelism`] > 1 the iterations execute on a
-    /// streaming executor: `parallelism` long-lived workers claim
-    /// seed-indexed iterations from a shared queue and a reorder buffer
-    /// merges their results in strict iteration order. Because every
-    /// iteration's seed is fixed up front and merging is the only
-    /// stateful step, the campaign outcome is byte-identical to the
-    /// sequential one — including `stop_on_bug` and coverage-threshold
-    /// early exits.
+    /// The campaign is a suite of one on the campaign engine
+    /// ([`crate::suite`]): [`GoatConfig::parallelism`] long-lived
+    /// workers claim seed-indexed iterations from a shared queue and a
+    /// reorder buffer merges their results in strict iteration order.
+    /// Because every iteration's seed is fixed up front and merging is
+    /// the only stateful step, the outcome is byte-identical at any
+    /// parallelism — including `stop_on_bug` and coverage-threshold
+    /// early exits. [`GoatConfig::checkpoint`] is used exactly as given,
+    /// and the bug trace stays in the result for report rendering.
     pub fn test(&self, program: Arc<dyn Program>) -> CampaignResult {
-        // One relaxed load decides whether any timing instrumentation
-        // runs; campaign results are identical either way (wall-clock
-        // figures live only in the optional telemetry block).
-        let telemetry_on = goat_metrics::enabled();
-        if telemetry_on {
+        if goat_metrics::enabled() {
             goat_metrics::set_context(Some(program.name()));
         }
-        let t_campaign = telemetry_on.then(Instant::now);
-        let iter_wall = Histogram::default();
-        let claim_wait = Histogram::default();
-        let mut reorder_depth_max = 0usize;
-
-        let table = Self::static_model(program.as_ref());
-        let mut m = MergeState::new(table);
-        // The bandit must exist before resume so a checkpoint's reward
-        // history lands back in it, rebuilding the exact selection state.
-        m.guided = self.cfg.guided.then(|| {
-            Arc::new(StdMutex::new(Bandit::new(
-                self.cfg.seed0,
-                self.cfg.strategy,
-                self.cfg.delay_bound,
-            )))
-        });
-        let guided = m.guided.clone();
-        let mut ckpt = Checkpointer::new(&self.cfg, program.name());
-        let start = match &ckpt {
-            Some(c) => c.resume(&mut m).min(self.cfg.iterations),
-            None => 0,
-        };
-        // A resumed campaign may already be over (bug with stop_on_bug,
-        // threshold reached, or quarantined): re-running nothing is what
-        // keeps resume byte-identical to the uninterrupted campaign.
-        let resumed_stopped = m.quarantined.is_some()
-            || m.saturated.is_some()
-            || (self.cfg.stop_on_bug && m.bug.is_some())
-            || self
-                .cfg
-                .coverage_threshold
-                .is_some_and(|th| start > 0 && m.covered.percent(&m.universe) >= th);
-
-        if self.cfg.parallelism <= 1 {
-            if !resumed_stopped {
-                // Iterations are claimed in batches of `effective_batch`
-                // (1 unless process isolation is on): arm selection for
-                // every run in a batch happens before any of the batch
-                // merges, which is sound because the batch is capped at
-                // the bandit's feedback lag — exactly the parallel claim
-                // window's argument, so results stay byte-identical.
-                let batch = self.cfg.effective_batch();
-                let mut i = start;
-                'camp: while i < self.cfg.iterations {
-                    let n = batch.min(self.cfg.iterations - i);
-                    let arms: Vec<Option<Arm>> =
-                        (0..n).map(|k| Self::select_arm(&guided, i + k)).collect();
-                    let t_iter = telemetry_on.then(Instant::now);
-                    let results = self.run_batch_supervised(i, &program, &arms);
-                    if let Some(t) = t_iter {
-                        // Per-iteration share of the batch wall time:
-                        // keeps the histogram at one sample per
-                        // iteration, which the telemetry schema pins.
-                        let per = t.elapsed().as_nanos() as u64 / n as u64;
-                        for _ in 0..n {
-                            iter_wall.record(per);
-                        }
-                    }
-                    for (k, result) in results.into_iter().enumerate() {
-                        let stop = m.merge_one(&self.cfg, i + k, result);
-                        if let Some(c) = ckpt.as_mut() {
-                            c.note_merged(&m);
-                        }
-                        if stop {
-                            // Runs later in the batch were speculative
-                            // past the cutoff — discarded, exactly like
-                            // the parallel executor's post-stop claims.
-                            break 'camp;
-                        }
-                    }
-                    i += n;
-                }
-            }
-            if let Some(c) = ckpt.as_mut() {
-                c.finalize(&m);
-            }
-            return self.finish_campaign(
-                m,
-                program.as_ref(),
-                t_campaign,
-                &iter_wall,
-                &claim_wait,
-                0,
-            );
-        }
-
-        if !resumed_stopped && start < self.cfg.iterations {
-            // Guided mode caps the claim window at the bandit's feedback
-            // lag: iteration `i` can then only be claimed once the
-            // rewards its (lagged) selection reads are merged, which is
-            // what makes the parallel guided campaign byte-identical to
-            // the sequential one.
-            let mut window = self.cfg.parallelism * 4;
-            if guided.is_some() {
-                window = window.min(GUIDED_LAG);
-            }
-            let queue = ClaimQueue::new(start, self.cfg.iterations, window);
-            let batch = self.cfg.effective_batch();
-            let (tx, rx) = mpsc::channel::<(usize, goat_runtime::RunResult)>();
-            std::thread::scope(|scope| {
-                for _ in 0..self.cfg.parallelism {
-                    let tx = tx.clone();
-                    let queue = &queue;
-                    let program = &program;
-                    let goat = &self;
-                    let guided = &guided;
-                    let (iter_wall, claim_wait) = (&iter_wall, &claim_wait);
-                    scope.spawn(move || loop {
-                        let t_claim = telemetry_on.then(Instant::now);
-                        let Some((lo, hi)) = queue.claim_batch(batch) else { return };
-                        if let Some(t) = t_claim {
-                            claim_wait.record(t.elapsed().as_nanos() as u64);
-                        }
-                        // Arm selection happens at claim time in seed
-                        // order; the lag-capped window guarantees the
-                        // rewards `select(i)` reads are already merged
-                        // for every index in the claimed range.
-                        let arms: Vec<Option<Arm>> =
-                            (lo..hi).map(|i| Self::select_arm(guided, i)).collect();
-                        let t_iter = telemetry_on.then(Instant::now);
-                        let results = goat.run_batch_supervised(lo, program, &arms);
-                        if let Some(t) = t_iter {
-                            let per = t.elapsed().as_nanos() as u64 / arms.len() as u64;
-                            for _ in 0..arms.len() {
-                                iter_wall.record(per);
-                            }
-                        }
-                        for (k, result) in results.into_iter().enumerate() {
-                            if tx.send((lo + k, result)).is_err() {
-                                return;
-                            }
-                        }
-                    });
-                }
-                // Only workers hold senders: the channel closes (ending
-                // the merge loop) exactly when the last worker exits.
-                drop(tx);
-
-                let mut reorder: BTreeMap<usize, goat_runtime::RunResult> = BTreeMap::new();
-                let mut expect = start;
-                let mut stopped = false;
-                for (idx, result) in rx {
-                    reorder.insert(idx, result);
-                    reorder_depth_max = reorder_depth_max.max(reorder.len());
-                    while let Some(next) = reorder.remove(&expect) {
-                        if stopped {
-                            // Speculative runs past the cutoff: discard.
-                        } else {
-                            if m.merge_one(&self.cfg, expect, next) {
-                                stopped = true;
-                                queue.stop();
-                            } else {
-                                queue.advance_merged();
-                            }
-                            if let Some(c) = ckpt.as_mut() {
-                                c.note_merged(&m);
-                            }
-                        }
-                        expect += 1;
-                    }
-                }
-            });
-        }
-        if let Some(c) = ckpt.as_mut() {
-            c.finalize(&m);
-        }
-        self.finish_campaign(
-            m,
-            program.as_ref(),
-            t_campaign,
-            &iter_wall,
-            &claim_wait,
-            reorder_depth_max,
-        )
+        let mut result = None;
+        crate::suite::run_campaigns(
+            vec![(self.clone(), program)],
+            self.cfg.parallelism,
+            None,
+            &mut |_, r| result = Some(r),
+        );
+        result.expect("the engine finishes every campaign")
     }
 
     /// Guided arm selection for iteration `i` — `None` when guided mode
@@ -2137,6 +1908,12 @@ mod tests {
         assert_eq!(
             first.to_json_summary().expect("first"),
             again.to_json_summary().expect("again")
+        );
+        // A lone campaign uses its sidecar as given: no suite manifest.
+        assert!(path.exists(), "campaign sidecar missing");
+        assert!(
+            !crate::suite::suite_manifest_path(&path).exists(),
+            "Goat::test must not write a suite manifest"
         );
         let _ = std::fs::remove_file(&path);
     }

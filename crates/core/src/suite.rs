@@ -1,27 +1,31 @@
-//! Suite-scale orchestration: one global work-stealing iteration queue
-//! over every selected kernel.
+//! The campaign engine: one work-stealing iteration queue over any
+//! number of campaigns.
 //!
-//! The paper's whole-benchmark evaluation (`-eval_conf … -freq`) runs a
-//! *suite* of campaigns, and historically the CLI ran them strictly
-//! sequentially: each kernel finished — saturation tail included —
-//! before the next one started. [`run_suite`] turns the suite itself
-//! into the unit of execution:
+//! A GoAT campaign runs the instrumented program once per seed and
+//! merges every run's analysis in iteration order. `run_campaigns` is
+//! the only implementation of that loop: [`Goat::test`] hands it one
+//! campaign, [`run_suite`] hands it every kernel of the paper's
+//! whole-benchmark evaluation (`-eval_conf … -freq`) and adds the
+//! suite's own bookkeeping around it.
 //!
-//! * **Global work stealing** — every kernel becomes a claimable
-//!   *iteration stream* (`next`/`merged`/`cutoff` plus the familiar
-//!   lag-capped claim window) and `jobs` long-lived workers claim
-//!   batches from whichever stream has work, preferring the stream they
-//!   last ran (affinity) and stealing across kernels otherwise. One
-//!   kernel's saturation tail no longer serializes the suite.
-//! * **Determinism** — per-kernel results are byte-identical to the
-//!   sequential suite at any `jobs` value: every iteration's seed is
-//!   fixed up front (`seed0 + i`), merging is the only stateful step
-//!   and each kernel's merges happen in strict iteration order behind a
-//!   per-kernel reorder buffer. Cross-kernel interleaving touches no
-//!   per-kernel state. Guided campaigns keep the claim window capped at
-//!   the bandit's feedback lag, the same argument as the streaming
-//!   executor's. Report lines render through a *kernel-granularity*
-//!   reorder buffer: the `emit` callback always fires in kernel order.
+//! * **Global work stealing** — every campaign becomes a claimable
+//!   *iteration stream* (`next`/`merged`/`cutoff` plus a claim window
+//!   bounding how far execution runs ahead of the merge point) and
+//!   `jobs` long-lived workers claim batches from whichever stream has
+//!   work, preferring the stream they last ran (affinity) and stealing
+//!   across kernels otherwise. One kernel's saturation tail does not
+//!   serialize a suite.
+//! * **Determinism** — results are byte-identical at any `jobs` value:
+//!   every iteration's seed is fixed up front (`seed0 + i`), merging is
+//!   the only stateful step and each campaign's merges happen in strict
+//!   iteration order behind a per-campaign reorder buffer. With one job
+//!   the worker claims, runs and merges strictly in order — the plain
+//!   sequential campaign. Cross-kernel interleaving touches no
+//!   per-kernel state. Guided campaigns cap the claim window at the
+//!   bandit's feedback lag, so an arm selection only ever reads rewards
+//!   that are already merged. Finished campaigns reach the caller
+//!   through a *campaign-granularity* reorder buffer: `emit` always
+//!   fires in campaign order.
 //! * **Adaptive budget reallocation** (`GOAT_SUITE_REALLOC`) — kernels
 //!   that stop early (bug with `stop_on_bug`, or coverage saturation)
 //!   release their unspent base budget into a pool. Once *every* kernel
@@ -36,32 +40,33 @@
 //!   had `base + grant` iterations from the start.
 //! * **Warm shared resources** — the goroutine worker-thread pool and
 //!   the trace-buffer pool are process-wide and stay warm by nature;
-//!   this module additionally recycles the per-campaign analysis
-//!   scratch ([`EctBuffers`]) from finished kernels into later ones
-//!   (scratch contents never affect results — it is cleared per pass)
-//!   and, under `GOAT_ISOLATE=proc`, keeps sandboxed workers pooled
-//!   across kernels instead of draining per campaign (checkouts
-//!   re-`Init` per campaign, so reuse is sound), draining once at suite
-//!   end. The analysis *memo* is deliberately **not** shared: its keys
-//!   are schedule fingerprints, which only identify a run within one
-//!   kernel.
-//! * **Suite-level resume** — each kernel keeps its own checkpoint
-//!   sidecar (see [`per_kernel_checkpoint`]); a suite-level manifest
-//!   sidecar (`<base>.suite.<ext>`) records the kernel list and, once
-//!   the barrier has passed, the grants. A SIGKILLed suite resumes
+//!   the engine additionally recycles the per-campaign analysis scratch
+//!   ([`EctBuffers`]) from finished campaigns into later ones (scratch
+//!   contents never affect results — it is cleared per pass) and, under
+//!   `GOAT_ISOLATE=proc`, keeps sandboxed workers pooled across kernels
+//!   instead of draining per campaign (checkouts re-`Init` per
+//!   campaign, so reuse is sound); [`run_suite`] drains them once at
+//!   suite end. The analysis *memo* is deliberately **not** shared: its
+//!   keys are schedule fingerprints, which only identify a run within
+//!   one kernel.
+//! * **Resume** — every campaign resumes from its own checkpoint
+//!   sidecar before any worker runs. A suite derives one sidecar per
+//!   kernel (see [`per_kernel_checkpoint`]) plus a suite-level manifest
+//!   (`<base>.suite.<ext>`) recording the kernel list and, once the
+//!   barrier has passed, the grants. A SIGKILLed suite resumes
 //!   mid-suite: finished kernels replay from their sidecars without
 //!   re-running, in-flight kernels continue from their last write, and
 //!   recorded grants are reused verbatim so extension budgets survive
 //!   the crash.
 //!
-//! Observability: the orchestrator reports `suite.*` metrics — kernels
-//! in flight, cross-kernel steals, budget donated/granted, warm-pool
-//! reuse — and a `suite` JSONL event when telemetry is on.
+//! Observability: [`run_suite`] reports `suite.*` metrics — kernels in
+//! flight, cross-kernel steals, budget donated/granted, warm-pool reuse
+//! — and a `suite` JSONL event when telemetry is on.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
 use std::time::Instant;
 
 use goat_metrics::Histogram;
@@ -73,8 +78,6 @@ use crate::plane::EctBuffers;
 use crate::program::Program;
 use crate::runner::{CampaignResult, Checkpointer, Goat, GoatConfig, MergeState};
 
-/// Environment knob for the suite's cross-kernel worker count.
-pub const JOBS_ENV: &str = "GOAT_JOBS";
 /// Environment knob enabling adaptive budget reallocation.
 pub const REALLOC_ENV: &str = "GOAT_SUITE_REALLOC";
 /// Schema version of the suite manifest sidecar.
@@ -84,39 +87,31 @@ pub const SUITE_MANIFEST_VERSION: u32 = 1;
 /// [`GoatConfig`] they multiplex.
 #[derive(Debug, Clone)]
 pub struct SuiteConfig {
-    /// Workers claiming iterations across kernels (`-jobs`/`GOAT_JOBS`;
-    /// defaults to `GOAT_PARALLELISM`, then 1). Results are identical
-    /// at any value.
+    /// Workers claiming iterations across kernels (`-jobs`; defaults to
+    /// `GOAT_PARALLELISM`, then 1) — the suite's counterpart of
+    /// [`GoatConfig::parallelism`]. Results are identical at any value.
     pub jobs: usize,
     /// Adaptive budget reallocation (`GOAT_SUITE_REALLOC`): early
     /// stoppers donate unspent base budget to still-exploring kernels.
     /// Off by default — it extends some kernels' budgets, which changes
     /// (deterministically) what the suite reports.
     pub realloc: bool,
-    /// Keep shared resources warm across kernels: pre-spawn the
-    /// goroutine pool and recycle analysis scratch between campaigns.
-    /// On by default; the bench's cold leg turns it off.
-    pub warm: bool,
 }
 
 impl Default for SuiteConfig {
     fn default() -> Self {
-        let env_jobs = |name: &str| {
-            std::env::var(name).ok().and_then(|v| v.parse::<usize>().ok()).filter(|n| *n >= 1)
-        };
         SuiteConfig {
-            jobs: env_jobs(JOBS_ENV).or_else(|| env_jobs("GOAT_PARALLELISM")).unwrap_or(1),
+            jobs: crate::runner::default_parallelism(),
             realloc: matches!(
                 std::env::var(REALLOC_ENV).ok().as_deref(),
                 Some("1") | Some("on") | Some("true") | Some("yes")
             ),
-            warm: true,
         }
     }
 }
 
 impl SuiteConfig {
-    /// Set the cross-kernel worker count (overrides `GOAT_JOBS`).
+    /// Set the cross-kernel worker count (overrides `GOAT_PARALLELISM`).
     pub fn with_jobs(mut self, n: usize) -> Self {
         assert!(n >= 1, "jobs must be at least 1");
         self.jobs = n;
@@ -126,12 +121,6 @@ impl SuiteConfig {
     /// Enable or disable adaptive budget reallocation.
     pub fn with_realloc(mut self, on: bool) -> Self {
         self.realloc = on;
-        self
-    }
-
-    /// Enable or disable warm-resource reuse across kernels.
-    pub fn with_warm(mut self, on: bool) -> Self {
-        self.warm = on;
         self
     }
 }
@@ -248,8 +237,8 @@ fn suite_fingerprint(base: &GoatConfig, names: &[String], realloc: bool) -> Stri
     )
 }
 
-/// One kernel's claimable iteration stream, guarded by the suite
-/// queue's lock.
+/// One campaign's claimable iteration stream, guarded by the queue's
+/// lock.
 struct Stream {
     /// Next unclaimed iteration index.
     next: usize,
@@ -257,7 +246,8 @@ struct Stream {
     merged: usize,
     /// One past the last claimable index; grows on an extension grant.
     cutoff: usize,
-    /// Claim window (capped at [`GUIDED_LAG`] for guided campaigns).
+    /// Claim window: at least one IPC batch, capped at [`GUIDED_LAG`]
+    /// for guided campaigns.
     window: usize,
     /// Iterations per claim ([`GoatConfig::effective_batch`]).
     batch: usize,
@@ -285,11 +275,13 @@ struct QueueState {
     streams: Vec<Stream>,
     /// Rotating scan start so concurrent workers spread across kernels.
     cursor: usize,
-    /// Fully finalized kernels; all of them means shutdown.
+    /// Fully finalized campaigns.
     finalized: usize,
     /// The reallocation barrier has passed (immediately true when
     /// realloc is off or grants were preset by a resumed manifest).
     barrier_open: bool,
+    /// Every campaign is finalized — or a worker panicked: no more
+    /// claims, and the coordinator stops waiting.
     shutdown: bool,
     steals: u64,
     inflight_max: usize,
@@ -307,10 +299,10 @@ struct SuiteQueue {
 
 impl SuiteQueue {
     /// Claim up to one batch of contiguous iterations from some
-    /// kernel's stream, preferring `last` (the worker's previous
-    /// kernel) and stealing from the next claimable stream otherwise.
-    /// Blocks while nothing is claimable; `None` once the suite is
-    /// over.
+    /// campaign's stream, preferring `last` (the worker's previous
+    /// campaign) and stealing from the next claimable stream otherwise.
+    /// Blocks while nothing is claimable; `None` once the queue is shut
+    /// down.
     fn claim(&self, last: Option<usize>) -> Option<(usize, usize, usize)> {
         let mut st = self.state.lock().expect("suite queue");
         loop {
@@ -351,7 +343,22 @@ impl SuiteQueue {
     }
 }
 
-/// Everything one kernel's merge thread-of-record owns, behind the
+/// Shuts the queue down when a worker unwinds, so a panic inside one
+/// campaign's run or merge fails the whole call instead of leaving the
+/// coordinator and the other workers waiting forever.
+struct ShutdownOnUnwind<'a>(&'a SuiteQueue);
+
+impl Drop for ShutdownOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.state.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
+            self.0.work_cv.notify_all();
+            self.0.done_cv.notify_all();
+        }
+    }
+}
+
+/// Everything one campaign's merge thread-of-record owns, behind the
 /// slot's lock: the campaign merge state, the iteration-order reorder
 /// buffer, and the checkpoint writer.
 struct SlotMerge {
@@ -369,9 +376,8 @@ struct SlotMerge {
     t0: Option<Instant>,
 }
 
-/// One kernel of the suite: its program, configured campaign engine,
-/// live merge state and (after finalize) its result, awaiting in-order
-/// emission.
+/// One campaign: its program, configured campaign engine, live merge
+/// state and (after finalize) its result, awaiting in-order emission.
 struct Slot {
     name: String,
     program: Arc<dyn Program>,
@@ -383,11 +389,20 @@ struct Slot {
     claim_wait: Histogram,
 }
 
-/// Analysis scratch recycled from finished kernels into later ones.
+/// Analysis scratch recycled from finished campaigns into later ones.
 struct WarmPool {
     bufs: StdMutex<Vec<EctBuffers>>,
     reused: AtomicU64,
-    enabled: bool,
+}
+
+/// Budget reallocation context for [`run_campaigns`].
+pub(crate) struct Realloc {
+    /// Grants a resumed suite manifest already recorded: the barrier is
+    /// open from the start and streams begin with their extension.
+    preset: Option<Vec<usize>>,
+    /// Where the barrier persists freshly computed grants, and the
+    /// manifest (kernel list, fingerprint) they are stamped into.
+    manifest: Option<(PathBuf, SuiteManifest)>,
 }
 
 /// End-of-suite orchestration summary on the JSONL telemetry stream.
@@ -397,9 +412,9 @@ struct SuiteEvent {
     suite: SuiteStats,
 }
 
-/// Deliver one claimed batch's results: insert into the kernel's
+/// Deliver one claimed batch's results: insert into the campaign's
 /// reorder buffer, merge everything now in order, then update the
-/// stream's accounting and finalize the kernel if it just completed.
+/// stream's accounting and finalize the campaign if it just completed.
 fn deliver(
     slots: &[Slot],
     queue: &SuiteQueue,
@@ -420,11 +435,12 @@ fn deliver(
             sm.reorder_depth_max = sm.reorder_depth_max.max(sm.reorder.len());
             while let Some(r) = sm.reorder.remove(&sm.expect) {
                 if !sm.halted {
-                    if warm.enabled && !sm.warmed {
-                        // First merge for this kernel: adopt a finished
-                        // kernel's grown scratch if one is available.
-                        // Scratch is cleared per analysis pass, so this
-                        // changes allocation behaviour, never results.
+                    if !sm.warmed {
+                        // First merge for this campaign: adopt a
+                        // finished campaign's grown scratch if one is
+                        // available. Scratch is cleared per analysis
+                        // pass, so this changes allocation behaviour,
+                        // never results.
                         sm.warmed = true;
                         if let Some(b) = warm.bufs.lock().expect("warm pool").pop() {
                             sm.m.bufs = b;
@@ -442,8 +458,7 @@ fn deliver(
                     }
                 }
                 // Past a halt the remaining in-order results were
-                // speculative claims: discarded, exactly like the
-                // streaming executor's post-stop claims.
+                // speculative claims: discarded.
                 sm.expect += 1;
             }
         }
@@ -469,10 +484,15 @@ fn deliver(
                 // until every kernel's base phase is done, then either
                 // receive an extension or finalize with grant 0.
                 s.pending = true;
+                queue.done_cv.notify_all();
             }
         }
-        queue.work_cv.notify_all();
-        queue.done_cv.notify_all();
+        // Merges slide the claim window. The coordinator waits only for
+        // parked and finalized streams (`finalize_slot` wakes it), so a
+        // plain merge leaves it asleep.
+        if merged_now > 0 {
+            queue.work_cv.notify_all();
+        }
         finalize
     };
     if finalize {
@@ -480,10 +500,11 @@ fn deliver(
     }
 }
 
-/// Close out one kernel: final checkpoint write, donate unspent budget
-/// (pre-barrier early stoppers only), recycle the analysis scratch into
-/// the warm pool, package the [`CampaignResult`] for in-order emission
-/// and account the completion — the last finalize shuts the queue down.
+/// Close out one campaign: final checkpoint write, donate unspent
+/// budget (pre-barrier early stoppers only), recycle the analysis
+/// scratch into the warm pool, package the [`CampaignResult`] for
+/// in-order emission and account the completion — the last finalize
+/// shuts the queue down.
 fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) {
     let slot = &slots[k];
     let Some(mut sm) = slot.live.lock().expect("slot merge").take() else { return };
@@ -494,9 +515,7 @@ fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) 
     let early_stop =
         (slot.goat.config().stop_on_bug && sm.m.bug.is_some()) || sm.m.saturated.is_some();
     let released = if early_stop { base_iters.saturating_sub(sm.m.records.len()) } else { 0 };
-    if warm.enabled {
-        warm.bufs.lock().expect("warm pool").push(std::mem::take(&mut sm.m.bufs));
-    }
+    warm.bufs.lock().expect("warm pool").push(std::mem::take(&mut sm.m.bufs));
     if goat_metrics::enabled() {
         goat_metrics::set_context(Some(&slot.name));
     }
@@ -543,20 +562,10 @@ fn split_pool(n: usize, recipients: &[usize], pool: usize, cap: usize) -> Vec<us
 }
 
 /// The reallocation barrier: every stream has completed its base
-/// budget. Compute grants from the (deterministic) base-phase results —
-/// or adopt the grants a resumed manifest recorded — persist them, then
-/// re-open the recipients' streams and finalize the rest.
-#[allow(clippy::too_many_arguments)]
-fn apply_realloc(
-    slots: &[Slot],
-    queue: &SuiteQueue,
-    warm: &WarmPool,
-    base_iters: usize,
-    preset: Option<&Vec<usize>>,
-    manifest_path: Option<&PathBuf>,
-    fingerprint: &str,
-    names: &[String],
-) {
+/// budget. Compute grants from the (deterministic) base-phase results,
+/// persist them, then re-open the recipients' streams and finalize the
+/// rest.
+fn apply_realloc(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, realloc: &Realloc) {
     let (pool, pending): (usize, Vec<usize>) = {
         let st = queue.state.lock().expect("suite queue");
         (
@@ -564,33 +573,23 @@ fn apply_realloc(
             st.streams.iter().enumerate().filter(|(_, s)| s.pending).map(|(k, _)| k).collect(),
         )
     };
-    let grants = match preset {
-        Some(g) => g.clone(),
-        None => {
-            // Recipients: pending streams (ran the full base budget
-            // without stopping) that are still exploring — detected
-            // kernels under `keep_running` are done, not starving.
-            let recipients: Vec<usize> = pending
-                .iter()
-                .copied()
-                .filter(|&k| {
-                    let live = slots[k].live.lock().expect("slot merge");
-                    live.as_ref().is_some_and(|sm| sm.m.first_detection.is_none())
-                })
-                .collect();
-            let grants = split_pool(slots.len(), &recipients, pool, base_iters);
-            if let Some(path) = manifest_path {
-                SuiteManifest {
-                    version: SUITE_MANIFEST_VERSION,
-                    fingerprint: fingerprint.to_string(),
-                    kernels: names.to_vec(),
-                    grants: Some(grants.clone()),
-                }
-                .store(path);
-            }
-            grants
-        }
-    };
+    // Recipients: pending streams (ran the full base budget without
+    // stopping) that are still exploring — detected kernels under
+    // `keep_running` are done, not starving.
+    let recipients: Vec<usize> = pending
+        .iter()
+        .copied()
+        .filter(|&k| {
+            let live = slots[k].live.lock().expect("slot merge");
+            live.as_ref().is_some_and(|sm| sm.m.first_detection.is_none())
+        })
+        .collect();
+    // Every campaign of a suite shares the base budget, which is also
+    // the per-kernel grant cap.
+    let grants = split_pool(slots.len(), &recipients, pool, slots[0].goat.config().iterations);
+    if let Some((path, manifest)) = &realloc.manifest {
+        SuiteManifest { grants: Some(grants.clone()), ..manifest.clone() }.store(path);
+    }
     let to_finalize: Vec<usize> = {
         let mut st = queue.state.lock().expect("suite queue");
         st.barrier_open = true;
@@ -598,13 +597,12 @@ fn apply_realloc(
         st.budget_granted = grants.iter().sum();
         let mut finalize = Vec::new();
         for &k in &pending {
+            let s = &mut st.streams[k];
+            s.pending = false;
             if grants[k] > 0 {
-                let s = &mut st.streams[k];
                 s.cutoff += grants[k];
                 s.complete = false;
-                s.pending = false;
             } else {
-                st.streams[k].pending = false;
                 finalize.push(k);
             }
         }
@@ -616,83 +614,69 @@ fn apply_realloc(
     }
 }
 
-/// Run every kernel in `kernels` as one suite over a global
-/// work-stealing iteration queue, invoking `emit` once per kernel **in
-/// kernel order** with its finished [`CampaignResult`] (the bug trace
-/// is recycled after `emit` returns).
-///
-/// Per-kernel results are byte-identical to running the kernels
-/// sequentially with [`Goat::test`], at any [`SuiteConfig::jobs`]
-/// value; see the module docs for the determinism argument. With
-/// [`GoatConfig::checkpoint`] set, per-kernel sidecars plus a suite
-/// manifest make a SIGKILLed suite resume mid-suite.
-pub fn run_suite(
-    base: &GoatConfig,
-    suite: &SuiteConfig,
-    kernels: &[Arc<dyn Program>],
-    emit: &mut dyn FnMut(usize, &str, &mut CampaignResult),
-) -> SuiteStats {
-    let jobs = suite.jobs.max(1);
-    let mut stats = SuiteStats { kernels: kernels.len(), jobs, ..SuiteStats::default() };
-    if kernels.is_empty() {
-        return stats;
-    }
-    let telemetry_on = goat_metrics::enabled();
-    let reg = goat_metrics::global();
-    let isolate_reused_before = reg.counter("isolate.workers_reused").get();
-    if suite.warm {
-        // Pre-spawn parked goroutine-pool workers so the first claims
-        // of a cold process do not all pay thread-creation cost.
-        goat_runtime::pool::prewarm(jobs);
-    }
-
-    let names: Vec<String> = kernels.iter().map(|p| p.name().to_string()).collect();
-    let fingerprint = suite_fingerprint(base, &names, suite.realloc);
-    let manifest_path = base.checkpoint.as_ref().map(|p| suite_manifest_path(p));
-    let preset_grants: Option<Vec<usize>> = if suite.realloc {
-        manifest_path
-            .as_ref()
-            .and_then(|p| SuiteManifest::load(p, &fingerprint))
-            .and_then(|m| m.grants)
-            .filter(|g| g.len() == kernels.len())
-    } else {
-        None
-    };
-    if let Some(path) = &manifest_path {
-        if preset_grants.is_none() {
-            SuiteManifest {
-                version: SUITE_MANIFEST_VERSION,
-                fingerprint: fingerprint.clone(),
-                kernels: names.clone(),
-                grants: None,
+/// One worker: claim a batch, run it, deliver it — until the queue
+/// shuts down.
+fn work(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, telemetry_on: bool) {
+    let _unwind = ShutdownOnUnwind(queue);
+    let mut last: Option<usize> = None;
+    loop {
+        let t_claim = telemetry_on.then(Instant::now);
+        let Some((k, lo, hi)) = queue.claim(last) else { return };
+        let slot = &slots[k];
+        if let Some(t) = t_claim {
+            slot.claim_wait.record(t.elapsed().as_nanos() as u64);
+        }
+        last = Some(k);
+        // Arm selection happens at claim time in iteration order; the
+        // lag-capped window guarantees the rewards `select(i)` reads
+        // are already merged.
+        let arms: Vec<Option<Arm>> = (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
+        let t_iter = telemetry_on.then(Instant::now);
+        let results = slot.goat.run_batch_supervised(lo, &slot.program, &arms);
+        if let Some(t) = t_iter {
+            // Per-iteration share of the batch wall time: one sample
+            // per iteration, which the telemetry schema pins.
+            let per = t.elapsed().as_nanos() as u64 / arms.len() as u64;
+            for _ in 0..arms.len() {
+                slot.iter_wall.record(per);
             }
-            .store(path);
         }
+        deliver(slots, queue, warm, k, lo, results);
     }
+}
 
-    let warm = WarmPool {
-        bufs: StdMutex::new(Vec::new()),
-        reused: AtomicU64::new(0),
-        enabled: suite.warm,
-    };
+/// Run `campaigns` over one work-stealing iteration queue served by
+/// `jobs` workers, handing each finished [`CampaignResult`] to `emit`
+/// **in campaign order**. Each campaign resumes from its own
+/// [`GoatConfig::checkpoint`] exactly as configured; `realloc` turns on
+/// adaptive budget reallocation across the campaigns.
+///
+/// This is the only campaign loop: [`Goat::test`] is a call with one
+/// campaign, [`run_suite`] one with every kernel. The returned stats
+/// leave `isolate_workers_reused` to the caller.
+pub(crate) fn run_campaigns(
+    campaigns: Vec<(Goat, Arc<dyn Program>)>,
+    jobs: usize,
+    realloc: Option<Realloc>,
+    emit: &mut dyn FnMut(usize, CampaignResult),
+) -> SuiteStats {
+    let jobs = jobs.max(1);
+    let telemetry_on = goat_metrics::enabled();
+    let preset = realloc.as_ref().and_then(|r| r.preset.as_ref());
+    let warm = WarmPool { bufs: StdMutex::new(Vec::new()), reused: AtomicU64::new(0) };
 
-    // Build every kernel's slot and stream. Resume happens here, before
-    // any worker runs: a kernel whose sidecar says it already stopped
-    // (or already spent its budget) starts complete, re-running
-    // nothing — that is what keeps suite resume byte-identical.
-    let mut slots: Vec<Slot> = Vec::with_capacity(kernels.len());
-    let mut streams: Vec<Stream> = Vec::with_capacity(kernels.len());
+    // Build every campaign's slot and stream. Resume happens here,
+    // before any worker runs: a campaign whose sidecar says it already
+    // stopped (or already spent its budget) starts complete, re-running
+    // nothing — that is what keeps resume byte-identical.
+    let mut slots: Vec<Slot> = Vec::with_capacity(campaigns.len());
+    let mut streams: Vec<Stream> = Vec::with_capacity(campaigns.len());
     let mut init_finalize: Vec<usize> = Vec::new();
-    for (k, program) in kernels.iter().enumerate() {
-        let name = names[k].clone();
-        let mut cfg = base.clone();
-        if let Some(bp) = &base.checkpoint {
-            cfg.checkpoint = Some(per_kernel_checkpoint(bp, &name));
-        }
-        let goat = Goat::new(cfg);
+    for (k, (goat, program)) in campaigns.into_iter().enumerate() {
+        let t0 = telemetry_on.then(Instant::now);
+        let name = program.name().to_string();
         let cfg = goat.config();
-        let table = Goat::static_model(program.as_ref());
-        let mut m = MergeState::new(table);
+        let mut m = MergeState::new(Goat::static_model(program.as_ref()));
         // The bandit must exist before resume so a checkpoint's reward
         // history lands back in it.
         m.guided = cfg.guided.then(|| {
@@ -707,30 +691,29 @@ pub fn run_suite(
             || cfg
                 .coverage_threshold
                 .is_some_and(|th| start > 0 && m.covered.percent(&m.universe) >= th);
-        let mut window = jobs * 4;
+        // The window must hold at least one IPC batch, or claims would
+        // split batches; `effective_batch` is already capped at the
+        // guided lag, so the cap below keeps the bandit argument.
+        let mut window = (jobs * 4).max(cfg.effective_batch());
         if cfg.guided {
             window = window.min(GUIDED_LAG);
         }
-        let cutoff = cfg.iterations + preset_grants.as_ref().map_or(0, |g| g[k]);
+        let cutoff = cfg.iterations + preset.map_or(0, |g| g[k]);
         let stream = Stream {
             next: start,
             merged: start,
             cutoff,
-            window: window.max(1),
+            window,
             batch: cfg.effective_batch(),
             halted: resumed_stopped,
             complete: resumed_stopped || start >= cutoff,
-            pending: !resumed_stopped
-                && start >= cutoff
-                && suite.realloc
-                && preset_grants.is_none(),
+            pending: !resumed_stopped && start >= cutoff && realloc.is_some() && preset.is_none(),
             inflight: 0,
             released: 0,
         };
-        let t0 = telemetry_on.then(Instant::now);
         slots.push(Slot {
             name,
-            program: Arc::clone(program),
+            program,
             goat,
             guided,
             live: StdMutex::new(Some(SlotMerge {
@@ -758,12 +741,12 @@ pub fn run_suite(
             streams,
             cursor: 0,
             finalized: 0,
-            barrier_open: !suite.realloc || preset_grants.is_some(),
-            shutdown: false,
+            barrier_open: realloc.is_none() || preset.is_some(),
+            shutdown: slots.is_empty(),
             steals: 0,
             inflight_max: 0,
             budget_donated: 0,
-            budget_granted: preset_grants.as_ref().map_or(0, |g| g.iter().sum()),
+            budget_granted: preset.map_or(0, |g| g.iter().sum()),
         }),
         work_cv: Condvar::new(),
         done_cv: Condvar::new(),
@@ -772,94 +755,133 @@ pub fn run_suite(
         finalize_slot(&slots, &queue, &warm, k);
     }
 
-    let slots_ref = &slots;
-    let queue_ref = &queue;
-    let warm_ref = &warm;
+    let (slots, queue, warm) = (&slots, &queue, &warm);
     std::thread::scope(|scope| {
         for _ in 0..jobs {
-            scope.spawn(move || {
-                let mut last: Option<usize> = None;
-                loop {
-                    let t_claim = telemetry_on.then(Instant::now);
-                    let Some((k, lo, hi)) = queue_ref.claim(last) else { return };
-                    let slot = &slots_ref[k];
-                    if let Some(t) = t_claim {
-                        slot.claim_wait.record(t.elapsed().as_nanos() as u64);
-                    }
-                    last = Some(k);
-                    // Arm selection happens at claim time in iteration
-                    // order; the lag-capped window guarantees the
-                    // rewards `select(i)` reads are already merged.
-                    let arms: Vec<Option<Arm>> =
-                        (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
-                    let t_iter = telemetry_on.then(Instant::now);
-                    let results = slot.goat.run_batch_supervised(lo, &slot.program, &arms);
-                    if let Some(t) = t_iter {
-                        let per = t.elapsed().as_nanos() as u64 / arms.len() as u64;
-                        for _ in 0..arms.len() {
-                            slot.iter_wall.record(per);
-                        }
-                    }
-                    deliver(slots_ref, queue_ref, warm_ref, k, lo, results);
-                }
-            });
+            scope.spawn(move || work(slots, queue, warm, telemetry_on));
         }
 
-        // Coordinator: emit finished kernels in kernel order, open the
-        // reallocation barrier when every base phase is done, stop when
-        // everything is finalized.
+        // Coordinator: emit finished campaigns in campaign order, open
+        // the reallocation barrier when every base phase is done, stop
+        // when the queue shuts down.
         let mut next_emit = 0usize;
-        loop {
-            while next_emit < slots.len() {
-                let taken = slots[next_emit].done.lock().expect("slot result").take();
-                let Some(mut r) = taken else { break };
-                emit(next_emit, &slots[next_emit].name, &mut r);
-                // Suite mode renders no per-bug trace report, so the
-                // bug trace (if any) goes straight back to the
-                // recycling pool.
-                r.recycle_bug_trace();
+        let mut emit_ready = || {
+            while let Some(r) =
+                slots.get(next_emit).and_then(|s| s.done.lock().expect("slot result").take())
+            {
+                emit(next_emit, r);
                 next_emit += 1;
             }
+        };
+        loop {
+            emit_ready();
             let st = queue.state.lock().expect("suite queue");
-            if st.finalized == slots.len() {
+            if st.shutdown {
                 break;
             }
-            if !st.barrier_open && st.streams.iter().all(|s| s.complete) {
+            // The barrier opens once every stream is finalized or parked
+            // pending: a halted stream only reports its donation when it
+            // is finalized, so a merely complete one is not ready yet.
+            let pending = st.streams.iter().filter(|s| s.pending).count();
+            if !st.barrier_open && st.finalized + pending == st.streams.len() {
                 drop(st);
                 apply_realloc(
-                    slots_ref,
-                    queue_ref,
-                    warm_ref,
-                    base.iterations,
-                    preset_grants.as_ref(),
-                    manifest_path.as_ref(),
-                    &fingerprint,
-                    &names,
+                    slots,
+                    queue,
+                    warm,
+                    realloc.as_ref().expect("barrier implies realloc"),
                 );
                 continue;
             }
             drop(queue.done_cv.wait(st).expect("suite queue"));
         }
-        while next_emit < slots.len() {
-            let taken = slots[next_emit].done.lock().expect("slot result").take();
-            let mut r = taken.expect("every kernel finalized");
-            emit(next_emit, &slots[next_emit].name, &mut r);
-            r.recycle_bug_trace();
-            next_emit += 1;
-        }
+        // Campaigns finalized after the last pass above.
+        emit_ready();
     });
 
+    let st = queue.state.lock().expect("suite queue");
+    SuiteStats {
+        kernels: slots.len(),
+        jobs,
+        steals: st.steals,
+        kernels_inflight_max: st.inflight_max,
+        budget_donated: st.budget_donated,
+        budget_granted: st.budget_granted,
+        warm_bufs_reused: warm.reused.load(Ordering::Relaxed),
+        isolate_workers_reused: 0,
+    }
+}
+
+/// Run every kernel in `kernels` as one suite over the campaign
+/// engine's global work-stealing iteration queue, invoking `emit` once
+/// per kernel **in kernel order** with its finished [`CampaignResult`]
+/// (the bug trace is recycled after `emit` returns).
+///
+/// Per-kernel results are byte-identical to running the kernels
+/// sequentially with [`Goat::test`], at any [`SuiteConfig::jobs`]
+/// value; see the module docs for the determinism argument. With
+/// [`GoatConfig::checkpoint`] set, per-kernel sidecars plus a suite
+/// manifest make a SIGKILLed suite resume mid-suite.
+pub fn run_suite(
+    base: &GoatConfig,
+    suite: &SuiteConfig,
+    kernels: &[Arc<dyn Program>],
+    emit: &mut dyn FnMut(usize, &str, &mut CampaignResult),
+) -> SuiteStats {
+    let jobs = suite.jobs.max(1);
+    if kernels.is_empty() {
+        return SuiteStats { jobs, ..SuiteStats::default() };
+    }
+    let reg = goat_metrics::global();
+    let isolate_reused_before = reg.counter("isolate.workers_reused").get();
+    // Pre-spawn parked goroutine-pool workers so the first claims of a
+    // cold process do not all pay thread-creation cost.
+    goat_runtime::pool::prewarm(jobs);
+
+    let names: Vec<String> = kernels.iter().map(|p| p.name().to_string()).collect();
+    let manifest = base.checkpoint.as_ref().map(|p| {
+        let manifest = SuiteManifest {
+            version: SUITE_MANIFEST_VERSION,
+            fingerprint: suite_fingerprint(base, &names, suite.realloc),
+            kernels: names.clone(),
+            grants: None,
+        };
+        (suite_manifest_path(p), manifest)
+    });
+    let preset: Option<Vec<usize>> = manifest
+        .as_ref()
+        .filter(|_| suite.realloc)
+        .and_then(|(path, m)| SuiteManifest::load(path, &m.fingerprint))
+        .and_then(|m| m.grants)
+        .filter(|g| g.len() == kernels.len());
+    if preset.is_none() {
+        if let Some((path, m)) = &manifest {
+            m.store(path);
+        }
+    }
+    let campaigns = kernels
+        .iter()
+        .zip(&names)
+        .map(|(program, name)| {
+            let mut cfg = base.clone();
+            if let Some(bp) = &base.checkpoint {
+                cfg.checkpoint = Some(per_kernel_checkpoint(bp, name));
+            }
+            (Goat::new(cfg), Arc::clone(program))
+        })
+        .collect();
+    let realloc = suite.realloc.then_some(Realloc { preset, manifest });
+    let mut stats = run_campaigns(campaigns, jobs, realloc, &mut |k, mut result| {
+        emit(k, &names[k], &mut result);
+        // Suite mode renders no per-bug trace report, so the bug trace
+        // (if any) goes straight back to the recycling pool.
+        result.recycle_bug_trace();
+    });
+
+    let telemetry_on = goat_metrics::enabled();
     if telemetry_on {
         goat_metrics::set_context(None);
     }
-    {
-        let st = queue.state.lock().expect("suite queue");
-        stats.steals = st.steals;
-        stats.kernels_inflight_max = st.inflight_max;
-        stats.budget_donated = st.budget_donated;
-        stats.budget_granted = st.budget_granted;
-    }
-    stats.warm_bufs_reused = warm.reused.load(Ordering::Relaxed);
     stats.isolate_workers_reused =
         reg.counter("isolate.workers_reused").get().saturating_sub(isolate_reused_before);
     // The suite is over: the cross-kernel sandbox pool has served its
@@ -1033,9 +1055,6 @@ mod tests {
             "sequential suite should chain scratch across kernels, got {}",
             warm.warm_bufs_reused
         );
-        let (_, cold) =
-            suite_lines(&base, &SuiteConfig::default().with_jobs(1).with_warm(false), &kernels);
-        assert_eq!(cold.warm_bufs_reused, 0, "cold suite must not touch the warm pool");
     }
 
     #[test]

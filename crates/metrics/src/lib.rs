@@ -28,7 +28,7 @@
 //! | `run.*` / `runtime.*` | `run.steps`, `runtime.runs` |
 //! | `pool.*` (worker-thread pool) | `checkout_ns` (histogram), `checkout_spun` (checkouts consumed in an idle worker's spin window, no futex wake) |
 //! | `ect.*` / `coverage.*` | `ect.events`, `coverage.requirements`, `coverage.trace_events` |
-//! | `campaign.*` | `iterations`, `reorder_depth_max`, `memo_hits` / `memo_misses` (duplicate-schedule analysis memo) |
+//! | `campaign.*` | `iterations`, `reorder_depth_max` (deepest per-campaign reorder buffer; every campaign runs on the shared engine, so parallelism 1 reports its batch depth too, as the telemetry block's `claim_wait_ns` carries samples there — telemetry only, stripped reports are unchanged), `memo_hits` / `memo_misses` (duplicate-schedule analysis memo) |
 //! | `supervision.*` | `timeouts`, `retries`, `infra_failures`, `quarantines`, `faults_injected`, `checkpoint_writes`, `checkpoint_resumes` |
 //! | `guided.*` | `arm_pulls`, `arm_new_coverage` (labelled `arm<idx>:<strategy>`; guided campaigns only) |
 //! | `isolate.*` (process-isolation worker pool) | `workers_spawned`, `workers_reused`, `workers_killed`, `workers_died`, `workers_drained` (idle pool teardown: per campaign for lone runs, per suite in suite mode), `runs`; IPC data plane: `ipc_ser_ns` / `ipc_transport_ns` / `ipc_deser_ns` (per-run encode, write→result-arrival, decode histograms), `ipc_bytes_tx` / `ipc_bytes_rx` (bytes on the wire, counters) |

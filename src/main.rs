@@ -47,7 +47,8 @@ struct Cli {
     ipc: Option<goat::core::IpcMode>,
     ipc_shm: Option<bool>,
     ipc_batch: Option<usize>,
-    // Suite knobs for `-target all` (flags win over GOAT_JOBS /
+    // Worker count for any target (flag wins over GOAT_PARALLELISM)
+    // and `-target all` budget reallocation (flag wins over
     // GOAT_SUITE_REALLOC).
     jobs: Option<usize>,
     realloc: Option<bool>,
@@ -244,6 +245,9 @@ fn campaign_config(cli: &Cli) -> GoatConfig {
     if let Some(n) = cli.ipc_batch {
         cfg = cfg.with_ipc_batch(n);
     }
+    if let Some(n) = cli.jobs {
+        cfg = cfg.with_parallelism(n);
+    }
     cfg
 }
 
@@ -298,13 +302,13 @@ fn print_help() {
          \x20                           mode only, auto-falls back (GOAT_IPC_SHM)\n\
          \x20 -ipc-batch <int>          Run frames per pipe write; capped at the guided\n\
          \x20                           feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
-         suite mode, -target all (flags override the matching GOAT_* env knobs):\n\
-         \x20 -jobs <int>               cross-kernel suite workers over one global\n\
-         \x20                           work-stealing iteration queue; per-kernel output\n\
-         \x20                           is byte-identical at any value (GOAT_JOBS;\n\
-         \x20                           default GOAT_PARALLELISM, then 1)\n\
-         \x20 -realloc                  early-stopping kernels donate unspent budget to\n\
-         \x20                           still-exploring ones, deterministically\n\
+         workers and suite mode (flags override the matching GOAT_* env knobs):\n\
+         \x20 -jobs <int>               workers claiming iterations from one work-stealing\n\
+         \x20                           queue, across every kernel under -target all;\n\
+         \x20                           output is byte-identical at any value\n\
+         \x20                           (GOAT_PARALLELISM; default 1)\n\
+         \x20 -realloc                  -target all: early-stopping kernels donate unspent\n\
+         \x20                           budget to still-exploring ones, deterministically\n\
          \x20                           (GOAT_SUITE_REALLOC)\n\n\
          exit codes: 0 clean, 1 bug detected, 2 quarantined/infra failure, 64 usage"
     );
@@ -362,10 +366,8 @@ fn main() -> ExitCode {
         // (kernel order via the reorder buffer) and bug-trace recycling
         // all live in `run_suite`; output is byte-identical at any
         // `-jobs` value.
-        let mut suite = SuiteConfig::default();
-        if let Some(n) = cli.jobs {
-            suite = suite.with_jobs(n);
-        }
+        let cfg = campaign_config(&cli);
+        let mut suite = SuiteConfig::default().with_jobs(cfg.parallelism);
         if let Some(on) = cli.realloc {
             suite = suite.with_realloc(on);
         }
@@ -375,7 +377,7 @@ fn main() -> ExitCode {
             .collect();
         let mut detected = 0usize;
         let mut quarantined = 0usize;
-        goat::core::run_suite(&campaign_config(&cli), &suite, &kernels, &mut |_, name, result| {
+        goat::core::run_suite(&cfg, &suite, &kernels, &mut |_, name, result| {
             if let Some(reason) = &result.quarantined {
                 quarantined += 1;
                 println!(
@@ -482,30 +484,5 @@ detected {detected}/68 at D={} within {} iterations",
         ExitCode::from(EXIT_INFRA) // no verdict: the campaign was cut short
     } else {
         ExitCode::SUCCESS
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use goat::core::per_kernel_checkpoint;
-
-    // The CLI delegates sidecar derivation to the suite orchestrator;
-    // this pins the contract the `-checkpoint` docs promise.
-    #[test]
-    fn per_kernel_checkpoint_paths_are_distinct() {
-        let base = std::path::Path::new("/tmp/cp.json");
-        assert_eq!(
-            per_kernel_checkpoint(base, "moby28462"),
-            std::path::Path::new("/tmp/cp.moby28462.json")
-        );
-        let bare = std::path::Path::new("/tmp/cp");
-        assert_eq!(
-            per_kernel_checkpoint(bare, "etcd6873"),
-            std::path::Path::new("/tmp/cp.etcd6873")
-        );
-        assert_ne!(
-            per_kernel_checkpoint(base, "moby28462"),
-            per_kernel_checkpoint(base, "etcd6873")
-        );
     }
 }
