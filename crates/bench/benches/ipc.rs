@@ -1,8 +1,7 @@
 //! IPC data-plane overhead: per-run serialize/transport/deserialize cost
-//! and bytes-on-wire of the process-isolation channel under each codec —
-//! JSON pipes (`GOAT_IPC=json`), binary pipes (`GOAT_IPC=bin`), the
-//! shared-memory result ring (`GOAT_IPC_SHM=1`) and batched binary
-//! frames (`GOAT_IPC_BATCH`). Campaigns run the real `etcd6708` kernel
+//! and bytes-on-wire of the process-isolation channel, with one `Run`
+//! frame per pipe write (`bin`) and with batches of eight
+//! (`bin+batch8`, `GOAT_IPC_BATCH=8`). Campaigns run the real `etcd6708` kernel
 //! through real worker processes; the numbers come from the
 //! `isolate.ipc_*` metric deltas, so they measure exactly what the
 //! orchestrator pays per run, not wall-clock noise around it.
@@ -13,7 +12,7 @@
 //! `target/{release,debug}/goat`, and prints `SKIP` when neither exists
 //! (e.g. `cargo bench` before any `cargo build`).
 
-use goat_core::{Goat, GoatConfig, IpcMode, IsolateMode, Program};
+use goat_core::{Goat, GoatConfig, IsolateMode, Program};
 use std::sync::Arc;
 
 struct KernelProgram(&'static goat_goker::BugKernel);
@@ -48,17 +47,10 @@ fn worker_cmd() -> Option<String> {
 #[derive(Clone, Copy)]
 struct Leg {
     name: &'static str,
-    ipc: IpcMode,
-    shm: bool,
     batch: usize,
 }
 
-const LEGS: [Leg; 4] = [
-    Leg { name: "json", ipc: IpcMode::Json, shm: false, batch: 1 },
-    Leg { name: "bin", ipc: IpcMode::Bin, shm: false, batch: 1 },
-    Leg { name: "bin+shm", ipc: IpcMode::Bin, shm: true, batch: 1 },
-    Leg { name: "bin+shm+batch8", ipc: IpcMode::Bin, shm: true, batch: 8 },
-];
+const LEGS: [Leg; 2] = [Leg { name: "bin", batch: 1 }, Leg { name: "bin+batch8", batch: 8 }];
 
 fn campaign_cfg(worker: &str, iterations: usize) -> GoatConfig {
     GoatConfig::default()
@@ -85,10 +77,7 @@ fn run_leg(worker: &str, leg: Leg, iterations: usize) -> Sample {
         reg.counter("isolate.ipc_bytes_tx").get() + reg.counter("isolate.ipc_bytes_rx").get();
     let runs_before = reg.counter("isolate.runs").get();
 
-    let cfg = campaign_cfg(worker, iterations)
-        .with_ipc(leg.ipc)
-        .with_ipc_shm(leg.shm)
-        .with_ipc_batch(leg.batch);
+    let cfg = campaign_cfg(worker, iterations).with_ipc_batch(leg.batch);
     let kernel = goat_goker::by_name("etcd6708").expect("kernel");
     let r = Goat::new(cfg).test(Arc::new(KernelProgram(kernel)));
     assert_eq!(r.records.len(), iterations, "campaign ran its full budget");
@@ -161,15 +150,10 @@ fn main() {
         .to_json_summary()
         .expect("summary");
     for leg in LEGS {
-        let got = Goat::new(
-            campaign_cfg(&worker, 50)
-                .with_ipc(leg.ipc)
-                .with_ipc_shm(leg.shm)
-                .with_ipc_batch(leg.batch),
-        )
-        .test(Arc::new(KernelProgram(kernel)))
-        .to_json_summary()
-        .expect("summary");
+        let got = Goat::new(campaign_cfg(&worker, 50).with_ipc_batch(leg.batch))
+            .test(Arc::new(KernelProgram(kernel)))
+            .to_json_summary()
+            .expect("summary");
         assert_eq!(off, got, "{}: report changed under measurement config", leg.name);
     }
 

@@ -61,8 +61,7 @@ mod runner;
 /// cross-kernel work stealing, warm shared resources, and adaptive
 /// budget reallocation (`-target all`).
 pub mod suite;
-/// Binary frame codec for the process-isolation data plane
-/// (`GOAT_IPC=bin`).
+/// Binary frame codec for the process-isolation worker wire.
 pub mod wire;
 
 pub use analysis::{analyze_run, analyze_run_with, crosscheck, deadlock_check, GoatVerdict};
@@ -70,7 +69,7 @@ pub use bandit::{Arm, ArmReport, Bandit, GuidedReward, GuidedSummary, GUIDED_EPS
 pub use checkpoint::{CampaignCheckpoint, CHECKPOINT_ENV};
 pub use coverage::{extract_coverage, extract_sync_pairs, RunCoverage};
 pub use globaltree::{GlobalGTree, GlobalNode};
-pub use isolate::{serve_worker, IpcMode, IsolateMode};
+pub use isolate::{serve_worker, IsolateMode};
 pub use plane::{EctBuffers, TraceAnalysis};
 pub use program::{program_fn, FnProgram, Program};
 pub use report::{

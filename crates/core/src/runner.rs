@@ -195,16 +195,6 @@ pub struct GoatConfig {
     /// environment variable; `None` falls back to the current
     /// executable.
     pub worker_cmd: Option<String>,
-    /// IPC payload encoding on the worker wire (see
-    /// [`crate::isolate::IpcMode`]): compact binary frames by default,
-    /// JSON as the debug/compat path. Defaults to the `GOAT_IPC`
-    /// environment variable. Results are byte-identical either way.
-    pub ipc: crate::isolate::IpcMode,
-    /// Ship bulky result payloads through a file-backed shared-memory
-    /// ring instead of the pipe (binary mode only; falls back to the
-    /// pipe when mapping fails). Defaults to the `GOAT_IPC_SHM`
-    /// environment variable (off when unset).
-    pub ipc_shm: bool,
     /// `Run` frames sent to a worker per pipe write. Batching amortizes
     /// write/wake costs; the effective batch is capped at the guided
     /// bandit's feedback lag so guided campaigns stay byte-identical
@@ -255,11 +245,6 @@ impl Default for GoatConfig {
             worker_cmd: std::env::var(crate::isolate::WORKER_CMD_ENV)
                 .ok()
                 .filter(|v| !v.is_empty()),
-            ipc: crate::isolate::IpcMode::from_env(),
-            ipc_shm: matches!(
-                std::env::var(crate::isolate::IPC_SHM_ENV).ok().as_deref(),
-                Some("1") | Some("on") | Some("true") | Some("yes")
-            ),
             ipc_batch: std::env::var(crate::isolate::IPC_BATCH_ENV)
                 .ok()
                 .and_then(|v| v.parse::<usize>().ok())
@@ -403,19 +388,6 @@ impl GoatConfig {
         self
     }
 
-    /// Set the IPC payload encoding (overrides `GOAT_IPC`).
-    pub fn with_ipc(mut self, mode: crate::isolate::IpcMode) -> Self {
-        self.ipc = mode;
-        self
-    }
-
-    /// Enable or disable the shared-memory result ring (overrides
-    /// `GOAT_IPC_SHM`; only effective under binary IPC).
-    pub fn with_ipc_shm(mut self, on: bool) -> Self {
-        self.ipc_shm = on;
-        self
-    }
-
     /// Set the worker run-batching window (overrides `GOAT_IPC_BATCH`).
     pub fn with_ipc_batch(mut self, n: usize) -> Self {
         assert!(n >= 1, "IPC batch must be at least 1");
@@ -438,11 +410,6 @@ impl GoatConfig {
         } else {
             batch
         }
-    }
-
-    /// The resolved IPC data-plane settings for this campaign.
-    pub(crate) fn ipc_spec(&self) -> crate::isolate::IpcSpec {
-        crate::isolate::IpcSpec { mode: self.ipc, shm: self.ipc_shm, batch: self.effective_batch() }
     }
 
     /// Runtime config for iteration `iter`; a guided campaign overlays
@@ -1362,7 +1329,6 @@ impl Goat {
                 program.name(),
                 (i + 1) as u64,
                 &cfg,
-                &self.cfg.ipc_spec(),
             ) {
                 return result;
             }
@@ -1447,12 +1413,9 @@ impl Goat {
                     ((lo + k + 1) as u64, self.cfg.runtime_config(lo + k, arm.as_ref()))
                 })
                 .collect();
-            if let Some(results) = crate::isolate::run_batch(
-                self.cfg.worker_cmd.as_deref(),
-                program.name(),
-                &runs,
-                &self.cfg.ipc_spec(),
-            ) {
+            if let Some(results) =
+                crate::isolate::run_batch(self.cfg.worker_cmd.as_deref(), program.name(), &runs)
+            {
                 return results
                     .into_iter()
                     .enumerate()

@@ -1,29 +1,25 @@
-//! Binary frame codec for the process-isolation data plane
-//! (`GOAT_IPC=bin`).
+//! Binary frame codec for the process-isolation worker wire.
 //!
-//! The JSON protocol of [`crate::isolate`] re-serializes the full
-//! [`Config`] into every `Run` frame and renders whole result traces as
-//! JSON text; at campaign scale that per-run cost dominates short
-//! iterations. This module defines the compact alternative:
+//! [`crate::isolate`] talks to its worker subprocesses in the frames
+//! defined here, and in nothing else:
 //!
-//! * framing is unchanged — `[u32 LE payload length][payload]` — so the
-//!   corrupt/oversized-stream handling and the garbage-frame fault
-//!   profile behave identically in both modes; only the payload bytes
-//!   differ (`[u8 frame tag][varint fields…]` instead of JSON);
-//! * an `Init` frame carries the campaign-constant [`Config`] base (and
-//!   the shared-memory geometry) **once per worker checkout**, so every
-//!   `Run` frame is a handful of bytes: the iteration, plus exactly the
-//!   per-run delta the campaign runner varies (seed, delay bound, yield
+//! * framing is `[u32 LE payload length][payload]`, and a payload is
+//!   `[u8 frame tag][varint fields…]`;
+//! * an `Init` frame carries the program name and the campaign-constant
+//!   [`Config`] base **once per worker checkout**, so every `Run` frame
+//!   is a handful of bytes: the iteration, plus exactly the per-run
+//!   delta the campaign runner varies (seed, delay bound, yield
 //!   probability, strategy);
 //! * `Result` payloads embed the trace through the varint-delta event
-//!   codec of [`goat_trace::wire`]; `ResultShm` replaces the payload
-//!   with a slot reference into the file-backed shared-memory ring.
+//!   codec of [`goat_trace::wire`].
 //!
 //! Every codec here is lossless and total: `decode(encode(x)) == x`
-//! for arbitrary values (differential proptests against the JSON path
-//! live in `tests/ipc_wire.rs`), and decoding arbitrary bytes returns
-//! [`std::io::ErrorKind::InvalidData`] rather than panicking, because
-//! the bytes cross a process boundary.
+//! for arbitrary values (proptests in `tests/ipc_wire.rs` compare the
+//! round trip with the original under the serde JSON serializer), and
+//! decoding arbitrary bytes returns [`std::io::ErrorKind::InvalidData`]
+//! rather than panicking or over-allocating, because the bytes cross a
+//! process boundary: every element count is bounded by the bytes left
+//! in the payload divided by the element's smallest encoding.
 
 use goat_runtime::{
     AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
@@ -37,12 +33,12 @@ fn err(msg: impl std::fmt::Display) -> io::Error {
     io::Error::new(ErrorKind::InvalidData, format!("wire: {msg}"))
 }
 
-/// One message on the binary worker wire.
+/// One message on the worker wire.
 ///
-/// `Ready`/`Ack`/`Heartbeat` mirror their JSON counterparts;
-/// `Init`/`Run` split the JSON `Run{cfg}` frame into a per-checkout
-/// base and a per-run delta; `Result`/`ResultShm` are the two return
-/// paths (pipe payload vs shared-memory slot).
+/// The orchestrator sends `Init` and `Run`; the worker sends `Ready`
+/// once, then `Ack` + `Result` per `Run` and `Heartbeat`s in between.
+/// `Init`/`Run` split a run's [`Config`] into a per-checkout base and
+/// a per-run delta.
 #[derive(Debug, Clone)]
 pub enum WireFrame {
     /// Worker → orchestrator: startup handshake (after the rlimit jail).
@@ -53,13 +49,6 @@ pub enum WireFrame {
     Init {
         /// Program name, resolved by the worker's registry.
         program: String,
-        /// Shared-memory ring file path; empty when results must travel
-        /// over the pipe.
-        shm_path: String,
-        /// Byte length of one shm slot.
-        slot_len: u64,
-        /// Number of shm slots (the batching window).
-        slots: u64,
         /// The base [`Config`]: every field a `Run` delta does not
         /// override.
         base: Box<Config>,
@@ -89,23 +78,12 @@ pub enum WireFrame {
         /// Iteration currently being served (0 when idle).
         iter: u64,
     },
-    /// Worker → orchestrator: the result, inline on the pipe.
+    /// Worker → orchestrator: the run's result.
     Result {
         /// Iteration the result belongs to.
         iter: u64,
         /// The run's full result (boxed: dwarfs the other variants).
         result: Box<RunResult>,
-    },
-    /// Worker → orchestrator: the result was written to shm slot `slot`
-    /// (`len` bytes of [`encode_result`] output); only this reference
-    /// crosses the pipe.
-    ResultShm {
-        /// Iteration the result belongs to.
-        iter: u64,
-        /// Ring slot holding the encoded result.
-        slot: u64,
-        /// Encoded byte length within the slot.
-        len: u64,
     },
 }
 
@@ -115,7 +93,6 @@ const F_RUN: u8 = 2;
 const F_ACK: u8 = 3;
 const F_HEARTBEAT: u8 = 4;
 const F_RESULT: u8 = 5;
-const F_RESULT_SHM: u8 = 6;
 
 fn put_strategy(buf: &mut Vec<u8>, s: &StrategyKind) {
     match s {
@@ -159,10 +136,8 @@ fn put_replay_log(buf: &mut Vec<u8>, log: &ReplayLog) {
 }
 
 fn get_replay_log(r: &mut Reader<'_>) -> io::Result<ReplayLog> {
-    let n = r.uvarint()? as usize;
-    if n > r.remaining() {
-        return Err(err("decision count exceeds payload"));
-    }
+    // Tag byte plus at least one payload byte.
+    let n = r.count(2, "decision")?;
     let mut decisions = Vec::with_capacity(n);
     for _ in 0..n {
         decisions.push(match r.u8()? {
@@ -323,10 +298,7 @@ fn get_outcome(r: &mut Reader<'_>) -> io::Result<RunOutcome> {
     Ok(match r.u8()? {
         0 => RunOutcome::Completed,
         1 => {
-            let n = r.uvarint()? as usize;
-            if n > r.remaining() {
-                return Err(err("blocked-goroutine count exceeds payload"));
-            }
+            let n = r.count(1, "blocked-goroutine")?;
             let mut blocked = Vec::with_capacity(n);
             for _ in 0..n {
                 blocked.push(Gid(r.uvarint()?));
@@ -351,8 +323,7 @@ fn get_outcome(r: &mut Reader<'_>) -> io::Result<RunOutcome> {
 
 /// Append a full [`RunResult`] in wire form. The trace, when present,
 /// travels through the varint-delta event codec of
-/// [`goat_trace::wire`]; this is also the payload format of a
-/// shared-memory slot.
+/// [`goat_trace::wire`].
 pub fn encode_result(result: &RunResult, buf: &mut Vec<u8>) {
     put_outcome(buf, &result.outcome);
     match &result.ect {
@@ -420,10 +391,8 @@ pub fn decode_result(r: &mut Reader<'_>) -> io::Result<RunResult> {
     let goroutines = r.uvarint()?;
     let yields_injected = r.uvarint()? as u32;
     let priority_changes = r.uvarint()? as u32;
-    let n_alive = r.uvarint()? as usize;
-    if n_alive > r.remaining() {
-        return Err(err("alive-goroutine count exceeds payload"));
-    }
+    // Goroutine id, two string lengths and the internal flag.
+    let n_alive = r.count(4, "alive-goroutine")?;
     let mut alive_at_end = Vec::with_capacity(n_alive);
     for _ in 0..n_alive {
         alive_at_end.push(AliveGoroutine {
@@ -480,12 +449,9 @@ pub fn encode_frame_into(frame: &WireFrame, buf: &mut Vec<u8>) -> io::Result<()>
     buf.extend_from_slice(&[0u8; 4]);
     match frame {
         WireFrame::Ready => buf.push(F_READY),
-        WireFrame::Init { program, shm_path, slot_len, slots, base } => {
+        WireFrame::Init { program, base } => {
             buf.push(F_INIT);
             put_str(buf, program);
-            put_str(buf, shm_path);
-            put_uvarint(buf, *slot_len);
-            put_uvarint(buf, *slots);
             encode_config(base, buf);
         }
         WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
@@ -509,12 +475,6 @@ pub fn encode_frame_into(frame: &WireFrame, buf: &mut Vec<u8>) -> io::Result<()>
             put_uvarint(buf, *iter);
             encode_result(result, buf);
         }
-        WireFrame::ResultShm { iter, slot, len } => {
-            buf.push(F_RESULT_SHM);
-            put_uvarint(buf, *iter);
-            put_uvarint(buf, *slot);
-            put_uvarint(buf, *len);
-        }
     }
     let payload_len = buf.len() - start - 4;
     let Ok(len32) = u32::try_from(payload_len) else {
@@ -532,9 +492,6 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
         F_READY => WireFrame::Ready,
         F_INIT => WireFrame::Init {
             program: r.str()?.to_string(),
-            shm_path: r.str()?.to_string(),
-            slot_len: r.uvarint()?,
-            slots: r.uvarint()?,
             base: Box::new(decode_config(&mut r)?),
         },
         F_RUN => WireFrame::Run {
@@ -550,9 +507,6 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
             let iter = r.uvarint()?;
             WireFrame::Result { iter, result: Box::new(decode_result(&mut r)?) }
         }
-        F_RESULT_SHM => {
-            WireFrame::ResultShm { iter: r.uvarint()?, slot: r.uvarint()?, len: r.uvarint()? }
-        }
         other => return Err(err(format_args!("bad frame tag {other}"))),
     };
     if !r.is_empty() {
@@ -562,9 +516,9 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
 }
 
 /// FNV-1a over a byte string — the init-hash primitive: the
-/// orchestrator hashes (program, encoded base config, fault-plan spec,
-/// shm geometry) to decide whether a checked-out worker's cached `Init`
-/// state is still valid.
+/// orchestrator hashes (program, encoded base config, fault-plan spec)
+/// to decide whether a checked-out worker's cached `Init` state is
+/// still valid.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -592,7 +546,6 @@ mod tests {
             WireFrame::Ready,
             WireFrame::Ack { iter: 7 },
             WireFrame::Heartbeat { iter: 0 },
-            WireFrame::ResultShm { iter: 9, slot: 3, len: 12345 },
             WireFrame::Run {
                 iter: 41,
                 seed: u64::MAX,
@@ -649,14 +602,11 @@ mod tests {
             iter_timeout_ms: Some(2000),
             spin: 100,
         };
-        let frame = WireFrame::Init {
-            program: "etcd6708".into(),
-            shm_path: "/tmp/goat-shm-1-2".into(),
-            slot_len: 16 << 20,
-            slots: 8,
-            base: Box::new(base.clone()),
+        let frame = WireFrame::Init { program: "etcd6708".into(), base: Box::new(base.clone()) };
+        let WireFrame::Init { program, base: back } = roundtrip(&frame) else {
+            panic!("wrong frame")
         };
-        let WireFrame::Init { base: back, .. } = roundtrip(&frame) else { panic!("wrong frame") };
+        assert_eq!(program, "etcd6708");
         // Config has no PartialEq; compare through the JSON codec.
         assert_eq!(serde_json::to_string(&*back).unwrap(), serde_json::to_string(&base).unwrap());
     }
@@ -726,6 +676,34 @@ mod tests {
             let e = decode_frame(payload).expect_err("must reject");
             assert_eq!(e.kind(), ErrorKind::InvalidData, "payload {payload:?}");
         }
+    }
+
+    #[test]
+    fn counts_are_bounded_by_the_smallest_element_encoding() {
+        // A result prefix up to the alive-goroutine count: Completed,
+        // no trace, five zero counters.
+        let head = [0u8, 0, 0, 0, 0, 0, 0];
+        // 8 bytes left fit 8 one-byte elements but only 2 alive
+        // goroutines (4 bytes each).
+        let mut payload = head.to_vec();
+        put_uvarint(&mut payload, 8);
+        payload.extend_from_slice(&[0; 8]);
+        let e = decode_result(&mut Reader::new(&payload)).expect_err("must reject");
+        assert!(e.to_string().contains("alive-goroutine count exceeds payload"), "{e}");
+        // No alive goroutines, then 8 bytes left for 8 claimed
+        // decisions of at least 2 bytes each.
+        let mut payload = head.to_vec();
+        put_uvarint(&mut payload, 0);
+        put_uvarint(&mut payload, 8);
+        payload.extend_from_slice(&[0; 8]);
+        let e = decode_result(&mut Reader::new(&payload)).expect_err("must reject");
+        assert!(e.to_string().contains("decision count exceeds payload"), "{e}");
+        // A deadlock outcome claiming more blocked goroutines than bytes.
+        let mut payload = vec![1u8];
+        put_uvarint(&mut payload, 3);
+        payload.extend_from_slice(&[0; 2]);
+        let e = decode_result(&mut Reader::new(&payload)).expect_err("must reject");
+        assert!(e.to_string().contains("blocked-goroutine count exceeds payload"), "{e}");
     }
 
     #[test]

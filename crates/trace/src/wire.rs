@@ -1,11 +1,11 @@
 //! Compact little-endian binary codec for trace events.
 //!
-//! The process-isolation data plane (`GOAT_ISOLATE=proc` with
-//! `GOAT_IPC=bin`) ships whole execution concurrency traces across the
-//! worker pipe on every iteration; JSON-encoding a million-event trace
-//! costs more than executing it. This module provides the wire
-//! primitives (LEB128 varints, zigzag signed varints, length-prefixed
-//! strings) and a delta codec for event sequences:
+//! Process isolation (`GOAT_ISOLATE=proc`) ships whole execution
+//! concurrency traces across the worker pipe on every iteration;
+//! JSON-encoding a million-event trace costs more than executing it.
+//! This module provides the wire primitives (LEB128 varints, zigzag
+//! signed varints, length-prefixed strings) and a delta codec for event
+//! sequences:
 //!
 //! * `seq`, `ts` and `g` are encoded as zigzag deltas against the
 //!   previous event — dense sequences cost one byte per field;
@@ -16,11 +16,10 @@
 //! * every event kind is a one-byte tag followed by its varint payload.
 //!
 //! The codec is lossless: `decode_events(encode_events(evs)) == evs`
-//! for arbitrary event buffers (proven by differential proptests
-//! against the JSON path in `tests/ipc_wire.rs`), and the decode side
-//! draws its event vector from the [`crate::recycle`] trace-buffer
-//! pool so round-tripped traces participate in buffer recycling like
-//! natively recorded ones.
+//! for arbitrary event buffers (proven by proptests in
+//! `tests/ipc_wire.rs`), and the decode side draws its event vector
+//! from the [`crate::recycle`] trace-buffer pool so round-tripped
+//! traces participate in buffer recycling like natively recorded ones.
 
 use crate::event::{BlockReason, Event, EventKind, Gid, RId, SelCaseFlavor, VTime};
 use goat_model::{Cu, CuKind, Istr};
@@ -145,6 +144,19 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// Read an element count for a sequence whose elements each take at
+    /// least `min_bytes` on the wire. A count that cannot fit in the
+    /// bytes left is corrupt input, rejected before any allocation is
+    /// sized from it: the caller's `Vec::with_capacity(n)` reserves
+    /// `n × size_of::<T>()`, far more than `n × min_bytes`.
+    pub fn count(&mut self, min_bytes: usize, what: &str) -> io::Result<usize> {
+        let n = self.uvarint()?;
+        if n > (self.remaining() / min_bytes.max(1)) as u64 {
+            return Err(err(&format!("{what} count exceeds payload")));
+        }
+        Ok(n as usize)
     }
 
     /// Read a length-prefixed string written by [`put_str`].
@@ -535,10 +547,8 @@ fn get_kind(r: &mut Reader<'_>, table: &mut StrTableDec) -> io::Result<EventKind
         T_CH_RECV => ChRecv { ch: RId(r.uvarint()?), closed: r.bool()? },
         T_CH_CLOSE => ChClose { ch: RId(r.uvarint()?) },
         T_SELECT_BEGIN => {
-            let n = r.uvarint()? as usize;
-            if n > r.remaining() {
-                return Err(err("select case count exceeds payload"));
-            }
+            // Flavor tag plus the channel-presence marker.
+            let n = r.count(2, "select case")?;
             let mut cases = Vec::with_capacity(n);
             for _ in 0..n {
                 let flavor = flavor_from(r.u8()?)?;
@@ -585,12 +595,9 @@ pub fn encode_events(events: &[Event], buf: &mut Vec<u8>) {
 /// vector comes from the [`crate::recycle`] pool, so callers that hand
 /// it to [`crate::Ect::from_events`] keep the recycling loop closed.
 pub fn decode_events(r: &mut Reader<'_>) -> io::Result<Vec<Event>> {
-    let n = r.uvarint()? as usize;
-    // Each event costs at least 4 bytes on the wire; a count that
-    // cannot fit the remaining payload is corrupt, not an allocation.
-    if n > r.remaining() {
-        return Err(err("event count exceeds payload"));
-    }
+    // Each event costs at least 5 bytes on the wire: the kind tag, the
+    // three delta varints and the CU marker.
+    let n = r.count(5, "event")?;
     let mut table = StrTableDec::default();
     let mut events = crate::recycle::take_buffer();
     events.reserve(n);
@@ -718,6 +725,15 @@ mod tests {
         let mut buf = Vec::new();
         put_uvarint(&mut buf, 1_000_000);
         assert!(decode_events(&mut Reader::new(&buf)).is_err());
+        // A count that fits the bytes left but not their fifth: no
+        // event is shorter than 5 bytes, so it is rejected up front
+        // instead of sizing an allocation from the claimed count.
+        let mut buf = Vec::new();
+        put_uvarint(&mut buf, 4);
+        buf.extend_from_slice(&[0; 4]);
+        let e = decode_events(&mut Reader::new(&buf)).expect_err("must reject");
+        assert_eq!(e.kind(), ErrorKind::InvalidData);
+        assert!(e.to_string().contains("event count exceeds payload"), "{e}");
         // A bad kind tag.
         let mut buf = Vec::new();
         put_uvarint(&mut buf, 1);

@@ -41,11 +41,8 @@ struct Cli {
     spin: Option<u32>,
     memo: Option<String>,
     trace_pool_max: Option<usize>,
-    // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC /
-    // GOAT_IPC_SHM / GOAT_IPC_BATCH).
+    // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC_BATCH).
     isolate: Option<goat::core::IsolateMode>,
-    ipc: Option<goat::core::IpcMode>,
-    ipc_shm: Option<bool>,
     ipc_batch: Option<usize>,
     // Worker count for any target (flag wins over GOAT_PARALLELISM)
     // and `-target all` budget reallocation (flag wins over
@@ -81,8 +78,6 @@ fn parse_args() -> Result<Cli, String> {
         memo: None,
         trace_pool_max: None,
         isolate: None,
-        ipc: None,
-        ipc_shm: None,
         ipc_batch: None,
         jobs: None,
         realloc: None,
@@ -150,13 +145,6 @@ fn parse_args() -> Result<Cli, String> {
                         .ok_or_else(|| format!("-isolate: expected off|proc, got {v}"))?,
                 );
             }
-            "-ipc" | "--ipc" => {
-                let v = take("-ipc")?;
-                cli.ipc = Some(
-                    goat::core::IpcMode::parse(&v)
-                        .ok_or_else(|| format!("-ipc: expected bin|json, got {v}"))?,
-                );
-            }
             "-jobs" | "--jobs" => {
                 let n: usize = num("-jobs", take("-jobs")?)?;
                 if n == 0 {
@@ -165,7 +153,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.jobs = Some(n);
             }
             "-realloc" | "--realloc" => cli.realloc = Some(true),
-            "-ipc-shm" | "--ipc-shm" => cli.ipc_shm = Some(true),
             "-ipc-batch" | "--ipc-batch" => {
                 let n: usize = num("-ipc-batch", take("-ipc-batch")?)?;
                 if n == 0 {
@@ -236,12 +223,6 @@ fn campaign_config(cli: &Cli) -> GoatConfig {
     if let Some(m) = cli.isolate {
         cfg = cfg.with_isolate(m);
     }
-    if let Some(m) = cli.ipc {
-        cfg = cfg.with_ipc(m);
-    }
-    if let Some(on) = cli.ipc_shm {
-        cfg = cfg.with_ipc_shm(on);
-    }
     if let Some(n) = cli.ipc_batch {
         cfg = cfg.with_ipc_batch(n);
     }
@@ -295,13 +276,8 @@ fn print_help() {
          \x20 -isolate <off|proc>       run each iteration in a sandboxed worker\n\
          \x20                           subprocess with crash forensics and rlimit\n\
          \x20                           jails (GOAT_ISOLATE; default off)\n\
-         \x20 -ipc <bin|json>           worker wire encoding: compact binary frames or\n\
-         \x20                           self-describing JSON (GOAT_IPC; default bin)\n\
-         \x20 -ipc-shm                  ship result payloads through a file-backed\n\
-         \x20                           shared-memory ring instead of the pipe; binary\n\
-         \x20                           mode only, auto-falls back (GOAT_IPC_SHM)\n\
-         \x20 -ipc-batch <int>          Run frames per pipe write; capped at the guided\n\
-         \x20                           feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
+         \x20 -ipc-batch <int>          Run frames per write to a worker's pipe; capped at\n\
+         \x20                           the guided feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
          workers and suite mode (flags override the matching GOAT_* env knobs):\n\
          \x20 -jobs <int>               workers claiming iterations from one work-stealing\n\
          \x20                           queue, across every kernel under -target all;\n\

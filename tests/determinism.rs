@@ -408,23 +408,17 @@ fn sigkilled_isolated_campaign_resumes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// IPC data-plane equivalence: the frame codec (`GOAT_IPC`), the shared-
-// memory result ring (`GOAT_IPC_SHM`) and run batching (`GOAT_IPC_BATCH`)
-// are transport optimizations — campaign reports must be byte-identical
-// whichever of them carries the runs.
+// IPC data-plane equivalence: run batching (`GOAT_IPC_BATCH`) is a
+// transport optimization — campaign reports must be byte-identical
+// however many Run frames share one pipe write.
 // ---------------------------------------------------------------------
 
-use goat::core::IpcMode;
-
-#[allow(clippy::too_many_arguments)]
 fn ipc_summary_json(
     kernel: &'static goat::goker::BugKernel,
     d: u32,
     seed0: u64,
     iterations: usize,
     stop_on_bug: bool,
-    ipc: IpcMode,
-    shm: bool,
     batch: usize,
 ) -> String {
     let mut cfg = GoatConfig::default()
@@ -433,8 +427,6 @@ fn ipc_summary_json(
         .with_seed0(seed0)
         .with_isolate(IsolateMode::Proc)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
-        .with_ipc(ipc)
-        .with_ipc_shm(shm)
         .with_ipc_batch(batch);
     if !stop_on_bug {
         cfg = cfg.keep_running();
@@ -453,16 +445,11 @@ fn campaign_summaries_identical_across_ipc_modes() {
         let kernel = goat::goker::by_name(name).expect("kernel");
         let off =
             isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off);
-        for (leg, ipc, shm, batch) in [
-            ("proc+json", IpcMode::Json, false, 1usize),
-            ("proc+bin", IpcMode::Bin, false, 1),
-            ("proc+bin+shm", IpcMode::Bin, true, 1),
-            ("proc+bin+shm+batch4", IpcMode::Bin, true, 4),
-        ] {
-            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, ipc, shm, batch);
+        for batch in [1usize, 4, 8] {
+            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, batch);
             assert_eq!(
                 off, got,
-                "{name}/{leg}: campaign report must be byte-identical across IPC modes"
+                "{name}/proc+batch{batch}: campaign report must be byte-identical to -isolate off"
             );
         }
     }
@@ -484,7 +471,6 @@ fn binary_garbage_frames_degrade_to_retried_infra_failures() {
         .with_seed0(3)
         .keep_running()
         .with_isolate(IsolateMode::Proc)
-        .with_ipc(IpcMode::Bin)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
         .with_max_retries(1)
         .with_quarantine_after(2);
@@ -635,11 +621,10 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
         .with_seed0(11)
         .keep_running()
         .with_isolate(IsolateMode::Proc)
-        .with_ipc(IpcMode::Bin)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
     let _ = Goat::new(prime).test(Arc::new(KernelProgram(kernel)));
 
-    // Same pool geometry, different base config: an 8-step budget every
+    // Same pool key, different base config: an 8-step budget every
     // run exhausts. The checked-in worker is eligible for reuse, so only
     // an Init-hash mismatch stands between it and running with the stale
     // 200k budget.
@@ -650,7 +635,6 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
             .with_seed0(11)
             .keep_running()
             .with_isolate(isolate)
-            .with_ipc(IpcMode::Bin)
             .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
         cfg.max_steps = 8;
         Goat::new(cfg)

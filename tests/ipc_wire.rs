@@ -1,23 +1,26 @@
-//! Differential properties of the binary IPC data plane (`GOAT_IPC=bin`).
+//! Properties of the binary worker wire of process isolation.
 //!
-//! The binary codec in `goat::core::wire` / `goat::trace::wire` must be a
-//! drop-in replacement for the JSON path: anything the JSON wire can carry,
-//! the binary wire must carry losslessly. These tests synthesize arbitrary
-//! well-formed trace buffers and `RunResult`s covering every `RunOutcome`
-//! variant (including `Crashed { CrashForensics }` and `TimedOut`) and
-//! assert the binary round-trip is indistinguishable from the original
-//! under the JSON serializer — the exact equivalence the byte-identity
-//! guarantee of process isolation rests on.
+//! The codecs in `goat::core::wire` / `goat::trace::wire` carry every run
+//! between a worker and the orchestrator, so they must be lossless: these
+//! tests synthesize arbitrary well-formed trace buffers and `RunResult`s
+//! covering every `RunOutcome` variant (including
+//! `Crashed { CrashForensics }` and `TimedOut`) and assert the binary
+//! round-trip is indistinguishable from the original under the serde JSON
+//! serializer — the exact equivalence the byte-identity guarantee of
+//! process isolation rests on. The decoders also face hostile input from
+//! another process: arbitrary bytes and every truncation of a valid frame
+//! must come back as `InvalidData`, never as a panic.
 
 use goat::core::wire::{self, WireFrame};
 use goat::model::{Cu, CuKind};
 use goat::runtime::{
-    AliveGoroutine, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters,
-    TimeoutPhase,
+    AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
+    SchedCounters, SchedPolicy, StrategyKind, TimeoutPhase,
 };
 use goat::trace::wire::{decode_events, encode_events, Reader};
 use goat::trace::{BlockReason, Ect, Event, EventKind, Gid, RId, SelCaseFlavor, VTime};
 use proptest::prelude::*;
+use std::io::ErrorKind;
 
 /// One raw draw the event builder turns into a concrete event: the kind
 /// selector plus three free knobs the payload fields are carved from.
@@ -236,7 +239,7 @@ proptest! {
 
     /// Result-level differential: the binary round-trip of a `RunResult`
     /// is indistinguishable from the original under the JSON serializer —
-    /// the JSON path and the binary path carry identical information.
+    /// the binary wire carries everything the serde rendering shows.
     #[test]
     fn run_results_agree_with_the_json_path(
         specs in prop::collection::vec(ev_spec(), 0..40),
@@ -285,6 +288,79 @@ proptest! {
                 prop_assert_eq!(json_after, json_before);
             }
             other => prop_assert!(false, "decoded wrong frame: {other:?}"),
+        }
+    }
+
+    /// Hostile-input totality: any payload — raw bytes, or bytes behind a
+    /// valid frame tag so the field decoders are reached — decodes to a
+    /// frame or fails with `InvalidData`; it never panics.
+    #[test]
+    fn arbitrary_bytes_decode_or_fail_as_invalid_data(
+        tagged in any::<bool>(),
+        tag in 0u8..8,
+        bytes in prop::collection::vec(any::<u8>(), 0..256),
+    ) {
+        let mut payload = Vec::with_capacity(bytes.len() + 1);
+        if tagged {
+            payload.push(tag);
+        }
+        payload.extend_from_slice(&bytes);
+        if let Err(e) = wire::decode_frame(&payload) {
+            prop_assert_eq!(e.kind(), ErrorKind::InvalidData, "{}", e);
+        }
+    }
+}
+
+/// One frame of every kind the wire carries, each with non-trivial
+/// fields (an `Init` base with a replay policy, a `Result` with a trace
+/// and crash forensics).
+fn one_frame_of_each_kind() -> Vec<WireFrame> {
+    let specs: Vec<EvSpec> =
+        (0..12u8).map(|i| (i * 5 % 29, i as u64 * 3 + 1, i as u64 * 7 + 2, i % 3 == 0)).collect();
+    let mut base = Config::new(0).with_max_steps(123_456);
+    base.policy = SchedPolicy::Replay(ReplayLog {
+        decisions: vec![Decision::Pick(Gid(3)), Decision::SelectChoice(1), Decision::YieldAt(true)],
+    });
+    base.iter_timeout_ms = Some(2000);
+    vec![
+        WireFrame::Ready,
+        WireFrame::Init { program: "etcd6708".into(), base: Box::new(base) },
+        WireFrame::Run {
+            iter: 300,
+            seed: u64::MAX,
+            delay_bound: 2,
+            yield_prob: 0.5,
+            strategy: StrategyKind::Pct { depth: 3, length: 512 },
+        },
+        WireFrame::Ack { iter: 300 },
+        WireFrame::Heartbeat { iter: 300 },
+        WireFrame::Result {
+            iter: 300,
+            result: Box::new(build_result(
+                build_outcome(&(6, 11, 42, true)),
+                build_events(&specs),
+                5,
+                9,
+                true,
+            )),
+        },
+    ]
+}
+
+/// Every strict prefix of every frame kind is corrupt: the decoder must
+/// run out of bytes and say so, rather than return a shorter frame.
+#[test]
+fn every_strict_prefix_of_each_frame_kind_is_rejected() {
+    for frame in one_frame_of_each_kind() {
+        let mut framed = Vec::new();
+        wire::encode_frame_into(&frame, &mut framed).expect("encode frame");
+        let payload = &framed[4..];
+        let full = wire::decode_frame(payload).expect("the whole payload decodes");
+        assert_eq!(format!("{full:?}"), format!("{frame:?}"));
+        for cut in 0..payload.len() {
+            let e = wire::decode_frame(&payload[..cut])
+                .expect_err(&format!("{cut}-byte prefix of {frame:?} must be rejected"));
+            assert_eq!(e.kind(), ErrorKind::InvalidData, "{cut}-byte prefix: {e}");
         }
     }
 }
