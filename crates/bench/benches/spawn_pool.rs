@@ -1,9 +1,9 @@
 //! Benchmarks of the pooled execution engine: goroutine spawn
-//! throughput with and without the shared worker-thread pool, and a
-//! small campaign under the sequential vs. the streaming parallel
-//! executor. These quantify the PR's tentpole claim — removing
-//! `pthread_create` from the per-goroutine path and barrier stalls from
-//! the campaign loop.
+//! throughput with and without reuse (`Config::pool`: a pooled host
+//! thread and recycled coroutine stacks, vs. a fresh host thread per run
+//! and a fresh stack per goroutine), and a small campaign under the
+//! sequential vs. the streaming parallel executor. The `fresh_threads`
+//! and `unpooled` ids keep their historical names for comparison.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use goat_core::{FnProgram, Goat, GoatConfig};
@@ -15,7 +15,7 @@ fn quiet(seed: u64, pool: bool) -> Config {
 }
 
 /// One run spawning `n` goroutines that immediately finish: dominated
-/// by goroutine creation cost, i.e. by thread checkout vs. creation.
+/// by goroutine creation cost, i.e. by stack reuse vs. mapping.
 fn spawn_burst(seed: u64, pool: bool, n: usize) {
     let r = Runtime::run(quiet(seed, pool), move || {
         let wg = WaitGroup::new();

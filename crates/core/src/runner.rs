@@ -179,9 +179,9 @@ pub struct GoatConfig {
     /// *consecutive* iterations with a zero coverage delta. Defaults to
     /// `GOAT_SATURATION_WINDOW` (off when unset or 0).
     pub saturation_window: Option<usize>,
-    /// Token-handoff spin budget override passed through to
-    /// [`goat_runtime::Config::spin`]; `None` leaves the runtime's own
-    /// default (the `GOAT_SPIN` environment variable, 100 when unset).
+    /// No effect, like [`goat_runtime::Config::spin`] which it used to
+    /// override. Kept, with [`GoatConfig::with_spin`], only for callers
+    /// that still set it.
     pub spin: Option<u32>,
     /// Process-isolation mode: [`IsolateMode::Proc`] runs every
     /// iteration inside a sandboxed worker subprocess (spawned from
@@ -350,8 +350,7 @@ impl GoatConfig {
         self
     }
 
-    /// Set the token-handoff spin budget (overrides `GOAT_SPIN`;
-    /// 0 parks immediately).
+    /// No effect; see [`GoatConfig::spin`].
     pub fn with_spin(mut self, spin: u32) -> Self {
         self.spin = Some(spin);
         self
@@ -431,10 +430,7 @@ impl GoatConfig {
                 .with_yield_prob(a.yield_prob)
                 .with_strategy(a.strategy);
         }
-        match self.spin {
-            Some(s) => cfg.with_spin(s),
-            None => cfg,
-        }
+        cfg
     }
 }
 

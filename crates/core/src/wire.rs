@@ -204,8 +204,9 @@ fn get_opt_i32(r: &mut Reader<'_>) -> io::Result<Option<i32>> {
     })
 }
 
-/// Append the full [`Config`] in wire form (every field, declaration
-/// order). Used for the `Init` base and for init-hash computation.
+/// Append the full [`Config`] in wire form (every field but the no-op
+/// `spin`, in declaration order). Used for the `Init` base and for
+/// init-hash computation.
 pub fn encode_config(cfg: &Config, buf: &mut Vec<u8>) {
     put_uvarint(buf, cfg.seed);
     put_f64(buf, cfg.native_preempt_prob);
@@ -219,7 +220,6 @@ pub fn encode_config(cfg: &Config, buf: &mut Vec<u8>) {
     put_strategy(buf, &cfg.strategy);
     put_bool(buf, cfg.pool);
     put_opt_u64(buf, cfg.iter_timeout_ms);
-    put_uvarint(buf, u64::from(cfg.spin));
 }
 
 /// Decode a [`Config`] written by [`encode_config`].
@@ -237,7 +237,7 @@ pub fn decode_config(r: &mut Reader<'_>) -> io::Result<Config> {
         strategy: get_strategy(r)?,
         pool: r.bool()?,
         iter_timeout_ms: get_opt_u64(r)?,
-        spin: r.uvarint()? as u32,
+        spin: 0,
     })
 }
 
@@ -600,7 +600,7 @@ mod tests {
             strategy: StrategyKind::Random,
             pool: false,
             iter_timeout_ms: Some(2000),
-            spin: 100,
+            spin: 0,
         };
         let frame = WireFrame::Init { program: "etcd6708".into(), base: Box::new(base.clone()) };
         let WireFrame::Init { program, base: back } = roundtrip(&frame) else {

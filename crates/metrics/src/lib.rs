@@ -26,7 +26,7 @@
 //! |---|---|
 //! | `sched.*` (per-run scheduler) | `picks`, `random_picks`, `blocks`, `unblocks`, `yields_injected` |
 //! | `run.*` / `runtime.*` | `run.steps`, `runtime.runs` |
-//! | `pool.*` (worker-thread pool) | `checkout_ns` (histogram), `checkout_spun` (checkouts consumed in an idle worker's spin window, no futex wake) |
+//! | `pool.*` (run host-thread pool) | `checkout_ns` (histogram) |
 //! | `ect.*` / `coverage.*` | `ect.events`, `coverage.requirements`, `coverage.trace_events` |
 //! | `campaign.*` | `iterations`, `reorder_depth_max` (deepest per-campaign reorder buffer; every campaign runs on the shared engine, so parallelism 1 reports its batch depth too, as the telemetry block's `claim_wait_ns` carries samples there — telemetry only, stripped reports are unchanged), `memo_hits` / `memo_misses` (duplicate-schedule analysis memo) |
 //! | `supervision.*` | `timeouts`, `retries`, `infra_failures`, `quarantines`, `faults_injected`, `checkpoint_writes`, `checkpoint_resumes` |

@@ -101,11 +101,13 @@ pub struct Config {
     /// [`SchedPolicy::Replay`] the strategy only drives the
     /// after-divergence fallback.
     pub strategy: StrategyKind,
-    /// Run goroutines on the shared worker-thread pool instead of
-    /// spawning a fresh OS thread per goroutine. Scheduling semantics
-    /// and traces are identical either way; the pool only removes
-    /// thread-creation cost. The pool's idle-retention size is set by
-    /// the `GOAT_POOL_MAX_IDLE` environment variable.
+    /// Reuse host resources across runs: host the run on the shared
+    /// worker-thread pool and take goroutine stacks from the host's free
+    /// list. `false` means no reuse — a fresh host thread for the run
+    /// and a freshly mapped stack per goroutine. Scheduling semantics
+    /// and traces are identical either way; reuse only removes thread
+    /// creation and stack mapping cost. The pool's idle-retention size
+    /// is set by the `GOAT_POOL_MAX_IDLE` environment variable.
     pub pool: bool,
     /// Wall-clock watchdog bound per run, in milliseconds (defaults from
     /// the `GOAT_ITER_TIMEOUT_MS` environment variable; `None` disables
@@ -116,36 +118,11 @@ pub struct Config {
     /// abandons the run with [`RunOutcome::TimedOut`] even if no
     /// goroutine ever re-enters the runtime.
     pub iter_timeout_ms: Option<u64>,
-    /// Token-handoff spin budget: rounds a goroutine polls for the run
-    /// token (with exponentially growing [`std::hint::spin_loop`]
-    /// batches) before parking on a condvar. `0` disables spinning —
-    /// park-only, the pre-spin behaviour. Defaults from the `GOAT_SPIN`
-    /// environment variable; unset, the default is 100 on multi-core
-    /// hosts and 0 on single-CPU hosts (where a spin window can never
-    /// overlap the granting thread). Scheduling decisions and traces
-    /// are identical at every setting; only handoff latency changes.
+    /// No effect. It was the spin budget of the thread-per-goroutine
+    /// backend's token handoff; goroutines are now coroutines on one
+    /// host thread, and a handoff has nothing to spin for. Kept, with
+    /// [`Config::with_spin`], only for callers that still set it.
     pub spin: u32,
-}
-
-/// The process-wide `GOAT_SPIN` default, read once.
-///
-/// When the variable is unset the default is host-aware: spinning for a
-/// grant only ever succeeds while the *granting* thread runs on another
-/// core, so on a single-CPU host every spin window is pure delay (the
-/// spinner occupies the only core the granter needs) and the default
-/// collapses to 0 (park immediately). An explicit `GOAT_SPIN` always
-/// wins — useful for testing the spin path itself.
-pub(crate) fn default_spin() -> u32 {
-    use std::sync::OnceLock;
-    static SPIN: OnceLock<u32> = OnceLock::new();
-    *SPIN.get_or_init(|| {
-        std::env::var("GOAT_SPIN").ok().and_then(|v| v.parse::<u32>().ok()).unwrap_or_else(|| {
-            match std::thread::available_parallelism() {
-                Ok(n) if n.get() > 1 => 100,
-                _ => 0,
-            }
-        })
-    })
 }
 
 impl Config {
@@ -197,7 +174,7 @@ impl Config {
         self.with_policy(SchedPolicy::Replay(log))
     }
 
-    /// Enable or disable the shared goroutine worker-thread pool.
+    /// Enable or disable reuse of host threads and goroutine stacks.
     pub fn with_pool(mut self, on: bool) -> Self {
         self.pool = on;
         self
@@ -209,7 +186,7 @@ impl Config {
         self
     }
 
-    /// Set the token-handoff spin budget (0 = park only).
+    /// No effect; see [`Config::spin`].
     pub fn with_spin(mut self, spin: u32) -> Self {
         self.spin = spin;
         self
@@ -240,7 +217,7 @@ impl Default for Config {
                 .ok()
                 .and_then(|v| v.parse::<u64>().ok())
                 .filter(|&ms| ms > 0),
-            spin: default_spin(),
+            spin: 0,
         }
     }
 }
@@ -250,11 +227,11 @@ impl Default for Config {
 pub enum TimeoutPhase {
     /// The run blew its soft deadline but a goroutine still reached the
     /// scheduler gate, so the runtime unwound it cooperatively — clean
-    /// teardown, threads reclaimed.
+    /// teardown, host thread reclaimed.
     Cooperative,
     /// No goroutine re-entered the runtime before the hard deadline; the
-    /// run was abandoned with its host threads wedged (they are written
-    /// off through the pool's abandoned-worker path).
+    /// run was abandoned with its host thread wedged (written off
+    /// through the pool's abandoned-worker path).
     Wedged,
 }
 
@@ -321,9 +298,9 @@ pub enum RunOutcome {
         /// Wall-clock milliseconds elapsed when the watchdog fired.
         elapsed_ms: u64,
     },
-    /// The harness itself failed to host the run (worker checkout or
-    /// thread spawn failed) — says nothing about the program under
-    /// test. The campaign supervision layer retries these.
+    /// The harness itself failed to host the run (host-thread checkout
+    /// or spawn, or a goroutine stack mapping, failed) — says nothing
+    /// about the program under test. The campaign supervision layer retries these.
     InfraFailure {
         /// What broke.
         reason: String,

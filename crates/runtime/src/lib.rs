@@ -3,9 +3,11 @@
 //! The substrate of the GoAT reproduction: everything the paper assumes
 //! from the Go language and its patched runtime, rebuilt as a library.
 //!
-//! * **Goroutines** — [`go`]/[`go_named`] spawn concurrent functions;
-//!   a single-token cooperative scheduler with a FIFO global run queue
-//!   (plus Go-style preemption noise ε) decides who runs.
+//! * **Goroutines** — [`go`]/[`go_named`] spawn concurrent functions as
+//!   stackful coroutines that take turns on one host thread per run; a
+//!   single-token cooperative scheduler with a FIFO global run queue
+//!   (plus Go-style preemption noise ε) decides who runs, and a handoff
+//!   is a register swap.
 //! * **Channels** — [`Chan`] gives rendezvous and buffered channels with
 //!   Go's close semantics; [`Select`] implements `select` with
 //!   pseudo-random ready-case choice and `default`.
@@ -46,12 +48,11 @@ mod chan;
 mod config;
 /// Go-style cancellation contexts.
 pub mod context;
+mod coro;
 /// Deterministic fault injection (`GOAT_FAULT`) for supervision tests.
 pub mod faultpoint;
 mod monitor;
-/// Adaptive spin-then-park token-handoff parker.
-pub mod park;
-/// Shared goroutine worker-thread pool (statistics surface).
+/// Shared pool of run host threads (statistics surface).
 pub mod pool;
 mod rt;
 mod select;

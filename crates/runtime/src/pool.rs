@@ -1,32 +1,29 @@
-//! Shared worker-thread pool for goroutine execution.
+//! Shared pool of host threads for whole runs.
 //!
-//! Under the paper's campaign model a kernel is executed thousands of
-//! times, and every iteration spawns every goroutine afresh. With one
-//! OS thread per goroutine the dominant cost of small kernels becomes
-//! `pthread_create`/`join`. This pool removes it: a worker thread is
-//! checked out per goroutine, runs that goroutine's **entire
-//! lifetime** (parking and unparking with the scheduler's token
-//! machinery as usual), and returns to the idle stack when the
-//! goroutine finishes or is unwound at teardown.
+//! A run's goroutines are coroutines that take turns on one host thread
+//! (see [`crate::Runtime`]), so a run needs exactly one thread, for its
+//! whole lifetime. Under the paper's campaign model a kernel is executed
+//! thousands of times; this pool keeps those host threads alive between
+//! runs: a worker is checked out per run, drives every goroutine of it
+//! to the end of its teardown, and returns to the idle stack. A worker
+//! also keeps its idle coroutine stacks, so a warm worker maps nothing.
 //!
 //! Properties:
 //!
 //! * **Global and shared** — one process-wide pool serves all runtime
 //!   instances, so campaign iterations and parallel campaign workers
 //!   reuse each other's threads.
-//! * **No semantic impact** — the scheduler's single-token discipline
-//!   is unchanged; which thread hosts a goroutine is invisible to
+//! * **No semantic impact** — which thread hosts a run is invisible to
 //!   scheduling, tracing and replay. [`crate::Config::pool`] turns the
-//!   pool off to get the historical thread-per-goroutine behaviour.
+//!   pool off: a fresh thread per run and a fresh stack per goroutine.
 //! * **Bounded retention** — at most `GOAT_POOL_MAX_IDLE` workers
 //!   (default 256) stay parked waiting for work; excess workers exit.
-//! * **Wedge-proof** — a worker is returned only by its goroutine
-//!   running to completion (normal exit or shutdown unwind). A worker
-//!   wedged by a goroutine stuck outside runtime primitives is simply
-//!   never returned; checkout falls back to spawning a fresh worker,
-//!   so one bad run cannot drain the pool (see
-//!   [`Runtime::run_monitored`](crate::Runtime)'s teardown timeout for
-//!   the run-side fallback).
+//! * **Wedge-proof** — a worker is returned only by its run's teardown
+//!   completing. A worker wedged by a goroutine stuck outside runtime
+//!   primitives is simply never returned; the driver abandons it at the
+//!   teardown deadline, a parked replacement is spawned, and checkout
+//!   falls back to spawning a fresh worker, so one bad run cannot drain
+//!   the pool.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -40,7 +37,7 @@ struct IdleWorker {
     job_tx: Sender<Job>,
 }
 
-/// The process-wide goroutine worker pool.
+/// The process-wide pool of run host threads.
 pub(crate) struct WorkerPool {
     idle: Mutex<Vec<IdleWorker>>,
     max_idle: usize,
@@ -60,6 +57,22 @@ pub(crate) fn global() -> &'static WorkerPool {
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
             .unwrap_or(256);
+        WorkerPool::new(max_idle)
+    })
+}
+
+/// Account one run abandoned at a runtime teardown deadline: its host
+/// worker thread will never return to the idle stack. It is replaced by
+/// a freshly parked one (up to the idle cap), so effective parallelism
+/// does not decay over a long campaign of wedged runs.
+pub(crate) fn note_abandoned() {
+    let pool = global();
+    pool.abandoned.fetch_add(1, Ordering::Relaxed);
+    pool.spawn_parked_replacement();
+}
+
+impl WorkerPool {
+    fn new(max_idle: usize) -> WorkerPool {
         WorkerPool {
             idle: Mutex::new(Vec::new()),
             max_idle,
@@ -69,25 +82,8 @@ pub(crate) fn global() -> &'static WorkerPool {
             abandoned: AtomicU64::new(0),
             workers_replaced: AtomicU64::new(0),
         }
-    })
-}
-
-/// Account `n` goroutine jobs abandoned at a runtime teardown deadline:
-/// their host worker threads will never return to the idle stack. Each
-/// abandoned worker is replaced by a freshly parked one (up to the idle
-/// cap), so effective parallelism does not decay over a long campaign
-/// of wedged runs.
-pub(crate) fn note_abandoned(n: u64) {
-    let pool = global();
-    pool.abandoned.fetch_add(n, Ordering::Relaxed);
-    for _ in 0..n {
-        if !pool.spawn_parked_replacement() {
-            break;
-        }
     }
-}
 
-impl WorkerPool {
     /// Run `job` on a pooled worker: check out an idle worker if one is
     /// parked, otherwise spawn a new one. Never blocks on pool state.
     ///
@@ -140,25 +136,23 @@ impl WorkerPool {
     }
 
     /// Spawn a worker that goes straight to the idle stack, replacing
-    /// one lost to abandonment. Returns false when the stack is already
-    /// at capacity or the spawn failed (both mean: stop replacing).
-    fn spawn_parked_replacement(&'static self) -> bool {
+    /// one lost to abandonment, unless the stack is already at capacity
+    /// (best effort: a failed spawn is not retried).
+    fn spawn_parked_replacement(&'static self) {
         if self.idle.lock().expect("pool lock").len() >= self.max_idle {
-            return false;
+            return;
         }
-        let spawned = self.spawn_worker(Box::new(|| {})).is_ok();
-        if spawned {
+        if self.spawn_worker(Box::new(|| {})).is_ok() {
             self.workers_replaced.fetch_add(1, Ordering::Relaxed);
         }
-        spawned
     }
 
     fn worker_loop(&'static self, first_job: Job, job_tx: Sender<Job>, job_rx: Receiver<Job>) {
         let mut job = first_job;
         loop {
-            // `goroutine_main` handles all panics internally (including
-            // shutdown unwinds); anything escaping here means the worker
-            // is in an unknown state, so it must not be reused.
+            // Goroutines catch their own panics (including shutdown
+            // unwinds); anything escaping here means the worker is in an
+            // unknown state, so it must not be reused.
             if panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
                 return;
             }
@@ -173,50 +167,31 @@ impl WorkerPool {
             // Park until the next checkout; a closed channel would mean
             // the global pool was dropped, which cannot happen, but exit
             // cleanly regardless.
-            match recv_job(&job_rx) {
-                Some(next) => job = next,
-                None => return,
+            match job_rx.recv() {
+                Ok(next) => job = next,
+                Err(_) => return,
             }
         }
     }
 }
 
-/// Spin-then-block receive of the next checkout, mirroring the token
-/// parker's adaptive budget ([`crate::config::default_spin`], the
-/// `GOAT_SPIN` knob; `0` blocks immediately). During a spawn burst the
-/// next goroutine lands on a just-checked-in worker microseconds later,
-/// and consuming it inside the spin window skips the futex wake on the
-/// checkout path. `None` means the channel closed and the worker must
-/// exit. Note the budget is the process-wide env default — per-runtime
-/// `Config::spin` overrides apply only to the token parker, because the
-/// pool outlives any single runtime.
-fn recv_job(job_rx: &Receiver<Job>) -> Option<Job> {
-    let mut pause = 1u32;
-    for _ in 0..crate::config::default_spin() {
-        match job_rx.try_recv() {
-            Ok(job) => {
-                if goat_metrics::enabled() {
-                    checkout_spun_counter().add(1);
-                }
-                return Some(job);
-            }
-            Err(mpsc::TryRecvError::Empty) => {
-                for _ in 0..pause {
-                    std::hint::spin_loop();
-                }
-                pause = (pause * 2).min(64);
-            }
-            Err(mpsc::TryRecvError::Disconnected) => return None,
-        }
+/// Start `job` — one whole run — on a host thread: a pooled worker, or
+/// a fresh thread when `pooled` is false. Either way the
+/// `pool_checkout` faultpoint can refuse it; on failure the job is
+/// dropped unrun and the reason returned. The fresh thread is detached
+/// on purpose: a run wedged outside the runtime must be abandonable.
+pub(crate) fn host(job: Job, pooled: bool) -> Result<(), String> {
+    if pooled {
+        return global().execute(job);
     }
-    job_rx.recv().ok()
-}
-
-/// Checkouts consumed during an idle worker's spin window (no futex
-/// wait on either side), in the global metrics registry.
-fn checkout_spun_counter() -> &'static goat_metrics::Counter {
-    static C: OnceLock<std::sync::Arc<goat_metrics::Counter>> = OnceLock::new();
-    C.get_or_init(|| goat_metrics::counter("pool.checkout_spun"))
+    if let Some(reason) = crate::faultpoint::should_fail("pool_checkout") {
+        return Err(reason);
+    }
+    std::thread::Builder::new()
+        .name("goat-run".to_string())
+        .spawn(job)
+        .map(drop)
+        .map_err(|e| format!("failed to spawn run host thread: {e}"))
 }
 
 /// The pool-checkout latency histogram in the global metrics registry
@@ -231,14 +206,14 @@ fn checkout_histogram() -> &'static goat_metrics::Histogram {
 pub struct PoolStats {
     /// OS threads created by the pool since process start.
     pub threads_spawned: u64,
-    /// Goroutine executions served by an already-running worker.
+    /// Runs hosted by an already-running worker.
     pub jobs_reused: u64,
     /// Workers currently parked awaiting checkout.
     pub idle_now: usize,
     /// Workers that exited because the idle stack was full.
     pub workers_retired: u64,
-    /// Goroutine jobs abandoned at a runtime teardown deadline (their
-    /// worker threads were never returned to the pool).
+    /// Runs abandoned at a runtime teardown deadline (their worker
+    /// threads were never returned to the pool).
     pub abandoned: u64,
     /// Replacement workers spawned to cover abandoned ones.
     pub workers_replaced: u64,
@@ -246,7 +221,7 @@ pub struct PoolStats {
 
 /// Pre-spawn parked workers until at least `target` (capped at the idle
 /// limit) are waiting on the idle stack, so a cold process's first
-/// burst of goroutine checkouts does not all pay thread-creation cost.
+/// burst of run checkouts does not all pay thread-creation cost.
 /// Best effort — a failed spawn stops early. Returns how many workers
 /// were spawned. Used by the suite orchestrator's warm-resource path.
 pub fn prewarm(target: usize) -> usize {
@@ -297,27 +272,29 @@ mod tests {
 
     #[test]
     fn workers_are_reused_sequentially() {
-        let before = stats();
-        let ran = Arc::new(AtomicUsize::new(0));
-        for _ in 0..10 {
-            let inner = Arc::clone(&ran);
-            let target = ran.load(Ordering::SeqCst) + 1;
-            global()
-                .execute(Box::new(move || {
-                    inner.fetch_add(1, Ordering::SeqCst);
-                }))
-                .expect("checkout");
+        // Other tests in this binary use the global pool concurrently and
+        // may take its idle workers, so this test gets a pool of its own
+        // and records which thread ran each job.
+        let pool: &'static WorkerPool = Box::leak(Box::new(WorkerPool::new(4)));
+        let hosts = Arc::new(Mutex::new(Vec::new()));
+        for i in 0..10 {
+            let inner = Arc::clone(&hosts);
+            pool.execute(Box::new(move || {
+                inner.lock().unwrap().push(std::thread::current().id());
+            }))
+            .expect("checkout");
             // Serialize jobs so each finds the previous worker idle.
-            drain_until(|| ran.load(Ordering::SeqCst) >= target);
+            drain_until(|| {
+                hosts.lock().unwrap().len() > i
+                    && pool.idle.lock().unwrap().len() as u64
+                        == pool.threads_spawned.load(Ordering::Relaxed)
+            });
         }
-        let after = stats();
-        assert_eq!(ran.load(Ordering::SeqCst), 10);
+        let mut ids = hosts.lock().unwrap().clone();
+        ids.sort_by_key(|id| format!("{id:?}"));
+        ids.dedup();
         // Ten sequential jobs must not have cost ten threads.
-        assert!(
-            after.threads_spawned - before.threads_spawned <= 2,
-            "expected reuse, spawned {} threads",
-            after.threads_spawned - before.threads_spawned
-        );
+        assert!(ids.len() <= 2, "expected reuse, jobs ran on {} threads", ids.len());
     }
 
     #[test]

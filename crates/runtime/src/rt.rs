@@ -1,10 +1,16 @@
 //! The single-token cooperative scheduler.
 //!
-//! Goroutines are OS threads, but **exactly one** holds the *run token*
-//! at any moment; everything else is parked. Every primitive operation
-//! funnels through this module to block, wake, yield and emit ECT events,
-//! which gives the runtime three properties the paper's methodology
-//! needs:
+//! Every goroutine of a run is a stackful coroutine ([`crate::coro`]),
+//! and all of them take turns on the run's one host thread: **exactly
+//! one** holds the *run token* at any moment. A goroutine that blocks,
+//! yields or exits asks [`Sched::schedule_next`] who runs next, drops the
+//! scheduler lock and switches back to the host's run loop, which
+//! resumes whichever goroutine was granted the token. A handoff is thus
+//! a register swap on one thread, never a cross-thread wake.
+//!
+//! Every primitive operation funnels through this module to block,
+//! wake, yield and emit ECT events, which gives the runtime three
+//! properties the paper's methodology needs:
 //!
 //! 1. **Determinism** — given a [`Config::seed`], the whole interleaving
 //!    (run-queue choices, select choices, injected yields) replays
@@ -24,9 +30,9 @@ use crate::config::{
     AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, SchedPolicy,
     TimeoutPhase,
 };
+use crate::coro::{self, Coroutine, Resume};
 use crate::faultpoint::{self, SeedFault};
 use crate::monitor::Monitor;
-use crate::park::Parker;
 use crate::strategy::{Strategy, StrategyKind, YieldChoice, YieldCtx};
 use goat_model::{Cu, CuKind, Istr};
 use goat_trace::{BlockReason, Ect, EventKind, Gid, RId, TraceBuf, VTime};
@@ -40,7 +46,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Panic payload used to unwind goroutine threads at shutdown.
+/// Panic payload used to unwind goroutines at shutdown.
 pub(crate) struct ShutdownSignal;
 
 /// Panic payload for Go-level runtime panics ("send on closed channel").
@@ -57,8 +63,10 @@ pub(crate) fn gopanic(msg: impl Into<String>) -> ! {
     panic::panic_any(GoPanic { msg: msg.into(), site: panic::Location::caller() })
 }
 
+/// Unwind the current goroutine for teardown. `resume_unwind` skips the
+/// panic hook: this is control flow, not a panic to report.
 pub(crate) fn shutdown_unwind() -> ! {
-    panic::panic_any(ShutdownSignal)
+    panic::resume_unwind(Box::new(ShutdownSignal))
 }
 
 thread_local! {
@@ -96,9 +104,9 @@ fn render_panic_detail(info: &panic::PanicHookInfo<'_>) -> String {
     detail
 }
 
-/// Install a process-wide panic hook that silences the runtime's
-/// controlled unwinds (shutdown signals and Go-level panics) while
-/// delegating genuine panics to the previous hook. Genuine panics also
+/// Install a process-wide panic hook that silences Go-level panics while
+/// delegating genuine panics to the previous hook (shutdown unwinds never
+/// reach it, see [`shutdown_unwind`]). Genuine panics also
 /// leave their forensics (location + truncated backtrace) in a
 /// thread-local for the goroutine catch site to collect.
 fn install_panic_hook() {
@@ -108,7 +116,7 @@ fn install_panic_hook() {
         let prev = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
             let p = info.payload();
-            if p.is::<ShutdownSignal>() || p.is::<GoPanic>() {
+            if p.is::<GoPanic>() {
                 return;
             }
             let detail = render_panic_detail(info);
@@ -135,7 +143,22 @@ struct GSlot {
     name: Istr,
     internal: bool,
     state: GState,
-    parker: Arc<Parker>,
+    coro: Coro,
+}
+
+type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// A goroutine's coroutine handle, owned by its slot except while the
+/// host thread runs it.
+enum Coro {
+    /// Not run yet: the body, turned into a coroutine at the first grant.
+    Unstarted(Job),
+    /// Switched out (blocked or runnable) in the middle of its body.
+    Suspended(Coroutine),
+    /// Checked out by the host's run loop.
+    Running,
+    /// Returned or unwound (or dropped unrun at teardown).
+    Finished,
 }
 
 /// Commit point shared by the registrations of one blocked select.
@@ -220,7 +243,15 @@ pub(crate) struct Sched {
     /// scheduler publishes its virtual clock into it on every tick.
     tb: Arc<TraceBuf>,
     outcome: Option<RunOutcome>,
+    /// The goroutine [`Sched::schedule_next`] granted the token, until
+    /// the host's run loop (or the granted goroutine itself, when it
+    /// granted itself) takes it.
+    granted: Option<Gid>,
+    /// The teardown started: `ProcStop` closed the trace, and the host
+    /// resumes goroutines only to unwind them from now on.
     shutdown: bool,
+    /// The host thread finished the teardown (every goroutine unwound).
+    host_done: bool,
     yields_injected: u32,
     monitor: Option<Arc<dyn Monitor>>,
     /// Alive-goroutine snapshot taken at the moment the outcome was
@@ -245,6 +276,10 @@ pub(crate) struct Sched {
     counters: SchedCounters,
     /// Wall-clock start of the run, for the watchdog.
     started: Instant,
+    /// When the outcome was decided: the driver gives the teardown until
+    /// `GOAT_TEARDOWN_TIMEOUT_MS` after this before it abandons the host
+    /// thread.
+    decided_at: Option<Instant>,
     /// The driver's soft watchdog deadline passed; the next goroutine to
     /// reach the scheduler gate aborts the run cooperatively.
     timeout_requested: bool,
@@ -278,7 +313,9 @@ impl Sched {
             next_rid: 0,
             tb,
             outcome: None,
+            granted: None,
             shutdown: false,
+            host_done: false,
             yields_injected: 0,
             monitor,
             alive_snapshot: None,
@@ -289,6 +326,7 @@ impl Sched {
             replay_diverged: false,
             counters: SchedCounters::default(),
             started: Instant::now(),
+            decided_at: None,
             timeout_requested: false,
             strategy,
         }
@@ -396,14 +434,14 @@ impl Sched {
     }
 
     /// Create a goroutine slot in `Runnable` state and enqueue it.
-    fn new_goroutine(&mut self, name: Istr, internal: bool) -> Gid {
+    fn new_goroutine(&mut self, name: Istr, internal: bool, body: Job) -> Gid {
         let gid = Gid(self.slots.len() as u64 + 1);
         self.slots.push(GSlot {
             gid,
             name,
             internal,
             state: GState::Runnable,
-            parker: Parker::new(self.cfg.spin),
+            coro: Coro::Unstarted(body),
         });
         self.runq.push_back(gid);
         // Strategy hook: PCT draws the goroutine's initial priority
@@ -492,7 +530,7 @@ impl Sched {
         if self.timeout_requested && self.outcome.is_none() {
             // Cooperative watchdog abort: the driver's soft deadline
             // passed and this goroutine reached the scheduler gate, so
-            // the run can be unwound cleanly (threads reclaimed).
+            // the run can be unwound cleanly (host thread reclaimed).
             let elapsed_ms = self.started.elapsed().as_millis() as u64;
             if let Some(m) = &self.monitor {
                 m.on_timeout(TimeoutPhase::Cooperative, elapsed_ms);
@@ -572,9 +610,9 @@ impl Sched {
             }
             self.fire_due_timers();
             if let Some(g) = self.pick_next() {
-                let slot = self.slot_mut(g);
-                slot.state = GState::Running;
-                slot.parker.grant();
+                self.slot_mut(g).state = GState::Running;
+                debug_assert!(self.granted.is_none(), "token granted twice");
+                self.granted = Some(g);
                 return;
             }
             if self.main_exited {
@@ -613,7 +651,29 @@ impl Sched {
         if self.outcome.is_none() {
             self.outcome = Some(outcome);
             self.alive_snapshot = Some(self.alive_app());
+            self.decided_at = Some(Instant::now());
         }
+    }
+
+    /// Start the teardown: later resumes unwind, and the trace closes
+    /// with `ProcStop`. Called by the host once the outcome is decided,
+    /// and by the driver when it decides the outcome itself; only the
+    /// first call acts.
+    fn begin_shutdown(&mut self) {
+        if !self.shutdown {
+            self.shutdown = true;
+            self.emit(Gid::RUNTIME, EventKind::ProcStop, None);
+        }
+    }
+
+    /// Take every goroutine that has not finished out of its slot,
+    /// leaving it `Finished`; the caller unwinds or drops what it took.
+    fn take_unfinished(&mut self) -> Vec<(Gid, Coro)> {
+        self.slots
+            .iter_mut()
+            .filter(|slot| matches!(slot.coro, Coro::Unstarted(_) | Coro::Suspended(_)))
+            .map(|slot| (slot.gid, std::mem::replace(&mut slot.coro, Coro::Finished)))
+            .collect()
     }
 
     /// Application goroutines that have not finished.
@@ -652,28 +712,14 @@ pub(crate) struct RtShared {
     /// The attached monitor, reachable without the scheduler lock so
     /// gate functions can consult it on lock-free paths.
     pub(crate) monitor: Option<Arc<dyn Monitor>>,
+    /// Wakes the driver when the host finished the teardown.
     done_cv: Condvar,
-    /// Goroutine jobs of this runtime still running on some OS thread
-    /// (pooled or not). Replaces the historical `Vec<JoinHandle>`,
-    /// which grew by one entry per spawned goroutine and forced a
-    /// join-per-goroutine teardown.
-    threads: Mutex<u64>,
-    threads_cv: Condvar,
-    /// Whether goroutines of this runtime run on the shared worker
-    /// pool (snapshot of [`Config::pool`] at construction).
+    /// Whether the run is hosted on the shared worker pool and its
+    /// goroutine stacks are reused (snapshot of [`Config::pool`]).
     pooled: bool,
 }
 
-impl RtShared {
-    /// Record the outcome (first writer wins), snapshot which goroutines
-    /// were still alive, and wake the driver.
-    pub(crate) fn finish(&self, s: &mut Sched, outcome: RunOutcome) {
-        s.set_outcome(outcome);
-        self.done_cv.notify_all();
-    }
-}
-
-/// The per-thread goroutine context.
+/// The running goroutine's context on its host thread.
 #[derive(Clone)]
 pub(crate) struct Ctx {
     pub rt: Arc<RtShared>,
@@ -681,6 +727,7 @@ pub(crate) struct Ctx {
 }
 
 thread_local! {
+    /// Set by the host's run loop for the goroutine it resumes.
     static CURRENT: RefCell<Option<Ctx>> = const { RefCell::new(None) };
 }
 
@@ -722,22 +769,14 @@ pub(crate) fn block_current(
         None => (None, None),
     };
     ctx.rt.tb.push(ctx.gid, EventKind::GoBlock { reason, holder_cu, holder: holder_g }, cu);
-    let parker = {
-        let mut s = ctx.rt.state.lock();
-        s.slot_mut(ctx.gid).state = GState::Blocked(reason);
-        s.counters.blocks += 1;
-        if !s.tick() {
-            ctx.rt.finish(&mut s, RunOutcome::StepLimit);
-        }
-        s.schedule_next();
-        if s.outcome.is_some() {
-            ctx.rt.done_cv.notify_all();
-        }
-        s.slot(ctx.gid).parker.clone()
-    };
-    if parker.park().is_err() {
-        shutdown_unwind();
+    let mut s = ctx.rt.state.lock();
+    s.slot_mut(ctx.gid).state = GState::Blocked(reason);
+    s.counters.blocks += 1;
+    if !s.tick() {
+        s.set_outcome(RunOutcome::StepLimit);
     }
+    s.schedule_next();
+    hand_off(ctx, s);
 }
 
 /// Yield the processor: requeue at the back of the run queue.
@@ -748,25 +787,33 @@ pub(crate) fn yield_current(ctx: &Ctx, preempt: bool, cu: Option<Cu>) {
         if preempt { EventKind::GoPreempt } else { EventKind::GoSched { trace_stop: false } };
     // Out-of-lock append: see `block_current`.
     ctx.rt.tb.push(ctx.gid, kind, cu);
-    let parker = {
-        let mut s = ctx.rt.state.lock();
-        s.slot_mut(ctx.gid).state = GState::Runnable;
-        s.runq.push_back(ctx.gid);
-        if preempt {
-            s.counters.yields_preempt += 1;
-        } else {
-            s.counters.yields_gosched += 1;
-        }
-        if !s.tick() {
-            ctx.rt.finish(&mut s, RunOutcome::StepLimit);
-        }
-        s.schedule_next();
-        if s.outcome.is_some() {
-            ctx.rt.done_cv.notify_all();
-        }
-        s.slot(ctx.gid).parker.clone()
-    };
-    if parker.park().is_err() {
+    let mut s = ctx.rt.state.lock();
+    s.slot_mut(ctx.gid).state = GState::Runnable;
+    s.runq.push_back(ctx.gid);
+    if preempt {
+        s.counters.yields_preempt += 1;
+    } else {
+        s.counters.yields_gosched += 1;
+    }
+    if !s.tick() {
+        s.set_outcome(RunOutcome::StepLimit);
+    }
+    s.schedule_next();
+    hand_off(ctx, s);
+}
+
+/// Give up the token after `schedule_next` decided: drop the scheduler
+/// lock and switch back to the host's run loop until this goroutine is
+/// granted the token again. A goroutine that was granted the token
+/// straight back keeps running without a switch. Unwinds with
+/// [`ShutdownSignal`] when the host resumes it to tear the run down.
+fn hand_off(ctx: &Ctx, mut s: parking_lot::MutexGuard<'_, Sched>) {
+    if s.granted == Some(ctx.gid) {
+        s.granted = None;
+        return;
+    }
+    drop(s);
+    if coro::suspend() == Resume::Shutdown {
         shutdown_unwind();
     }
 }
@@ -778,7 +825,7 @@ pub(crate) fn op_enter(ctx: &Ctx, _kind: CuKind, cu: &Cu) {
     let do_yield = {
         let mut s = ctx.rt.state.lock();
         if !s.tick() {
-            ctx.rt.finish(&mut s, RunOutcome::StepLimit);
+            s.set_outcome(RunOutcome::StepLimit);
             drop(s);
             shutdown_unwind();
         }
@@ -797,53 +844,6 @@ pub(crate) fn cu_here(kind: CuKind, loc: &std::panic::Location<'_>) -> Cu {
 // ---------------------------------------------------------------------
 // Spawning
 // ---------------------------------------------------------------------
-
-/// Decrements the owning runtime's live-thread count when the
-/// goroutine's job finishes, however it finishes (normal completion,
-/// shutdown unwind, or a panic escaping `goroutine_main`).
-struct ThreadCountGuard {
-    rt: Arc<RtShared>,
-}
-
-impl Drop for ThreadCountGuard {
-    fn drop(&mut self) {
-        let mut n = self.rt.threads.lock();
-        *n -= 1;
-        self.rt.threads_cv.notify_all();
-    }
-}
-
-fn spawn_goroutine(rt: &Arc<RtShared>, gid: Gid, body: Box<dyn FnOnce() + Send + 'static>) {
-    let rt2 = Arc::clone(rt);
-    *rt.threads.lock() += 1;
-    let guard = ThreadCountGuard { rt: Arc::clone(rt) };
-    let job: Job = Box::new(move || {
-        let _guard = guard;
-        goroutine_main(rt2, gid, body);
-    });
-    let hosted = if rt.pooled {
-        crate::pool::global().execute(job)
-    } else {
-        match faultpoint::should_fail("pool_checkout") {
-            Some(reason) => Err(reason),
-            None => std::thread::Builder::new()
-                .name("goat-g".to_string())
-                .spawn(job)
-                .map(|_| ())
-                .map_err(|e| format!("failed to spawn goroutine thread: {e}")),
-        }
-    };
-    if let Err(reason) = hosted {
-        // The job was dropped without running (its ThreadCountGuard has
-        // already rolled the live-thread count back). The harness — not
-        // the program under test — failed; surface that as an
-        // infra-failure outcome so the campaign layer can retry the run.
-        let mut s = rt.state.lock();
-        rt.finish(&mut s, RunOutcome::InfraFailure { reason });
-    }
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Decode a caught panic payload into (message, forensics detail).
 ///
@@ -867,60 +867,113 @@ fn panic_forensics(payload: Box<dyn std::any::Any + Send>) -> (String, Option<St
     }
 }
 
-fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Box<dyn FnOnce() + Send + 'static>) {
-    CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid }));
-    let parker = { rt.state.lock().slot(gid).parker.clone() };
-    if parker.park().is_ok() {
-        // Token acquired; the granter emitted its last event before the
-        // grant, so this lock-free append lands in total order.
-        rt.tb.push(gid, EventKind::GoStart, None);
-        let result = panic::catch_unwind(AssertUnwindSafe(body));
-        match result {
-            Ok(()) => {
-                if gid == Gid::MAIN {
-                    // Successful main exit: the trace-stopping yield of
-                    // §III-E.1, then a grace drain of runnable goroutines
-                    // (schedule_next declares completion and runs the
-                    // goleak observation point once the queue is empty).
-                    rt.tb.push(gid, EventKind::GoSched { trace_stop: true }, None);
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                    s.main_exited = true;
-                    s.schedule_next();
-                    if let Some(outcome) = s.outcome.clone() {
-                        rt.finish(&mut s, outcome);
-                    }
-                } else {
-                    rt.tb.push(gid, EventKind::GoEnd, None);
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                    if !s.tick() {
-                        rt.finish(&mut s, RunOutcome::StepLimit);
-                    }
-                    s.schedule_next();
-                    if let Some(outcome) = s.outcome.clone() {
-                        rt.finish(&mut s, outcome);
-                    }
+/// The body of every goroutine's coroutine. It starts holding the run
+/// token (the host resumes a coroutine only once it is granted), and its
+/// exit decides who runs next.
+fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Job) {
+    // The granter emitted its last event before the grant, so this
+    // lock-free append lands in total order.
+    rt.tb.push(gid, EventKind::GoStart, None);
+    match panic::catch_unwind(AssertUnwindSafe(body)) {
+        Ok(()) => {
+            if gid == Gid::MAIN {
+                // Successful main exit: the trace-stopping yield of
+                // §III-E.1, then a grace drain of runnable goroutines
+                // (schedule_next declares completion and runs the
+                // goleak observation point once the queue is empty).
+                rt.tb.push(gid, EventKind::GoSched { trace_stop: true }, None);
+                let mut s = rt.state.lock();
+                s.slot_mut(gid).state = GState::Done;
+                s.main_exited = true;
+                s.schedule_next();
+            } else {
+                rt.tb.push(gid, EventKind::GoEnd, None);
+                let mut s = rt.state.lock();
+                s.slot_mut(gid).state = GState::Done;
+                if !s.tick() {
+                    s.set_outcome(RunOutcome::StepLimit);
                 }
+                s.schedule_next();
             }
-            Err(payload) => {
-                if payload.is::<ShutdownSignal>() {
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                } else {
-                    let (msg, detail) = panic_forensics(payload);
-                    rt.tb.push(gid, EventKind::GoStop, None);
-                    let mut s = rt.state.lock();
-                    s.slot_mut(gid).state = GState::Done;
-                    if s.outcome.is_none() {
-                        s.panic_detail = detail;
-                    }
-                    rt.finish(&mut s, RunOutcome::Panicked { g: gid, msg });
+        }
+        Err(payload) => {
+            if payload.is::<ShutdownSignal>() {
+                rt.state.lock().slot_mut(gid).state = GState::Done;
+            } else {
+                let (msg, detail) = panic_forensics(payload);
+                rt.tb.push(gid, EventKind::GoStop, None);
+                let mut s = rt.state.lock();
+                s.slot_mut(gid).state = GState::Done;
+                if s.outcome.is_none() {
+                    s.panic_detail = detail;
                 }
+                s.set_outcome(RunOutcome::Panicked { g: gid, msg });
             }
         }
     }
+}
+
+/// One whole run on its host thread: resume whichever goroutine the
+/// scheduler granted the token until the outcome is decided, then unwind
+/// every goroutine that has not finished and drop the bodies of those
+/// that never ran. This is the job [`Runtime::run_monitored`] hands to
+/// the run host pool; the driver meanwhile only waits on `done_cv`.
+fn host_run(rt: Arc<RtShared>) {
+    CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid: Gid::MAIN }));
+    let set_gid = |g: Gid| {
+        CURRENT.with(|c| {
+            if let Some(ctx) = c.borrow_mut().as_mut() {
+                ctx.gid = g;
+            }
+        })
+    };
+    let mut s = rt.state.lock();
+    s.schedule_next();
+    while s.outcome.is_none() {
+        let g = s.granted.take().expect("schedule_next grants the token or decides the outcome");
+        let mut co = match std::mem::replace(&mut s.slot_mut(g).coro, Coro::Running) {
+            Coro::Suspended(co) => co,
+            Coro::Unstarted(body) => {
+                let rt2 = Arc::clone(&rt);
+                match Coroutine::new(Box::new(move || goroutine_main(rt2, g, body)), rt.pooled) {
+                    Ok(co) => co,
+                    Err(e) => {
+                        let reason = format!("failed to map a goroutine stack: {e}");
+                        s.set_outcome(RunOutcome::InfraFailure { reason });
+                        break;
+                    }
+                }
+            }
+            Coro::Running | Coro::Finished => unreachable!("{g} granted while not runnable"),
+        };
+        drop(s);
+        set_gid(g);
+        // SAFETY: every coroutine of this run is created and resumed on
+        // this host thread.
+        unsafe { co.resume(Resume::Run) };
+        s = rt.state.lock();
+        s.slot_mut(g).coro = if co.is_done() { Coro::Finished } else { Coro::Suspended(co) };
+    }
+    s.begin_shutdown();
+    let unfinished = s.take_unfinished();
+    drop(s);
+    // Unwind in gid order; a goroutine that swallows the unwind and
+    // blocks again is resumed again. Bodies that never ran are dropped
+    // here too, outside the lock.
+    for (g, coro) in unfinished {
+        if let Coro::Suspended(mut co) = coro {
+            set_gid(g);
+            while !co.is_done() {
+                // SAFETY: as above, created on this host thread.
+                unsafe { co.resume(Resume::Shutdown) };
+            }
+        }
+    }
+    // Goroutines spawned while unwinding never run.
+    drop(rt.state.lock().take_unfinished());
     CURRENT.with(|c| *c.borrow_mut() = None);
+    rt.state.lock().host_done = true;
+    rt.done_cv.notify_all();
 }
 
 /// Spawn a goroutine executing `f` (Go's `go` statement).
@@ -958,15 +1011,11 @@ fn go_impl(
         op_enter(&ctx, CuKind::Go, &cu);
     }
     let name = Istr::new(name);
-    let gid = {
-        let mut s = ctx.rt.state.lock();
-        s.new_goroutine(name, internal)
-    };
+    let gid = ctx.rt.state.lock().new_goroutine(name, internal, body);
     // The child is runnable but cannot be granted the token until this
     // goroutine reaches a scheduler gate, so the creation event lands
     // before any child event.
     ctx.rt.tb.push(ctx.gid, EventKind::GoCreate { new_g: gid, name, internal }, Some(cu));
-    spawn_goroutine(&ctx.rt, gid, body);
     gid
 }
 
@@ -980,6 +1029,27 @@ pub fn gosched() {
 // ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
+
+/// The body a seed-keyed `iter` fault substitutes for the program's
+/// main, exercising each watchdog escalation path deterministically.
+/// `tests/snapshots/etcd6708_s11_crash.json` records the `iter:panic`
+/// call site's line: moving it means re-blessing that golden.
+fn iter_fault_body(seed: u64) -> Option<Job> {
+    let body: Job = match faultpoint::seed_fault("iter", seed)? {
+        // Stall outside every runtime primitive: no scheduler gate is
+        // ever reached, so only the hard watchdog deadline (and the
+        // teardown abandonment path) can reclaim this run.
+        SeedFault::Wedge => Box::new(|| std::thread::sleep(Duration::from_secs(3600))),
+        // Yield forever: every gosched passes the scheduler gate, so
+        // the soft deadline aborts cooperatively (or the step limit
+        // fires first when no watchdog is configured).
+        SeedFault::Spin => Box::new(|| loop {
+            gosched();
+        }),
+        SeedFault::Panic => Box::new(|| gopanic("injected fault: iter:panic")),
+    };
+    Some(body)
+}
 
 /// The GoAT runtime: executes a program under a configuration and
 /// returns its outcome, trace and statistics.
@@ -1020,119 +1090,93 @@ impl Runtime {
             tb,
             monitor,
             done_cv: Condvar::new(),
-            threads: Mutex::new(0),
-            threads_cv: Condvar::new(),
             pooled,
         });
 
-        // Bootstrap: create the main goroutine and grant it the token.
+        let body = iter_fault_body(seed).unwrap_or_else(|| Box::new(f));
+        // Bootstrap: create the main goroutine; the host grants it the
+        // token first thing.
         {
             let mut s = rt.state.lock();
             s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
             s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
-            let gid = s.new_goroutine(Istr::new("main"), false);
+            let gid = s.new_goroutine(Istr::new("main"), false, body);
             debug_assert_eq!(gid, Gid::MAIN);
         }
-        // Seed-keyed `iter` faults replace the program body wholesale,
-        // exercising each watchdog escalation path deterministically.
-        let body: Box<dyn FnOnce() + Send + 'static> = match faultpoint::seed_fault("iter", seed) {
-            // Stall outside every runtime primitive: no scheduler gate is
-            // ever reached, so only the hard watchdog deadline (and the
-            // teardown abandonment path) can reclaim this run.
-            Some(SeedFault::Wedge) => Box::new(|| std::thread::sleep(Duration::from_secs(3600))),
-            // Yield forever: every gosched passes the scheduler gate, so
-            // the soft deadline aborts cooperatively (or the step limit
-            // fires first when no watchdog is configured).
-            Some(SeedFault::Spin) => Box::new(|| loop {
-                gosched();
-            }),
-            Some(SeedFault::Panic) => Box::new(|| gopanic("injected fault: iter:panic")),
-            None => Box::new(f),
-        };
-        spawn_goroutine(&rt, Gid::MAIN, body);
-        {
+        let host_rt = Arc::clone(&rt);
+        if let Err(reason) = crate::pool::host(Box::new(move || host_run(host_rt)), pooled) {
+            // The harness — not the program under test — failed; surface
+            // that as an infra-failure outcome so the campaign layer can
+            // retry the run.
             let mut s = rt.state.lock();
-            s.schedule_next();
-            if s.outcome.is_some() {
-                rt.done_cv.notify_all();
-            }
+            s.set_outcome(RunOutcome::InfraFailure { reason });
+            s.begin_shutdown();
+            s.host_done = true;
+            let unrun = s.take_unfinished();
+            drop(s);
+            drop(unrun);
         }
 
-        // Wait for an outcome, then tear everything down. With a
-        // wall-clock watchdog configured the wait escalates twice: at
-        // the soft deadline it requests a cooperative abort through the
-        // scheduler gate, and at the hard deadline (soft + grace) it
-        // abandons the run outright — the only way out when every
-        // goroutine is stuck outside runtime primitives.
-        {
-            let mut s = rt.state.lock();
-            match iter_timeout_ms {
-                None => {
-                    while s.outcome.is_none() {
-                        rt.done_cv.wait(&mut s);
-                    }
-                }
-                Some(timeout_ms) => {
-                    let started = s.started;
-                    let soft = started + Duration::from_millis(timeout_ms);
-                    let hard = soft + Duration::from_millis((timeout_ms / 4).clamp(10, 1_000));
-                    while s.outcome.is_none() {
-                        let now = Instant::now();
-                        if now >= hard {
-                            let elapsed_ms = started.elapsed().as_millis() as u64;
-                            if let Some(m) = s.monitor() {
-                                m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
-                            }
-                            s.set_outcome(RunOutcome::TimedOut {
-                                phase: TimeoutPhase::Wedged,
-                                elapsed_ms,
-                            });
-                            break;
-                        }
-                        if now >= soft {
-                            s.timeout_requested = true;
-                            rt.done_cv.wait_for(&mut s, hard - now);
-                        } else {
-                            rt.done_cv.wait_for(&mut s, soft - now);
-                        }
-                    }
-                }
-            }
-            s.shutdown = true;
-            for slot in &s.slots {
-                slot.parker.shutdown();
-            }
-            s.emit(Gid::RUNTIME, EventKind::ProcStop, None);
-        }
-        // Wait for every goroutine job to finish (the shutdown unwind
-        // above releases them all). A goroutine wedged outside runtime
-        // primitives would historically hang the join loop forever; now
-        // a teardown deadline abandons it — its worker thread is simply
-        // never reused, and the pool replaces it on the next checkout.
-        {
-            let timeout_ms = std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
+        // Wait for the host to decide the outcome and tear the run down.
+        // With a wall-clock watchdog configured the wait escalates twice:
+        // at the soft deadline it requests a cooperative abort through
+        // the scheduler gate, and at the hard deadline (soft + grace) it
+        // decides the run itself — the only way out when every goroutine
+        // is stuck outside runtime primitives. Once the outcome is
+        // decided the teardown has `GOAT_TEARDOWN_TIMEOUT_MS`: a goroutine
+        // wedged outside runtime primitives holds the host thread
+        // forever, so at that deadline the host thread is abandoned (never
+        // reused; the pool replaces it).
+        let teardown = Duration::from_millis(
+            std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
                 .ok()
                 .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(5_000);
-            let deadline = Instant::now() + Duration::from_millis(timeout_ms);
-            let mut n = rt.threads.lock();
-            while *n > 0 {
+                .unwrap_or(5_000),
+        );
+        {
+            let mut s = rt.state.lock();
+            let started = s.started;
+            let watchdog = iter_timeout_ms.map(|ms| {
+                let soft = started + Duration::from_millis(ms);
+                (soft, soft + Duration::from_millis((ms / 4).clamp(10, 1_000)))
+            });
+            while !s.host_done {
                 let now = Instant::now();
-                if now >= deadline {
-                    // Deadline expired with goroutine jobs still running:
-                    // they are abandoned (their host threads are never
-                    // returned to the pool).
-                    if pooled {
-                        crate::pool::note_abandoned(*n);
+                let wake_at = match (s.decided_at, watchdog) {
+                    (Some(decided), _) if now >= decided + teardown => {
+                        if pooled {
+                            crate::pool::note_abandoned();
+                        }
+                        break;
                     }
-                    break;
-                }
-                rt.threads_cv.wait_for(&mut n, deadline - now);
+                    (Some(decided), _) => decided + teardown,
+                    (None, Some((_, hard))) if now >= hard => {
+                        let elapsed_ms = started.elapsed().as_millis() as u64;
+                        if let Some(m) = s.monitor() {
+                            m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
+                        }
+                        s.set_outcome(RunOutcome::TimedOut {
+                            phase: TimeoutPhase::Wedged,
+                            elapsed_ms,
+                        });
+                        s.begin_shutdown();
+                        continue;
+                    }
+                    (None, Some((soft, hard))) if now >= soft => {
+                        s.timeout_requested = true;
+                        hard
+                    }
+                    (None, Some((soft, _))) => soft,
+                    // No watchdog: wake now and then, in case the outcome
+                    // is decided and the teardown then wedges.
+                    (None, None) => now + teardown,
+                };
+                rt.done_cv.wait_for(&mut s, wake_at - now);
             }
         }
 
         // Collect results. Closing the trace buffer drops any straggler
-        // append from an abandoned goroutine; the collected event vector
+        // append from an abandoned host; the collected event vector
         // moves into the ECT wholesale (no per-event re-push) and the
         // campaign merge loop recycles it.
         let (trace, fingerprint) = rt.tb.take();

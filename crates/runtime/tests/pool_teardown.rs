@@ -3,9 +3,15 @@
 //! environment knobs (`GOAT_POOL_MAX_IDLE`, `GOAT_TEARDOWN_TIMEOUT_MS`)
 //! before that first use. Everything lives in ONE `#[test]` so the env
 //! is set exactly once, ahead of any pool activity.
+//!
+//! The pool hosts whole runs — every goroutine of a run is a coroutine
+//! on the run's one host thread — so each property is exercised with
+//! runs, not goroutines: concurrent runs oversubscribe the idle cap, and
+//! a wedged goroutine wedges (and abandons) its run's host thread.
 
 use goat_runtime::{go, go_named, pool, Chan, Config, Runtime, WaitGroup};
 use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
 const MAX_IDLE: usize = 4;
@@ -28,24 +34,36 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
     std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", TEARDOWN_MS.to_string());
 
     // -- no idle-thread leak past GOAT_POOL_MAX_IDLE ------------------
-    // 12 goroutines (3× the idle cap) all complete; after the runtime
-    // is torn down, at most MAX_IDLE workers may stay parked and the
-    // surplus must have retired.
-    let r = Runtime::run(Config::new(1), || {
-        let wg = WaitGroup::new();
-        for _ in 0..(3 * MAX_IDLE) {
-            wg.add(1);
-            let wg = wg.clone();
-            go(move || wg.done());
-        }
-        wg.wait();
-    });
-    assert!(r.clean(), "{:?}", r.outcome);
+    // 12 runs (3× the idle cap) are in flight at once — each main waits
+    // on a host-level barrier until all 12 host threads are busy — and
+    // all complete; after they are torn down, at most MAX_IDLE workers
+    // may stay parked and the surplus must have retired.
+    let runs = 3 * MAX_IDLE;
+    let all_hosted = Arc::new(Barrier::new(runs));
+    let drivers: Vec<_> = (0..runs)
+        .map(|i| {
+            let all_hosted = Arc::clone(&all_hosted);
+            std::thread::spawn(move || {
+                Runtime::run(Config::new(i as u64), move || {
+                    let wg = WaitGroup::new();
+                    wg.add(1);
+                    let done = wg.clone();
+                    go(move || done.done());
+                    all_hosted.wait();
+                    wg.wait();
+                })
+            })
+        })
+        .collect();
+    for d in drivers {
+        let r = d.join().expect("driver thread");
+        assert!(r.clean(), "{:?}", r.outcome);
+    }
 
-    // Workers re-park just after the run's join loop observes them
-    // done, so poll until the pool fully quiesces — every spawned
-    // worker has either retired or landed on the idle stack. (Checking
-    // only `idle_now <= MAX_IDLE` races: a straggler still between job
+    // Workers re-park just after their run's teardown wakes its driver,
+    // so poll until the pool fully quiesces — every spawned worker has
+    // either retired or landed on the idle stack. (Checking only
+    // `idle_now <= MAX_IDLE` races: a straggler still between job
     // completion and park would re-park during the next phase and top
     // the idle stack back up to the cap.)
     settle(|| {
@@ -63,9 +81,9 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
 
     // -- wedged worker abandoned at the teardown deadline -------------
     // The goroutine swallows the shutdown unwind and then stalls
-    // outside all runtime primitives — the historical hang. Teardown
-    // must give up on it after GOAT_TEARDOWN_TIMEOUT_MS and its worker
-    // must be written off, not returned to the idle stack.
+    // outside all runtime primitives, holding its run's host thread.
+    // Teardown must give up on it after GOAT_TEARDOWN_TIMEOUT_MS and the
+    // host worker must be written off, not returned to the idle stack.
     let abandoned_before = pool::stats().abandoned;
     let t0 = Instant::now();
     let r = Runtime::run(Config::new(2), || {
@@ -74,7 +92,7 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
             let _ = panic::catch_unwind(AssertUnwindSafe(|| {
                 ch.recv(); // parks forever; unwound at shutdown
             }));
-            // Wedged: off the scheduler, invisible to the parker.
+            // Wedged: off the scheduler, so the host never gets back.
             std::thread::sleep(Duration::from_secs(10));
         });
         goat_runtime::gosched();
@@ -101,8 +119,9 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
         (1..=MAX_IDLE).contains(&s.idle_now),
         "replacement must land on the idle stack within the cap, stats: {s:?}"
     );
-    // And the replacement is actually usable: a fresh run checks out
-    // workers without spawning beyond what the scenario needs.
+    // And the replacement is actually usable: a fresh run is hosted by
+    // a parked worker without spawning one.
+    let spawned_before = pool::stats().threads_spawned;
     let r = Runtime::run(Config::new(3), || {
         let wg = WaitGroup::new();
         wg.add(1);
@@ -111,4 +130,5 @@ fn idle_bound_holds_and_wedged_workers_are_abandoned() {
         wg.wait();
     });
     assert!(r.clean(), "{:?}", r.outcome);
+    assert_eq!(pool::stats().threads_spawned, spawned_before, "the replacement hosts the run");
 }

@@ -38,7 +38,6 @@ struct Cli {
     // Hot-path knobs: the flag seeds the matching `GOAT_*` variable
     // only when the environment leaves it unset, so an operator's env
     // always wins over a script's flag.
-    spin: Option<u32>,
     memo: Option<String>,
     trace_pool_max: Option<usize>,
     // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC_BATCH).
@@ -74,7 +73,6 @@ fn parse_args() -> Result<Cli, String> {
         strategy: None,
         guided: None,
         saturation_window: None,
-        spin: None,
         memo: None,
         trace_pool_max: None,
         isolate: None,
@@ -127,7 +125,6 @@ fn parse_args() -> Result<Cli, String> {
                 }
                 cli.saturation_window = Some(n);
             }
-            "-spin" | "--spin" => cli.spin = Some(num("-spin", take("-spin")?)?),
             "-memo" | "--memo" => {
                 let v = take("-memo")?;
                 match v.as_str() {
@@ -171,12 +168,8 @@ fn parse_args() -> Result<Cli, String> {
         return Err("missing -target (use '-target list' to enumerate kernels)".into());
     }
     // Seed the env-first hot-path knobs before anything reads (and
-    // caches) them: the runtime's spin budget, the analysis memo mode
-    // and the trace-buffer pool cap are all process-wide defaults
-    // resolved from GOAT_* on first use.
-    if let Some(s) = cli.spin {
-        env_default("GOAT_SPIN", &s.to_string());
-    }
+    // caches) them: the analysis memo mode and the trace-buffer pool cap
+    // are process-wide defaults resolved from GOAT_* on first use.
     if let Some(m) = &cli.memo {
         env_default("GOAT_MEMO", m);
     }
@@ -265,9 +258,6 @@ fn print_help() {
          \x20 -saturation-window <int>  stop after N consecutive iterations with no new\n\
          \x20                           coverage (GOAT_SATURATION_WINDOW)\n\n\
          execution hot path (flags seed the GOAT_* env knob; env remains the override):\n\
-         \x20 -spin <int>               token-handoff spin budget before parking, 0 = park\n\
-         \x20                           immediately (GOAT_SPIN; default 100 on multi-core\n\
-         \x20                           hosts, 0 on a single CPU)\n\
          \x20 -memo <off|on|verify>     duplicate-schedule analysis memoization; verify\n\
          \x20                           re-analyzes hits and asserts equality (GOAT_MEMO)\n\
          \x20 -trace-pool-max <int>     recycled trace buffers kept per process\n\

@@ -199,29 +199,22 @@ fn sigkilled_campaign_resumes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// Execution-hot-path equivalence: the spin-then-park handoff and the
-// duplicate-schedule analysis memo are pure performance features — a
-// campaign's machine-readable summary must be byte-identical with
-// spinning disabled (`GOAT_SPIN=0` / park-only) and with memoization
-// off, on, or in self-checking `verify` mode.
+// Execution-hot-path equivalence: the duplicate-schedule analysis memo
+// is a pure performance feature — a campaign's machine-readable summary
+// must be byte-identical with memoization off, on, or in self-checking
+// `verify` mode. (The test name predates the coroutine backend, whose
+// handoff has no spin budget left to vary.)
 // ---------------------------------------------------------------------
 
 use goat::core::MemoMode;
 
-fn hot_path_summary_json(
-    kernel: &'static goat::goker::BugKernel,
-    memo: MemoMode,
-    spin: Option<u32>,
-) -> String {
-    let mut cfg = GoatConfig::default()
+fn hot_path_summary_json(kernel: &'static goat::goker::BugKernel, memo: MemoMode) -> String {
+    let cfg = GoatConfig::default()
         .with_delay_bound(2)
         .with_iterations(24)
         .with_seed0(3)
         .keep_running()
         .with_memo(memo);
-    if let Some(s) = spin {
-        cfg = cfg.with_spin(s);
-    }
     Goat::new(cfg)
         .test(Arc::new(KernelProgram(kernel)))
         .to_json_summary()
@@ -232,19 +225,13 @@ fn hot_path_summary_json(
 fn campaign_summaries_identical_across_memo_and_spin() {
     for name in ["moby28462", "etcd6708", "cockroach1462"] {
         let kernel = goat::goker::by_name(name).expect("kernel");
-        let base = hot_path_summary_json(kernel, MemoMode::Off, None);
-        for (memo, spin) in [
-            (MemoMode::On, None),
-            (MemoMode::Verify, None),
-            (MemoMode::Off, Some(0)),
-            (MemoMode::On, Some(0)),
-            (MemoMode::On, Some(10_000)),
-        ] {
-            let json = hot_path_summary_json(kernel, memo, spin);
+        let base = hot_path_summary_json(kernel, MemoMode::Off);
+        for memo in [MemoMode::On, MemoMode::Verify] {
+            let json = hot_path_summary_json(kernel, memo);
             assert_eq!(
                 base, json,
-                "{name}: summary diverged at memo={memo:?} spin={spin:?} — the hot path \
-                 must be invisible to campaign reports"
+                "{name}: summary diverged at memo={memo:?} — the hot path must be \
+                 invisible to campaign reports"
             );
         }
     }
@@ -295,6 +282,14 @@ fn traces_are_well_formed_across_the_suite() {
 // ---------------------------------------------------------------------
 
 use goat::core::IsolateMode;
+use goat::runtime::faultpoint;
+
+/// A fault plan that never fires (no test uses this seed). The active
+/// plan is process-wide and is handed to every worker process a campaign
+/// spawns, so a test that spawns workers holds this plan: that keeps
+/// `binary_garbage_frames_degrade_to_retried_infra_failures`'s plan out
+/// of its workers while the two run in parallel.
+const NO_FAULTS: &str = "iter:wedge:seed=999999999";
 
 fn isolated_summary_json(
     kernel: &'static goat::goker::BugKernel,
@@ -321,6 +316,7 @@ fn isolated_summary_json(
 
 #[test]
 fn campaign_summaries_identical_with_process_isolation() {
+    let _faults = faultpoint::scoped(NO_FAULTS);
     for (name, d, seed0, iterations, stop_on_bug) in [
         ("moby28462", 2u32, 7u64, 12usize, true),
         ("etcd6708", 1, 11, 12, false),
@@ -439,6 +435,7 @@ fn ipc_summary_json(
 
 #[test]
 fn campaign_summaries_identical_across_ipc_modes() {
+    let _faults = faultpoint::scoped(NO_FAULTS);
     for (name, d, seed0, iterations, stop_on_bug) in
         [("etcd6708", 1u32, 11u64, 12usize, false), ("moby28462", 2, 7, 12, true)]
     {
@@ -462,7 +459,6 @@ fn campaign_summaries_identical_across_ipc_modes() {
 #[test]
 fn binary_garbage_frames_degrade_to_retried_infra_failures() {
     use goat::core::GoatVerdict;
-    use goat::runtime::faultpoint;
 
     let kernel = goat::goker::by_name("grpc1424").expect("kernel");
     let _plan = faultpoint::scoped("worker:garbage-frame");
@@ -612,6 +608,7 @@ fn sigkilled_suite_resumes_byte_identically() {
 // Init would never report the tiny budget's hangs.
 #[test]
 fn pooled_workers_reinit_when_the_base_config_changes() {
+    let _faults = faultpoint::scoped(NO_FAULTS);
     let kernel = goat::goker::by_name("etcd6708").expect("kernel");
 
     // Prime the pool with workers Init'ed at the default step budget.
