@@ -48,7 +48,12 @@ pub const CHECKPOINT_EVERY_ENV: &str = "GOAT_CHECKPOINT_EVERY";
 /// campaign's records differ between `GOAT_ISOLATE=off` and `proc`
 /// (in-process panic vs worker death), so sidecars cannot be mixed
 /// across modes.
-pub const CHECKPOINT_VERSION: u32 = 3;
+///
+/// v4: the fingerprint grew the supervision policy (`retries=`,
+/// `qinfra=`, `qcrash=`) and the active fault plan (`fault=`): each
+/// changes which iterations record infra failures or crashes, or where
+/// the campaign is quarantined.
+pub const CHECKPOINT_VERSION: u32 = 4;
 
 /// The campaign parameters that determine per-iteration behaviour,
 /// folded into a string. Two campaigns with equal fingerprints run the
@@ -57,7 +62,7 @@ pub const CHECKPOINT_VERSION: u32 = 3;
 /// iteration budget is excluded on purpose (resume may extend it).
 pub fn fingerprint(program_name: &str, cfg: &GoatConfig) -> String {
     format!(
-        "v{CHECKPOINT_VERSION}:{program_name}:seed0={}:d={}:stop={}:cov={}:eps={:x}:steps={}:wd={}:strat={}:guided={}:sat={}:iso={}",
+        "v{CHECKPOINT_VERSION}:{program_name}:seed0={}:d={}:stop={}:cov={}:eps={:x}:steps={}:wd={}:strat={}:guided={}:sat={}:iso={}:retries={}:qinfra={}:qcrash={}:fault={}",
         cfg.seed0,
         cfg.delay_bound,
         cfg.stop_on_bug,
@@ -75,6 +80,14 @@ pub fn fingerprint(program_name: &str, cfg: &GoatConfig) -> String {
         cfg.guided,
         cfg.saturation_window.map_or("off".to_string(), |w| w.to_string()),
         cfg.isolate,
+        // Retries decide whether a transient infra failure is recorded,
+        // the quarantine thresholds where the campaign stops, and the
+        // fault plan which iterations fail at all: a sidecar written
+        // under other values would resume a different campaign.
+        cfg.max_retries,
+        cfg.quarantine_after,
+        cfg.quarantine_crashes,
+        goat_runtime::faultpoint::current_spec().unwrap_or_else(|| "off".to_string()),
     )
 }
 
@@ -261,6 +274,29 @@ mod tests {
         assert_eq!(fingerprint("p", &a), fingerprint("p", &b));
         let c = GoatConfig::default().with_delay_bound(2);
         assert_ne!(fingerprint("p", &a), fingerprint("p", &c));
+    }
+
+    #[test]
+    fn sidecar_from_another_supervision_policy_is_rejected() {
+        // A sidecar written under one retry/quarantine policy must not
+        // resume a campaign under another: its recorded quarantine (or
+        // its infra-failed iterations) belong to a different campaign.
+        let dir = std::env::temp_dir().join("goat-checkpoint-test-policy");
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("cp.json");
+        let base = GoatConfig::default().with_quarantine_after(3);
+        sample(&base).store(&path).expect("store");
+        for other in [
+            base.clone().with_quarantine_after(10),
+            base.clone().with_quarantine_crashes(5),
+            base.clone().with_max_retries(base.max_retries + 1),
+        ] {
+            let err = CampaignCheckpoint::load(&path, &fingerprint("demo", &other))
+                .expect_err("mismatched sidecar must be rejected");
+            assert!(err.contains("different campaign"), "{err}");
+        }
+        assert!(CampaignCheckpoint::load(&path, &fingerprint("demo", &base)).is_ok());
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1385,8 +1385,10 @@ impl Goat {
         }
     }
 
-    /// Execute the contiguous iterations `lo..lo + arms.len()` and
-    /// return their supervised results in order.
+    /// Execute the contiguous iterations `lo..lo + arms.len()` and pass
+    /// their supervised results to `sink` in order, each as soon as it
+    /// exists (an abandoned worker's finished prefix is still
+    /// delivered).
     ///
     /// Under process isolation with a batch window the whole range
     /// ships to one worker as a single frame burst
@@ -1400,7 +1402,8 @@ impl Goat {
         lo: usize,
         program: &Arc<dyn Program>,
         arms: &[Option<Arm>],
-    ) -> Vec<goat_runtime::RunResult> {
+        sink: &mut dyn FnMut(goat_runtime::RunResult),
+    ) {
         if arms.len() > 1 && self.cfg.isolate == crate::isolate::IsolateMode::Proc {
             let runs: Vec<(u64, Config)> = arms
                 .iter()
@@ -1412,16 +1415,17 @@ impl Goat {
             if let Some(results) =
                 crate::isolate::run_batch(self.cfg.worker_cmd.as_deref(), program.name(), &runs)
             {
-                return results
-                    .into_iter()
-                    .enumerate()
-                    .map(|(k, r)| self.supervise_from(lo + k, program, arms[k], r))
-                    .collect();
+                for (k, r) in results.into_iter().enumerate() {
+                    sink(self.supervise_from(lo + k, program, arms[k], r));
+                }
+                return;
             }
             // Isolation just became unavailable: fall through to the
             // per-run path, which runs in-process.
         }
-        arms.iter().enumerate().map(|(k, arm)| self.run_supervised(lo + k, program, *arm)).collect()
+        for (k, arm) in arms.iter().enumerate() {
+            sink(self.run_supervised(lo + k, program, *arm));
+        }
     }
 
     /// Package the merge state into a [`CampaignResult`]; when telemetry

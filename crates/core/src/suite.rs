@@ -207,8 +207,9 @@ impl SuiteManifest {
         }
     }
 
-    /// Load and validate a manifest; `None` when absent, unreadable or
-    /// fingerprint-mismatched (starting fresh is always sound).
+    /// Load and validate a manifest; `None` when absent, unreadable,
+    /// fingerprint-mismatched or inconsistent (grants that do not match
+    /// the kernel list one to one). Starting fresh is always sound.
     pub fn load(path: &Path, fingerprint: &str) -> Option<SuiteManifest> {
         let data = std::fs::read_to_string(path).ok()?;
         let man: SuiteManifest = match serde_json::from_str(&data) {
@@ -221,7 +222,9 @@ impl SuiteManifest {
                 return None;
             }
         };
-        (man.version == SUITE_MANIFEST_VERSION && man.fingerprint == fingerprint).then_some(man)
+        let consistent = man.grants.as_ref().is_none_or(|g| g.len() == man.kernels.len());
+        (man.version == SUITE_MANIFEST_VERSION && man.fingerprint == fingerprint && consistent)
+            .then_some(man)
     }
 }
 
@@ -263,12 +266,17 @@ struct Stream {
     /// Claimed-but-undelivered iterations (drives the kernels-in-flight
     /// gauge).
     inflight: usize,
+    /// Claimed ranges given back unrun by an abandoned worker; claimed
+    /// again before anything new.
+    returned: Vec<(usize, usize)>,
     /// Unspent base budget donated at finalize (early stoppers only).
     released: usize,
 }
 
 fn claimable(s: &Stream) -> bool {
-    !s.complete && !s.halted && s.next < s.cutoff && s.next < s.merged + s.window
+    !s.complete
+        && !s.halted
+        && (!s.returned.is_empty() || (s.next < s.cutoff && s.next < s.merged + s.window))
 }
 
 struct QueueState {
@@ -281,8 +289,12 @@ struct QueueState {
     /// realloc is off or grants were preset by a resumed manifest).
     barrier_open: bool,
     /// Every campaign is finalized — or a worker panicked: no more
-    /// claims, and the coordinator stops waiting.
+    /// claims, and the coordinator stops waiting once no worker is left.
     shutdown: bool,
+    /// A worker panicked; the coordinator re-raises it.
+    failed: bool,
+    /// Workers started and not yet exited (abandoned ones excluded).
+    workers: usize,
     steals: u64,
     inflight_max: usize,
     budget_donated: usize,
@@ -330,9 +342,12 @@ impl SuiteQueue {
                     }
                 }
                 let s = &mut st.streams[k];
-                let lo = s.next;
-                let hi = (s.merged + s.window).min(s.cutoff).min(lo + s.batch);
-                s.next = hi;
+                let (lo, hi) = s.returned.pop().unwrap_or_else(|| {
+                    let lo = s.next;
+                    let hi = (s.merged + s.window).min(s.cutoff).min(lo + s.batch);
+                    s.next = hi;
+                    (lo, hi)
+                });
                 s.inflight += hi - lo;
                 let inflight_now = st.streams.iter().filter(|s| s.inflight > 0).count();
                 st.inflight_max = st.inflight_max.max(inflight_now);
@@ -343,20 +358,42 @@ impl SuiteQueue {
     }
 }
 
-/// Shuts the queue down when a worker unwinds, so a panic inside one
-/// campaign's run or merge fails the whole call instead of leaving the
-/// coordinator and the other workers waiting forever.
-struct ShutdownOnUnwind<'a>(&'a SuiteQueue);
+/// Accounts a worker's exit. When it unwinds, it shuts the queue down,
+/// so a panic inside one campaign's run or merge fails the whole call
+/// instead of leaving the coordinator and the other workers waiting
+/// forever. An abandoned worker was already accounted by its hook.
+struct WorkerExit<'a>(&'a SuiteQueue, &'a StdMutex<Progress>);
 
-impl Drop for ShutdownOnUnwind<'_> {
+impl Drop for WorkerExit<'_> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.0.state.lock().unwrap_or_else(PoisonError::into_inner).shutdown = true;
-            self.0.work_cv.notify_all();
-            self.0.done_cv.notify_all();
+        if self.1.lock().unwrap_or_else(PoisonError::into_inner).abandoned {
+            return;
         }
+        let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
+        st.workers -= 1;
+        if std::thread::panicking() {
+            st.shutdown = true;
+            st.failed = true;
+            self.0.work_cv.notify_all();
+        }
+        self.0.done_cv.notify_all();
     }
 }
+
+/// One worker's claim in progress, shared with its abandon hook.
+#[derive(Default)]
+struct Progress {
+    /// The claimed batch being run: (campaign, lo, hi).
+    claim: Option<(usize, usize, usize)>,
+    /// Results of the claim's finished iterations, in order.
+    done: Vec<RunResult>,
+    /// The supervisor wrote this worker off: nothing it still holds may
+    /// be delivered.
+    abandoned: bool,
+}
+
+/// A partial batch to deliver: (campaign, first iteration, results).
+type Partial = (usize, usize, Vec<RunResult>);
 
 /// Everything one campaign's merge thread-of-record owns, behind the
 /// slot's lock: the campaign merge state, the iteration-order reorder
@@ -389,6 +426,14 @@ struct Slot {
     claim_wait: Histogram,
 }
 
+/// Everything the workers of one [`run_campaigns`] call share.
+struct Engine {
+    slots: Vec<Slot>,
+    queue: SuiteQueue,
+    warm: WarmPool,
+    telemetry_on: bool,
+}
+
 /// Analysis scratch recycled from finished campaigns into later ones.
 struct WarmPool {
     bufs: StdMutex<Vec<EctBuffers>>,
@@ -415,22 +460,20 @@ struct SuiteEvent {
 /// Deliver one claimed batch's results: insert into the campaign's
 /// reorder buffer, merge everything now in order, then update the
 /// stream's accounting and finalize the campaign if it just completed.
-fn deliver(
-    slots: &[Slot],
-    queue: &SuiteQueue,
-    warm: &WarmPool,
-    k: usize,
-    lo: usize,
-    results: Vec<RunResult>,
-) {
+fn deliver(e: &Engine, k: usize, lo: usize, results: Vec<RunResult>) {
+    let (slots, queue, warm) = (&e.slots, &e.queue, &e.warm);
     let delivered = results.len();
     let mut merged_now = 0usize;
     let mut halted_now = false;
     {
         let mut live = slots[k].live.lock().expect("slot merge");
         if let Some(sm) = live.as_mut() {
+            // Every iteration is delivered once: by the worker that ran
+            // it, or — for an abandoned worker — by its replacement.
+            debug_assert!(lo >= sm.expect, "iteration {lo} delivered twice");
             for (off, r) in results.into_iter().enumerate() {
-                sm.reorder.insert(lo + off, r);
+                let twice = sm.reorder.insert(lo + off, r).is_some();
+                debug_assert!(!twice, "iteration {} delivered twice", lo + off);
             }
             sm.reorder_depth_max = sm.reorder_depth_max.max(sm.reorder.len());
             while let Some(r) = sm.reorder.remove(&sm.expect) {
@@ -496,7 +539,7 @@ fn deliver(
         finalize
     };
     if finalize {
-        finalize_slot(slots, queue, warm, k);
+        finalize_slot(e, k);
     }
 }
 
@@ -505,8 +548,9 @@ fn deliver(
 /// scratch into the warm pool, package the [`CampaignResult`] for
 /// in-order emission and account the completion — the last finalize
 /// shuts the queue down.
-fn finalize_slot(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, k: usize) {
-    let slot = &slots[k];
+fn finalize_slot(e: &Engine, k: usize) {
+    let (queue, warm) = (&e.queue, &e.warm);
+    let slot = &e.slots[k];
     let Some(mut sm) = slot.live.lock().expect("slot merge").take() else { return };
     if let Some(c) = sm.ckpt.as_mut() {
         c.finalize(&sm.m);
@@ -565,7 +609,8 @@ fn split_pool(n: usize, recipients: &[usize], pool: usize, cap: usize) -> Vec<us
 /// budget. Compute grants from the (deterministic) base-phase results,
 /// persist them, then re-open the recipients' streams and finalize the
 /// rest.
-fn apply_realloc(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, realloc: &Realloc) {
+fn apply_realloc(e: &Engine, realloc: &Realloc) {
+    let (slots, queue) = (&e.slots, &e.queue);
     let (pool, pending): (usize, Vec<usize>) = {
         let st = queue.state.lock().expect("suite queue");
         (
@@ -610,19 +655,73 @@ fn apply_realloc(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, realloc: &
         finalize
     };
     for k in to_finalize {
-        finalize_slot(slots, queue, warm, k);
+        finalize_slot(e, k);
     }
+}
+
+/// Start one worker on a run host thread, so every in-process run it
+/// makes executes inline on it. `first` is an abandoned worker's partial
+/// batch, delivered before the first claim. A worker that cannot be
+/// started fails the whole call, like a panicking one.
+fn spawn_worker(e: &Arc<Engine>, first: Option<Partial>) {
+    let progress = Arc::new(StdMutex::new(Progress::default()));
+    let on_abandon: goat_runtime::pool::AbandonHook = {
+        let (e, progress) = (Arc::clone(e), Arc::clone(&progress));
+        Arc::new(move |r| abandon(&e, &progress, r))
+    };
+    e.queue.state.lock().expect("suite queue").workers += 1;
+    let worker = Arc::clone(e);
+    let body = move || work(&worker, &progress, first);
+    if let Err(reason) = goat_runtime::pool::spawn_host(body, on_abandon) {
+        eprintln!("goat: cannot start a campaign worker: {reason}");
+        let mut st = e.queue.state.lock().expect("suite queue");
+        st.workers -= 1;
+        st.shutdown = true;
+        st.failed = true;
+        e.queue.work_cv.notify_all();
+        e.queue.done_cv.notify_all();
+    }
+}
+
+/// The supervisor abandoned one of this worker's inline runs and built
+/// its result `r` (a wedged run: `TimedOut { phase: Wedged }`). The
+/// worker is written off; a replacement delivers the claim's finished
+/// iterations plus `r`, and the unrun rest of the claim goes back to the
+/// queue.
+fn abandon(e: &Arc<Engine>, progress: &StdMutex<Progress>, r: RunResult) {
+    let partial = {
+        let mut p = progress.lock().expect("worker progress");
+        p.abandoned = true;
+        p.claim.take().map(|(k, lo, hi)| {
+            let mut done = std::mem::take(&mut p.done);
+            done.push(r);
+            let next = lo + done.len();
+            if next < hi {
+                let mut st = e.queue.state.lock().expect("suite queue");
+                st.streams[k].inflight -= hi - next;
+                st.streams[k].returned.push((next, hi));
+                e.queue.work_cv.notify_all();
+            }
+            (k, lo, done)
+        })
+    };
+    spawn_worker(e, partial);
+    e.queue.state.lock().expect("suite queue").workers -= 1;
 }
 
 /// One worker: claim a batch, run it, deliver it — until the queue
 /// shuts down.
-fn work(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, telemetry_on: bool) {
-    let _unwind = ShutdownOnUnwind(queue);
+fn work(e: &Engine, progress: &StdMutex<Progress>, first: Option<Partial>) {
+    let _exit = WorkerExit(&e.queue, progress);
     let mut last: Option<usize> = None;
+    if let Some((k, lo, results)) = first {
+        last = Some(k);
+        deliver(e, k, lo, results);
+    }
     loop {
-        let t_claim = telemetry_on.then(Instant::now);
-        let Some((k, lo, hi)) = queue.claim(last) else { return };
-        let slot = &slots[k];
+        let t_claim = e.telemetry_on.then(Instant::now);
+        let Some((k, lo, hi)) = e.queue.claim(last) else { return };
+        let slot = &e.slots[k];
         if let Some(t) = t_claim {
             slot.claim_wait.record(t.elapsed().as_nanos() as u64);
         }
@@ -631,8 +730,16 @@ fn work(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, telemetry_on: bool)
         // lag-capped window guarantees the rewards `select(i)` reads
         // are already merged.
         let arms: Vec<Option<Arm>> = (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
-        let t_iter = telemetry_on.then(Instant::now);
-        let results = slot.goat.run_batch_supervised(lo, &slot.program, &arms);
+        let t_iter = e.telemetry_on.then(Instant::now);
+        progress.lock().expect("worker progress").claim = Some((k, lo, hi));
+        slot.goat.run_batch_supervised(lo, &slot.program, &arms, &mut |r| {
+            progress.lock().expect("worker progress").done.push(r);
+        });
+        let results = {
+            let mut p = progress.lock().expect("worker progress");
+            p.claim = None;
+            std::mem::take(&mut p.done)
+        };
         if let Some(t) = t_iter {
             // Per-iteration share of the batch wall time: one sample
             // per iteration, which the telemetry schema pins.
@@ -641,7 +748,7 @@ fn work(slots: &[Slot], queue: &SuiteQueue, warm: &WarmPool, telemetry_on: bool)
                 slot.iter_wall.record(per);
             }
         }
-        deliver(slots, queue, warm, k, lo, results);
+        deliver(e, k, lo, results);
     }
 }
 
@@ -709,6 +816,7 @@ pub(crate) fn run_campaigns(
             complete: resumed_stopped || start >= cutoff,
             pending: !resumed_stopped && start >= cutoff && realloc.is_some() && preset.is_none(),
             inflight: 0,
+            returned: Vec::new(),
             released: 0,
         };
         slots.push(Slot {
@@ -743,6 +851,8 @@ pub(crate) fn run_campaigns(
             finalized: 0,
             barrier_open: realloc.is_none() || preset.is_some(),
             shutdown: slots.is_empty(),
+            failed: false,
+            workers: 0,
             steals: 0,
             inflight_max: 0,
             budget_donated: 0,
@@ -751,63 +861,64 @@ pub(crate) fn run_campaigns(
         work_cv: Condvar::new(),
         done_cv: Condvar::new(),
     };
+    let e = Arc::new(Engine { slots, queue, warm, telemetry_on });
     for k in init_finalize {
-        finalize_slot(&slots, &queue, &warm, k);
+        finalize_slot(&e, k);
     }
 
-    let (slots, queue, warm) = (&slots, &queue, &warm);
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(move || work(slots, queue, warm, telemetry_on));
-        }
+    // Workers are detached run hosts, not scoped threads: a worker
+    // wedged inside a run is abandoned and replaced, and must not hold
+    // up this call.
+    for _ in 0..jobs {
+        spawn_worker(&e, None);
+    }
 
-        // Coordinator: emit finished campaigns in campaign order, open
-        // the reallocation barrier when every base phase is done, stop
-        // when the queue shuts down.
-        let mut next_emit = 0usize;
-        let mut emit_ready = || {
-            while let Some(r) =
-                slots.get(next_emit).and_then(|s| s.done.lock().expect("slot result").take())
-            {
-                emit(next_emit, r);
-                next_emit += 1;
-            }
-        };
-        loop {
-            emit_ready();
-            let st = queue.state.lock().expect("suite queue");
-            if st.shutdown {
+    // Coordinator: emit finished campaigns in campaign order, open the
+    // reallocation barrier when every base phase is done, stop when the
+    // queue shuts down and every live worker has left it.
+    let mut next_emit = 0usize;
+    let mut emit_ready = || {
+        while let Some(r) =
+            e.slots.get(next_emit).and_then(|s| s.done.lock().expect("slot result").take())
+        {
+            emit(next_emit, r);
+            next_emit += 1;
+        }
+    };
+    loop {
+        emit_ready();
+        let st = e.queue.state.lock().expect("suite queue");
+        if st.shutdown {
+            if st.workers == 0 {
                 break;
             }
-            // The barrier opens once every stream is finalized or parked
-            // pending: a halted stream only reports its donation when it
-            // is finalized, so a merely complete one is not ready yet.
+        } else {
+            // The barrier opens once every stream is finalized or
+            // parked pending: a halted stream only reports its donation
+            // when it is finalized, so a merely complete one is not
+            // ready yet.
             let pending = st.streams.iter().filter(|s| s.pending).count();
             if !st.barrier_open && st.finalized + pending == st.streams.len() {
                 drop(st);
-                apply_realloc(
-                    slots,
-                    queue,
-                    warm,
-                    realloc.as_ref().expect("barrier implies realloc"),
-                );
+                apply_realloc(&e, realloc.as_ref().expect("barrier implies realloc"));
                 continue;
             }
-            drop(queue.done_cv.wait(st).expect("suite queue"));
         }
-        // Campaigns finalized after the last pass above.
-        emit_ready();
-    });
+        drop(e.queue.done_cv.wait(st).expect("suite queue"));
+    }
+    // Campaigns finalized after the last pass above.
+    emit_ready();
 
-    let st = queue.state.lock().expect("suite queue");
+    let st = e.queue.state.lock().expect("suite queue");
+    assert!(!st.failed, "a campaign worker panicked");
     SuiteStats {
-        kernels: slots.len(),
+        kernels: e.slots.len(),
         jobs,
         steals: st.steals,
         kernels_inflight_max: st.inflight_max,
         budget_donated: st.budget_donated,
         budget_granted: st.budget_granted,
-        warm_bufs_reused: warm.reused.load(Ordering::Relaxed),
+        warm_bufs_reused: e.warm.reused.load(Ordering::Relaxed),
         isolate_workers_reused: 0,
     }
 }

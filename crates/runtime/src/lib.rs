@@ -52,12 +52,13 @@ mod coro;
 /// Deterministic fault injection (`GOAT_FAULT`) for supervision tests.
 pub mod faultpoint;
 mod monitor;
-/// Shared pool of run host threads (statistics surface).
+/// Shared pool of run host threads (run hosts, statistics surface).
 pub mod pool;
 mod rt;
 mod select;
 /// Pluggable scheduling strategies (`GOAT_STRATEGY`).
 pub mod strategy;
+mod supervise;
 mod sync;
 /// Virtual-time utilities (`sleep`, `after`, `Ticker`).
 pub mod time;

@@ -4,9 +4,19 @@
 //! (see [`crate::Runtime`]), so a run needs exactly one thread, for its
 //! whole lifetime. Under the paper's campaign model a kernel is executed
 //! thousands of times; this pool keeps those host threads alive between
-//! runs: a worker is checked out per run, drives every goroutine of it
-//! to the end of its teardown, and returns to the idle stack. A worker
-//! also keeps its idle coroutine stacks, so a warm worker maps nothing.
+//! runs. A thread of the pool hosts runs in one of two ways:
+//!
+//! * **Run host** — [`crate::pool::spawn_host`] starts a long-lived body (a campaign
+//!   engine worker) on a pool thread. Every [`crate::Runtime::run`] that
+//!   body makes executes inline on that thread: no handoff and no wait,
+//!   so an in-process iteration never crosses threads.
+//! * **Hosted run** — any other caller (a plain thread, a goroutine of
+//!   another run) checks a worker out per run; the worker drives every
+//!   goroutine of the run to the end of its teardown, wakes the caller
+//!   and returns to the idle stack.
+//!
+//! A worker also keeps its idle coroutine stacks, so a warm worker maps
+//! nothing.
 //!
 //! Properties:
 //!
@@ -18,19 +28,30 @@
 //!   pool off: a fresh thread per run and a fresh stack per goroutine.
 //! * **Bounded retention** — at most `GOAT_POOL_MAX_IDLE` workers
 //!   (default 256) stay parked waiting for work; excess workers exit.
-//! * **Wedge-proof** — a worker is returned only by its run's teardown
-//!   completing. A worker wedged by a goroutine stuck outside runtime
-//!   primitives is simply never returned; the driver abandons it at the
-//!   teardown deadline, a parked replacement is spawned, and checkout
-//!   falls back to spawning a fresh worker, so one bad run cannot drain
-//!   the pool.
+//! * **Wedge-proof** — a thread wedged by a goroutine stuck outside
+//!   runtime primitives is written off by the process's run supervisor
+//!   at the teardown deadline and a parked replacement is spawned, so
+//!   one bad run cannot drain the pool. A hosted worker is simply never
+//!   returned; a run host never returns from the run it was abandoned
+//!   in — the supervisor hands that run's result to the host's abandon
+//!   hook instead.
 
+use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{mpsc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+
+/// Receives the result of an inline run whose host the supervisor
+/// abandoned (called on the supervisor's thread; see [`spawn_host`]).
+pub type AbandonHook = Arc<dyn Fn(crate::RunResult) + Send + Sync>;
+
+thread_local! {
+    /// Set while this thread runs a [`spawn_host`] body.
+    static HOST: RefCell<Option<AbandonHook>> = const { RefCell::new(None) };
+}
 
 /// An idle worker, addressed by the sending half of its job channel.
 struct IdleWorker {
@@ -62,9 +83,9 @@ pub(crate) fn global() -> &'static WorkerPool {
 }
 
 /// Account one run abandoned at a runtime teardown deadline: its host
-/// worker thread will never return to the idle stack. It is replaced by
-/// a freshly parked one (up to the idle cap), so effective parallelism
-/// does not decay over a long campaign of wedged runs.
+/// thread is written off. It is replaced by a freshly parked one (up to
+/// the idle cap), so effective parallelism does not decay over a long
+/// campaign of wedged runs.
 pub(crate) fn note_abandoned() {
     let pool = global();
     pool.abandoned.fetch_add(1, Ordering::Relaxed);
@@ -98,30 +119,31 @@ impl WorkerPool {
         // Checkout latency is only measured when telemetry is on; the
         // disabled cost is one relaxed atomic load.
         let t0 = goat_metrics::enabled().then(std::time::Instant::now);
-        let mut job = job;
-        loop {
-            let worker = self.idle.lock().expect("pool lock").pop();
-            match worker {
-                Some(w) => match w.job_tx.send(job) {
-                    Ok(()) => {
-                        self.jobs_reused.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    // The worker died between parking and checkout
-                    // (its channel is closed); take the job back and
-                    // try the next one.
-                    Err(mpsc::SendError(returned)) => job = returned,
-                },
-                None => {
-                    self.spawn_worker(job)?;
-                    break;
-                }
-            }
+        if self.checkout(job)? {
+            self.jobs_reused.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(t0) = t0 {
             checkout_histogram().record(t0.elapsed().as_nanos() as u64);
         }
         Ok(())
+    }
+
+    /// Hand `job` to a parked worker, or spawn one; returns whether a
+    /// parked worker took it.
+    fn checkout(&'static self, mut job: Job) -> Result<bool, String> {
+        loop {
+            let worker = self.idle.lock().expect("pool lock").pop();
+            match worker {
+                Some(w) => match w.job_tx.send(job) {
+                    Ok(()) => return Ok(true),
+                    // The worker died between parking and checkout
+                    // (its channel is closed); take the job back and
+                    // try the next one.
+                    Err(mpsc::SendError(returned)) => job = returned,
+                },
+                None => return self.spawn_worker(job).map(|()| false),
+            }
+        }
     }
 
     fn spawn_worker(&'static self, first_job: Job) -> Result<(), String> {
@@ -194,6 +216,44 @@ pub(crate) fn host(job: Job, pooled: bool) -> Result<(), String> {
         .map_err(|e| format!("failed to spawn run host thread: {e}"))
 }
 
+/// Start `body` on a pool thread as a run host: while it runs, every
+/// [`crate::Runtime::run`] it makes with [`crate::Config::pool`] on —
+/// and that is not nested inside another run — executes inline on this
+/// thread instead of being handed to another one.
+///
+/// The supervisor still owns an inline run's deadlines. When it
+/// abandons one (the teardown deadline passed with the host wedged), it
+/// collects the run's result itself and calls `on_abandon` with it on
+/// the supervisor's thread. The wedged thread never returns from that
+/// `Runtime::run`: should it ever wake, it unwinds out of `body` and
+/// exits, so nothing it still holds is delivered twice.
+///
+/// Unlike a run checkout, starting a host is not subject to the
+/// `pool_checkout` faultpoint (inline runs are).
+pub fn spawn_host<F: FnOnce() + Send + 'static>(
+    body: F,
+    on_abandon: AbandonHook,
+) -> Result<(), String> {
+    global()
+        .checkout(Box::new(move || {
+            HOST.with(|h| *h.borrow_mut() = Some(on_abandon));
+            body();
+            HOST.with(|h| *h.borrow_mut() = None);
+        }))
+        .map(drop)
+}
+
+/// The abandon hook of the run host this thread is, if it is one.
+pub(crate) fn host_hook() -> Option<AbandonHook> {
+    HOST.with(|h| h.borrow().clone())
+}
+
+/// Account one run executed inline by a run host: a run hosted by an
+/// already-running worker.
+pub(crate) fn note_inline_run() {
+    global().jobs_reused.fetch_add(1, Ordering::Relaxed);
+}
+
 /// The pool-checkout latency histogram in the global metrics registry
 /// (handle cached so the registry lock is taken once per process).
 fn checkout_histogram() -> &'static goat_metrics::Histogram {
@@ -206,14 +266,15 @@ fn checkout_histogram() -> &'static goat_metrics::Histogram {
 pub struct PoolStats {
     /// OS threads created by the pool since process start.
     pub threads_spawned: u64,
-    /// Runs hosted by an already-running worker.
+    /// Runs hosted by an already-running worker: checkouts of a parked
+    /// worker plus inline runs of a run host.
     pub jobs_reused: u64,
     /// Workers currently parked awaiting checkout.
     pub idle_now: usize,
     /// Workers that exited because the idle stack was full.
     pub workers_retired: u64,
-    /// Runs abandoned at a runtime teardown deadline (their worker
-    /// threads were never returned to the pool).
+    /// Runs abandoned at a runtime teardown deadline (their host
+    /// threads were written off).
     pub abandoned: u64,
     /// Replacement workers spawned to cover abandoned ones.
     pub workers_replaced: u64,

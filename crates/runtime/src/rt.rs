@@ -250,8 +250,8 @@ pub(crate) struct Sched {
     /// The teardown started: `ProcStop` closed the trace, and the host
     /// resumes goroutines only to unwind them from now on.
     shutdown: bool,
-    /// The host thread finished the teardown (every goroutine unwound).
-    host_done: bool,
+    /// Whether the host finished the teardown, or was abandoned first.
+    host: Host,
     yields_injected: u32,
     monitor: Option<Arc<dyn Monitor>>,
     /// Alive-goroutine snapshot taken at the moment the outcome was
@@ -276,12 +276,12 @@ pub(crate) struct Sched {
     counters: SchedCounters,
     /// Wall-clock start of the run, for the watchdog.
     started: Instant,
-    /// When the outcome was decided: the driver gives the teardown until
-    /// `GOAT_TEARDOWN_TIMEOUT_MS` after this before it abandons the host
-    /// thread.
+    /// When the outcome was decided: the supervisor gives the teardown
+    /// until `GOAT_TEARDOWN_TIMEOUT_MS` after this before it abandons
+    /// the host thread.
     decided_at: Option<Instant>,
-    /// The driver's soft watchdog deadline passed; the next goroutine to
-    /// reach the scheduler gate aborts the run cooperatively.
+    /// The supervisor's soft watchdog deadline passed; the next goroutine
+    /// to reach the scheduler gate aborts the run cooperatively.
     timeout_requested: bool,
     /// Pluggable scheduling strategy (native / random / PCT); consulted
     /// at every pick and yield decision that is not replayed from a log.
@@ -315,7 +315,7 @@ impl Sched {
             outcome: None,
             granted: None,
             shutdown: false,
-            host_done: false,
+            host: Host::Running,
             yields_injected: 0,
             monitor,
             alive_snapshot: None,
@@ -528,7 +528,7 @@ impl Sched {
         }
         self.fire_due_timers();
         if self.timeout_requested && self.outcome.is_none() {
-            // Cooperative watchdog abort: the driver's soft deadline
+            // Cooperative watchdog abort: the supervisor's soft deadline
             // passed and this goroutine reached the scheduler gate, so
             // the run can be unwound cleanly (host thread reclaimed).
             let elapsed_ms = self.started.elapsed().as_millis() as u64;
@@ -657,7 +657,7 @@ impl Sched {
 
     /// Start the teardown: later resumes unwind, and the trace closes
     /// with `ProcStop`. Called by the host once the outcome is decided,
-    /// and by the driver when it decides the outcome itself; only the
+    /// and by the supervisor when it decides the outcome itself; only the
     /// first call acts.
     fn begin_shutdown(&mut self) {
         if !self.shutdown {
@@ -712,11 +712,11 @@ pub(crate) struct RtShared {
     /// The attached monitor, reachable without the scheduler lock so
     /// gate functions can consult it on lock-free paths.
     pub(crate) monitor: Option<Arc<dyn Monitor>>,
-    /// Wakes the driver when the host finished the teardown.
+    /// Wakes a hosted run's driver when its host is done or abandoned.
     done_cv: Condvar,
     /// Whether the run is hosted on the shared worker pool and its
     /// goroutine stacks are reused (snapshot of [`Config::pool`]).
-    pooled: bool,
+    pub(crate) pooled: bool,
 }
 
 /// The running goroutine's context on its host thread.
@@ -916,8 +916,8 @@ fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Job) {
 /// One whole run on its host thread: resume whichever goroutine the
 /// scheduler granted the token until the outcome is decided, then unwind
 /// every goroutine that has not finished and drop the bodies of those
-/// that never ran. This is the job [`Runtime::run_monitored`] hands to
-/// the run host pool; the driver meanwhile only waits on `done_cv`.
+/// that never ran. A run host calls this inline; any other caller of
+/// [`Runtime::run`] hands it to a host thread and waits on `done_cv`.
 fn host_run(rt: Arc<RtShared>) {
     CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid: Gid::MAIN }));
     let set_gid = |g: Gid| {
@@ -972,7 +972,7 @@ fn host_run(rt: Arc<RtShared>) {
     // Goroutines spawned while unwinding never run.
     drop(rt.state.lock().take_unfinished());
     CURRENT.with(|c| *c.borrow_mut() = None);
-    rt.state.lock().host_done = true;
+    rt.state.lock().host_finished();
     rt.done_cv.notify_all();
 }
 
@@ -1075,6 +1075,13 @@ impl Runtime {
 
     /// Run `f` with a [`Monitor`] observing primitive operations (how the
     /// baseline detectors of §IV-A attach).
+    ///
+    /// On a run host between runs ([`crate::pool::spawn_host`]) with the
+    /// pool on, the run executes inline on the calling thread. Any other
+    /// caller — a plain thread, a goroutine of another run, or a
+    /// `Config::pool = false` run — hands the run to a host thread and
+    /// sleeps until it is torn down. Either way the process's supervisor
+    /// owns the run's wall-clock deadlines.
     pub fn run_monitored<F: FnOnce() + Send + 'static>(
         cfg: Config,
         monitor: Option<Arc<dyn Monitor>>,
@@ -1096,124 +1103,218 @@ impl Runtime {
         let body = iter_fault_body(seed).unwrap_or_else(|| Box::new(f));
         // Bootstrap: create the main goroutine; the host grants it the
         // token first thing.
-        {
+        let started = {
             let mut s = rt.state.lock();
             s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
             s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
             let gid = s.new_goroutine(Istr::new("main"), false, body);
             debug_assert_eq!(gid, Gid::MAIN);
-        }
-        let host_rt = Arc::clone(&rt);
-        if let Err(reason) = crate::pool::host(Box::new(move || host_run(host_rt)), pooled) {
-            // The harness — not the program under test — failed; surface
-            // that as an infra-failure outcome so the campaign layer can
-            // retry the run.
-            let mut s = rt.state.lock();
-            s.set_outcome(RunOutcome::InfraFailure { reason });
-            s.begin_shutdown();
-            s.host_done = true;
-            let unrun = s.take_unfinished();
-            drop(s);
-            drop(unrun);
-        }
-
-        // Wait for the host to decide the outcome and tear the run down.
-        // With a wall-clock watchdog configured the wait escalates twice:
-        // at the soft deadline it requests a cooperative abort through
-        // the scheduler gate, and at the hard deadline (soft + grace) it
-        // decides the run itself — the only way out when every goroutine
-        // is stuck outside runtime primitives. Once the outcome is
-        // decided the teardown has `GOAT_TEARDOWN_TIMEOUT_MS`: a goroutine
-        // wedged outside runtime primitives holds the host thread
-        // forever, so at that deadline the host thread is abandoned (never
-        // reused; the pool replaces it).
-        let teardown = Duration::from_millis(
-            std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .unwrap_or(5_000),
-        );
-        {
-            let mut s = rt.state.lock();
-            let started = s.started;
-            let watchdog = iter_timeout_ms.map(|ms| {
-                let soft = started + Duration::from_millis(ms);
-                (soft, soft + Duration::from_millis((ms / 4).clamp(10, 1_000)))
-            });
-            while !s.host_done {
-                let now = Instant::now();
-                let wake_at = match (s.decided_at, watchdog) {
-                    (Some(decided), _) if now >= decided + teardown => {
-                        if pooled {
-                            crate::pool::note_abandoned();
+            s.started
+        };
+        let inline = if pooled && CURRENT.with(|c| c.borrow().is_none()) {
+            crate::pool::host_hook()
+        } else {
+            None
+        };
+        match inline {
+            Some(on_abandon) => {
+                // The `pool_checkout` faultpoint refuses a host on both
+                // paths, so injected infra failures mean the same thing
+                // wherever a run executes.
+                if let Some(reason) = faultpoint::should_fail("pool_checkout") {
+                    refuse(&rt, reason);
+                    return collect(&rt);
+                }
+                crate::pool::note_inline_run();
+                let watch =
+                    crate::supervise::watch(&rt, started, iter_timeout_ms, Some(on_abandon));
+                host_run(Arc::clone(&rt));
+                // A host the supervisor abandoned meanwhile waits until
+                // the run's result was handed over, then leaves.
+                let mut s = rt.state.lock();
+                while s.host == Host::Abandoning {
+                    rt.done_cv.wait(&mut s);
+                }
+                if s.host == Host::Abandoned {
+                    drop(s);
+                    panic::resume_unwind(Box::new(Abandoned));
+                }
+                drop(s);
+                crate::supervise::unwatch(watch);
+            }
+            None => {
+                let host_rt = Arc::clone(&rt);
+                // A hosted worker that wakes after being abandoned just
+                // returns to the pool: its driver already collected.
+                let job = Box::new(move || host_run(host_rt));
+                match crate::pool::host(job, pooled) {
+                    Err(reason) => refuse(&rt, reason),
+                    Ok(()) => {
+                        let watch = crate::supervise::watch(&rt, started, iter_timeout_ms, None);
+                        let mut s = rt.state.lock();
+                        while s.host == Host::Running {
+                            rt.done_cv.wait(&mut s);
                         }
-                        break;
+                        drop(s);
+                        crate::supervise::unwatch(watch);
                     }
-                    (Some(decided), _) => decided + teardown,
-                    (None, Some((_, hard))) if now >= hard => {
-                        let elapsed_ms = started.elapsed().as_millis() as u64;
-                        if let Some(m) = s.monitor() {
-                            m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
-                        }
-                        s.set_outcome(RunOutcome::TimedOut {
-                            phase: TimeoutPhase::Wedged,
-                            elapsed_ms,
-                        });
-                        s.begin_shutdown();
-                        continue;
-                    }
-                    (None, Some((soft, hard))) if now >= soft => {
-                        s.timeout_requested = true;
-                        hard
-                    }
-                    (None, Some((soft, _))) => soft,
-                    // No watchdog: wake now and then, in case the outcome
-                    // is decided and the teardown then wedges.
-                    (None, None) => now + teardown,
-                };
-                rt.done_cv.wait_for(&mut s, wake_at - now);
+                }
             }
         }
-
-        // Collect results. Closing the trace buffer drops any straggler
-        // append from an abandoned host; the collected event vector
-        // moves into the ECT wholesale (no per-event re-push) and the
-        // campaign merge loop recycles it.
-        let (trace, fingerprint) = rt.tb.take();
-        let mut s = rt.state.lock();
-        let outcome = s.outcome.clone().expect("outcome set before teardown");
-        let ect = trace.map(Ect::from_events);
-        let alive_at_end: Vec<AliveGoroutine> = s
-            .alive_snapshot
-            .take()
-            .unwrap_or_default()
-            .into_iter()
-            .filter(|a| !a.internal)
-            .collect();
-        let schedule = ReplayLog { decisions: std::mem::take(&mut s.decision_log) };
-        let panic_detail = s.panic_detail.take();
-        let result = RunResult {
-            outcome,
-            panic_detail,
-            ect,
-            fingerprint,
-            steps: s.steps,
-            vclock: VTime(s.clock),
-            goroutines: s.slots.iter().filter(|g| !g.internal).count() as u64,
-            yields_injected: s.yields_injected,
-            priority_changes: s.strategy.priority_changes(),
-            alive_at_end,
-            schedule,
-            replay_diverged: s.replay_diverged,
-            sched: s.counters,
-        };
-        let seed = s.cfg.seed;
-        drop(s);
-        if goat_metrics::enabled() {
-            report_run_telemetry(seed, &result);
-        }
-        result
+        collect(&rt)
     }
+}
+
+/// Who ended a run's hosting.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Host {
+    /// The host thread is still driving the run or its teardown.
+    Running,
+    /// The host thread finished the teardown (every goroutine unwound).
+    Done,
+    /// The supervisor wrote the host thread off at the teardown deadline
+    /// and is finishing the run without it.
+    Abandoning,
+    /// The supervisor finished the run without its host: whatever the
+    /// host does after waking is never delivered.
+    Abandoned,
+}
+
+impl Sched {
+    /// The host finished the teardown, unless it was abandoned first.
+    fn host_finished(&mut self) {
+        if self.host == Host::Running {
+            self.host = Host::Done;
+        }
+    }
+}
+
+/// What the supervisor found when one of a run's deadlines fell due.
+pub(crate) enum Due {
+    /// The host finished the teardown: nothing left to watch.
+    Finished,
+    /// Look again at this instant.
+    Again(Instant),
+    /// The teardown deadline passed with the host still busy: the host
+    /// thread is written off, and the supervisor finishes the run.
+    Abandoned,
+}
+
+impl RtShared {
+    /// The supervisor's view of one due deadline of this run. Before an
+    /// outcome is decided the watchdog (`soft`, `hard`) escalates twice:
+    /// at the soft deadline it requests a cooperative abort through the
+    /// scheduler gate, and at the hard deadline it decides the run
+    /// itself — the only way out when every goroutine is stuck outside
+    /// runtime primitives. Once the outcome is decided the teardown has
+    /// `teardown`; a goroutine wedged outside runtime primitives holds
+    /// the host thread forever, so at that deadline the host is
+    /// abandoned.
+    pub(crate) fn on_deadline(
+        &self,
+        now: Instant,
+        watchdog: Option<(Instant, Instant)>,
+        teardown: Duration,
+    ) -> Due {
+        let mut s = self.state.lock();
+        if s.host != Host::Running {
+            return Due::Finished;
+        }
+        if let Some(decided) = s.decided_at {
+            if now < decided + teardown {
+                return Due::Again(decided + teardown);
+            }
+            // Written off before anyone can see the flag, so a woken
+            // driver already finds the replacement accounted.
+            if self.pooled {
+                crate::pool::note_abandoned();
+            }
+            s.host = Host::Abandoning;
+            drop(s);
+            self.done_cv.notify_all();
+            return Due::Abandoned;
+        }
+        match watchdog {
+            Some((_, hard)) if now >= hard => {
+                let elapsed_ms = s.started.elapsed().as_millis() as u64;
+                if let Some(m) = s.monitor() {
+                    m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
+                }
+                s.set_outcome(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, elapsed_ms });
+                s.begin_shutdown();
+                Due::Again(now + teardown)
+            }
+            Some((soft, hard)) if now >= soft => {
+                s.timeout_requested = true;
+                Due::Again(hard)
+            }
+            Some((soft, _)) => Due::Again(soft),
+            // No watchdog: look now and then, in case the outcome is
+            // decided and the teardown then wedges.
+            None => Due::Again(now + teardown),
+        }
+    }
+
+    /// The supervisor finished an abandoned run without its host: a host
+    /// that wakes now leaves without delivering anything.
+    pub(crate) fn abandoned(&self) {
+        self.state.lock().host = Host::Abandoned;
+        self.done_cv.notify_all();
+    }
+}
+
+/// Panic payload that unwinds an abandoned run host out of the
+/// [`Runtime::run`] it was abandoned in: the supervisor already
+/// delivered that run's result, so its caller must never see it.
+struct Abandoned;
+
+/// Collect a run's result. Closing the trace buffer drops any straggler
+/// append from an abandoned host; the collected event vector moves into
+/// the ECT wholesale (no per-event re-push) and the campaign merge loop
+/// recycles it.
+pub(crate) fn collect(rt: &RtShared) -> RunResult {
+    let (trace, fingerprint) = rt.tb.take();
+    let mut s = rt.state.lock();
+    let outcome = s.outcome.clone().expect("outcome set before teardown");
+    let ect = trace.map(Ect::from_events);
+    let alive_at_end: Vec<AliveGoroutine> =
+        s.alive_snapshot.take().unwrap_or_default().into_iter().filter(|a| !a.internal).collect();
+    let schedule = ReplayLog { decisions: std::mem::take(&mut s.decision_log) };
+    let panic_detail = s.panic_detail.take();
+    let result = RunResult {
+        outcome,
+        panic_detail,
+        ect,
+        fingerprint,
+        steps: s.steps,
+        vclock: VTime(s.clock),
+        goroutines: s.slots.iter().filter(|g| !g.internal).count() as u64,
+        yields_injected: s.yields_injected,
+        priority_changes: s.strategy.priority_changes(),
+        alive_at_end,
+        schedule,
+        replay_diverged: s.replay_diverged,
+        sched: s.counters,
+    };
+    let seed = s.cfg.seed;
+    drop(s);
+    if goat_metrics::enabled() {
+        report_run_telemetry(seed, &result);
+    }
+    result
+}
+
+/// The harness — not the program under test — could not host the run:
+/// surface that as an infra-failure outcome so the campaign layer can
+/// retry it.
+fn refuse(rt: &RtShared, reason: String) {
+    let mut s = rt.state.lock();
+    s.set_outcome(RunOutcome::InfraFailure { reason });
+    s.begin_shutdown();
+    s.host = Host::Done;
+    let unrun = s.take_unfinished();
+    drop(s);
+    drop(unrun);
 }
 
 /// Per-run scheduler summary exported to the JSONL telemetry stream.

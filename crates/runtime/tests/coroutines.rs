@@ -1,7 +1,7 @@
 //! Hazards of running a run's goroutines as coroutines on one host
 //! thread: state left on a suspended stack at teardown, one thread
 //! hosting thousands of goroutines, and a runtime started from inside a
-//! goroutine.
+//! goroutine, whether the outer run is hosted or inline on a run host.
 //!
 //! Every test holds `SERIAL`, so the pool counters one test reads are
 //! not moved by another test of this binary.
@@ -9,7 +9,7 @@
 use goat_runtime::{
     gid, go, go_named, gosched, pool, Chan, Config, RunOutcome, Runtime, WaitGroup,
 };
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -72,30 +72,53 @@ fn ten_thousand_goroutines_share_one_host_thread() {
     assert!(spawned <= 1, "one run spawned {spawned} host threads");
 }
 
+/// The outer run is hosted (the test thread hands it to a pool host) or
+/// inline (a run host runs it itself); either way the nested run takes
+/// the hosted path and must not disturb the outer goroutine.
 #[test]
 fn a_nested_runtime_leaves_the_outer_goroutine_intact() {
     let _s = serial();
-    let r = Runtime::run(Config::new(3), || {
-        let done: Chan<u64> = Chan::new(1);
-        let tx = done.clone();
-        go_named("nester", move || {
-            let me = gid();
-            let inner = Runtime::run(Config::new(4), || {
-                let ch: Chan<u8> = Chan::new(0);
-                let tx = ch.clone();
-                go(move || tx.send(7));
-                assert_eq!(ch.recv(), Some(7));
-            });
-            assert!(inner.clean(), "{:?}", inner.outcome);
-            // Back in the outer run: same goroutine, and the scheduler
-            // still serves it.
-            assert_eq!(gid(), me);
-            gosched();
-            assert_eq!(gid(), me);
-            tx.send(me.0);
-        });
-        let nester = done.recv().expect("the nester reports back");
-        assert_ne!(nester, gid().0);
-    });
+    let r = Runtime::run(Config::new(3), nesting_main);
     assert!(r.clean(), "{:?}", r.outcome);
+
+    let (tx, rx) = mpsc::channel();
+    let hook: pool::AbandonHook = Arc::new(|r| panic!("no run may be abandoned: {:?}", r.outcome));
+    pool::spawn_host(
+        move || {
+            let host = std::thread::current().id();
+            let r = Runtime::run(Config::new(3), move || {
+                assert_eq!(std::thread::current().id(), host, "the run host runs it inline");
+                nesting_main();
+            });
+            tx.send(r).expect("the test waits for the result");
+        },
+        hook,
+    )
+    .expect("start a run host");
+    let r = rx.recv().expect("the run host reports back");
+    assert!(r.clean(), "{:?}", r.outcome);
+}
+
+/// An outer main whose goroutine runs a whole nested run.
+fn nesting_main() {
+    let done: Chan<u64> = Chan::new(1);
+    let tx = done.clone();
+    go_named("nester", move || {
+        let me = gid();
+        let inner = Runtime::run(Config::new(4), || {
+            let ch: Chan<u8> = Chan::new(0);
+            let tx = ch.clone();
+            go(move || tx.send(7));
+            assert_eq!(ch.recv(), Some(7));
+        });
+        assert!(inner.clean(), "{:?}", inner.outcome);
+        // Back in the outer run: same goroutine, and the scheduler
+        // still serves it.
+        assert_eq!(gid(), me);
+        gosched();
+        assert_eq!(gid(), me);
+        tx.send(me.0);
+    });
+    let nester = done.recv().expect("the nester reports back");
+    assert_ne!(nester, gid().0);
 }

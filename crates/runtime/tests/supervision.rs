@@ -8,7 +8,8 @@
 //! by one test can never leak into a concurrently running one.
 
 use goat_runtime::faultpoint::{self};
-use goat_runtime::{gosched, Config, RunOutcome, Runtime, TimeoutPhase};
+use goat_runtime::{gosched, pool, Config, RunOutcome, Runtime, TimeoutPhase};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
 /// A plan that can never fire (no test uses this seed): serialization
@@ -121,6 +122,42 @@ fn injected_wedge_on_pool_worker_is_abandoned_and_replaced() {
     assert!(
         after.workers_replaced > before.workers_replaced,
         "pool must spawn a replacement for the abandoned worker: {before:?} -> {after:?}"
+    );
+}
+
+#[test]
+fn injected_wedge_on_a_run_host_is_handed_to_its_hook() {
+    let _g = faultpoint::scoped("iter:wedge:seed=17");
+    short_teardown();
+    let before = pool::stats();
+    let (hook_tx, hook_rx) = mpsc::channel();
+    let hook_tx = Mutex::new(hook_tx);
+    let hook: pool::AbandonHook = Arc::new(move |r| {
+        hook_tx.lock().unwrap().send(r).expect("the test waits for the hand-over");
+    });
+    let (ret_tx, ret_rx) = mpsc::channel();
+    pool::spawn_host(
+        move || {
+            // Inline on this run host, which the wedge then holds.
+            let r = Runtime::run(Config::new(17).with_iter_timeout_ms(Some(40)), || {
+                unreachable!("body replaced by the injected fault")
+            });
+            let _ = ret_tx.send(r);
+        },
+        hook,
+    )
+    .expect("start a run host");
+    let r = hook_rx.recv_timeout(Duration::from_secs(10)).expect("the wedged run is handed over");
+    assert!(
+        matches!(r.outcome, RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, .. }),
+        "{:?}",
+        r.outcome
+    );
+    let after = pool::stats();
+    assert!(after.abandoned > before.abandoned, "{before:?} -> {after:?}");
+    assert!(
+        ret_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+        "the abandoned host must never return from the run"
     );
 }
 

@@ -2,14 +2,18 @@
 //! injected wedged iteration, an injected telemetry-sink write error,
 //! and an injected kernel panic — completing with correct TimedOut /
 //! Crashed / dropped-event accounting — and a repeatedly crashing
-//! kernel is quarantined instead of burning its budget.
+//! kernel is quarantined instead of burning its budget. A checkpoint
+//! written under another retry/quarantine policy is not resumed. A
+//! campaign whose only worker wedges finishes on a replacement worker,
+//! and a one-worker campaign runs every iteration on that worker's
+//! thread.
 //!
 //! Lives in its own integration-test binary (= its own process) because
 //! `GOAT_FAULT`, `GOAT_TELEMETRY`, and the teardown deadline resolve
 //! the environment once, lazily, on first use; everything runs in ONE
 //! `#[test]` so the env is pinned before any of it is touched.
 
-use goat::core::{FnProgram, Goat, GoatConfig, GoatVerdict, Program};
+use goat::core::{FnProgram, Goat, GoatConfig, GoatVerdict, IsolateMode, Program};
 use goat::runtime::Chan;
 use std::sync::Arc;
 
@@ -155,6 +159,123 @@ fn faulted_campaign_completes_with_correct_accounting() {
         assert!(reason.contains("3 consecutive infra failures"), "{reason}");
         assert_eq!(r.records.len(), 3);
         assert_eq!(r.skipped, 5);
+    }
+
+    // -- a sidecar from another supervision policy is not merged ------
+    // Written under quarantine_after=3, the sidecar records a quarantine
+    // after 3 infra-failed iterations. Resumed under quarantine_after=10
+    // it must be rejected, so the campaign equals an uninterrupted one.
+    {
+        let _g = goat::runtime::faultpoint::scoped("pool_checkout:err:1.0");
+        let sidecar =
+            std::env::temp_dir().join(format!("goat_supervision_{}.ck.json", std::process::id()));
+        let _ = std::fs::remove_file(&sidecar);
+        let policy = |quarantine_after: u32| {
+            GoatConfig::default()
+                .with_iterations(8)
+                .with_seed0(500)
+                .with_max_retries(0)
+                .with_quarantine_after(quarantine_after)
+                .with_isolate(IsolateMode::Off)
+        };
+        let first = Goat::new(policy(3).with_checkpoint(&sidecar)).test(clean_program());
+        assert_eq!(first.records.len(), 3, "quarantined under the first policy");
+        let resumed = Goat::new(policy(10).with_checkpoint(&sidecar)).test(clean_program());
+        let fresh = Goat::new(policy(10)).test(clean_program());
+        assert!(resumed.quarantined.is_none(), "{:?}", resumed.quarantined);
+        assert_eq!(resumed.records.len(), 8);
+        assert_eq!(
+            serde_json::to_string(&resumed.records).unwrap(),
+            serde_json::to_string(&fresh.records).unwrap()
+        );
+        let _ = std::fs::remove_file(&sidecar);
+    }
+
+    // -- the only worker wedges --------------------------------------
+    // At parallelism 1 the campaign's one worker runs every iteration
+    // inline, so the wedged iteration wedges the only worker. The
+    // supervisor must record the iteration as a hang, write the worker
+    // off, and a replacement must finish the budget.
+    {
+        let _g = goat::runtime::faultpoint::scoped("iter:wedge:seed=405");
+        let base = GoatConfig::default()
+            .with_iterations(12)
+            .with_seed0(400)
+            .keep_running()
+            .with_isolate(IsolateMode::Off)
+            .with_iter_timeout_ms(Some(80));
+        let campaign = |parallelism: usize| {
+            Goat::new(base.clone().with_parallelism(parallelism)).test(clean_program())
+        };
+        let before = goat::runtime::pool::stats();
+        let alone = campaign(1);
+        let after = goat::runtime::pool::stats();
+        assert_eq!(alone.records.len(), 12, "the replacement worker must finish the budget");
+        for rec in &alone.records {
+            if rec.seed == 405 {
+                assert!(matches!(rec.verdict, GoatVerdict::Hang), "{}", rec.verdict);
+            } else {
+                assert!(
+                    matches!(rec.verdict, GoatVerdict::Pass),
+                    "seed {}: {}",
+                    rec.seed,
+                    rec.verdict
+                );
+            }
+        }
+        assert_eq!(after.abandoned, before.abandoned + 1, "{before:?} -> {after:?}");
+        let wide = campaign(4);
+        assert_eq!(
+            serde_json::to_string(&alone.records).unwrap(),
+            serde_json::to_string(&wide.records).unwrap(),
+            "a wedged worker must not change the campaign's records"
+        );
+        // Claims of four: isolation is requested but its worker command
+        // is broken, so each batch runs in-process on the claiming
+        // worker. The wedge hits the second run of the batch 404..=407;
+        // the first is delivered with it, the last two go back to the
+        // queue.
+        let batched = Goat::new(
+            base.clone()
+                .with_parallelism(1)
+                .with_isolate(IsolateMode::Proc)
+                .with_worker_cmd("/nonexistent/goat-worker")
+                .with_ipc_batch(4),
+        )
+        .test(clean_program());
+        assert_eq!(
+            serde_json::to_string(&alone.records).unwrap(),
+            serde_json::to_string(&batched.records).unwrap(),
+            "giving back the rest of a wedged batch must not change the records"
+        );
+    }
+
+    // -- every iteration runs on the claiming thread ------------------
+    {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        static HOSTS: Mutex<Option<HashSet<std::thread::ThreadId>>> = Mutex::new(None);
+        let program: Arc<dyn Program> = Arc::new(FnProgram::new("whoami", || {
+            let id = std::thread::current().id();
+            HOSTS.lock().unwrap().get_or_insert_with(HashSet::new).insert(id);
+        }));
+        let before = goat::runtime::pool::stats();
+        let r = Goat::new(
+            GoatConfig::default()
+                .with_iterations(200)
+                .keep_running()
+                .with_parallelism(1)
+                .with_isolate(IsolateMode::Off),
+        )
+        .test(program);
+        let after = goat::runtime::pool::stats();
+        assert_eq!(r.records.len(), 200);
+        let hosts = HOSTS.lock().unwrap().take().unwrap_or_default();
+        assert_eq!(hosts.len(), 1, "200 iterations ran on {} threads", hosts.len());
+        assert!(
+            after.threads_spawned <= before.threads_spawned + 1,
+            "one worker must host every run: {before:?} -> {after:?}"
+        );
     }
 
     let _ = std::fs::remove_file(&stream);
