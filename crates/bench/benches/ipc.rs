@@ -1,13 +1,13 @@
-//! IPC data-plane overhead: per-run serialize/transport/deserialize cost
-//! and bytes-on-wire of the process-isolation channel, with one `Run`
-//! frame per pipe write (`bin`) and with batches of eight
-//! (`bin+batch8`, `GOAT_IPC_BATCH=8`). Campaigns run the real `etcd6708` kernel
-//! through real worker processes; the numbers come from the
-//! `isolate.ipc_*` metric deltas, so they measure exactly what the
-//! orchestrator pays per run, not wall-clock noise around it.
+//! Process-isolation cost per run: campaign wall time per run and bytes
+//! on the wire per run, under `-isolate proc` at one job (`proc_jobs1`,
+//! batches of eight `Run` frames per write) and four jobs
+//! (`proc_jobs4`, batches of four), next to the same campaigns
+//! in-process (`off_jobs1`, `off_jobs4`). Campaigns run the real
+//! `etcd6708` kernel through real worker processes; wire bytes come from
+//! the `isolate.ipc_bytes_*` metric deltas.
 //!
 //! Custom harness (not criterion): each sample is a whole campaign, and
-//! the statistic of interest is a metric-derived per-run quotient.
+//! the statistic of interest is a per-run quotient.
 //! Needs a built `goat` worker binary; resolves `GOAT_WORKER_CMD`, then
 //! `target/{release,debug}/goat`, and prints `SKIP` when neither exists
 //! (e.g. `cargo bench` before any `cargo build`).
@@ -47,48 +47,49 @@ fn worker_cmd() -> Option<String> {
 #[derive(Clone, Copy)]
 struct Leg {
     name: &'static str,
-    batch: usize,
+    isolate: IsolateMode,
+    jobs: usize,
 }
 
-const LEGS: [Leg; 2] = [Leg { name: "bin", batch: 1 }, Leg { name: "bin+batch8", batch: 8 }];
+const LEGS: [Leg; 4] = [
+    Leg { name: "proc_jobs1", isolate: IsolateMode::Proc, jobs: 1 },
+    Leg { name: "proc_jobs4", isolate: IsolateMode::Proc, jobs: 4 },
+    Leg { name: "off_jobs1", isolate: IsolateMode::Off, jobs: 1 },
+    Leg { name: "off_jobs4", isolate: IsolateMode::Off, jobs: 4 },
+];
 
-fn campaign_cfg(worker: &str, iterations: usize) -> GoatConfig {
+fn campaign_cfg(worker: &str, iterations: usize, leg: Leg) -> GoatConfig {
     GoatConfig::default()
         .with_delay_bound(1)
         .with_iterations(iterations)
         .with_seed0(11)
         .keep_running()
-        .with_isolate(IsolateMode::Proc)
+        .with_guided(false)
+        .with_parallelism(leg.jobs)
+        .with_isolate(leg.isolate)
         .with_worker_cmd(worker)
 }
 
-/// Metric-delta sample of one campaign: per-run IPC overhead (ser +
-/// transport + deser) in ns and bytes on the wire (tx + rx) per run.
+/// One campaign's sample: wall time per run in ns and bytes on the wire
+/// (tx + rx) per run.
 struct Sample {
-    overhead_ns_per_run: f64,
+    wall_ns_per_run: f64,
     bytes_per_run: f64,
 }
 
 fn run_leg(worker: &str, leg: Leg, iterations: usize) -> Sample {
     let reg = goat_metrics::global();
-    let hists = ["isolate.ipc_ser_ns", "isolate.ipc_transport_ns", "isolate.ipc_deser_ns"];
-    let before_ns: u64 = hists.iter().map(|h| reg.histogram(h).snapshot().sum).sum();
-    let before_bytes =
-        reg.counter("isolate.ipc_bytes_tx").get() + reg.counter("isolate.ipc_bytes_rx").get();
-    let runs_before = reg.counter("isolate.runs").get();
-
-    let cfg = campaign_cfg(worker, iterations).with_ipc_batch(leg.batch);
+    let bytes =
+        || reg.counter("isolate.ipc_bytes_tx").get() + reg.counter("isolate.ipc_bytes_rx").get();
+    let before_bytes = bytes();
     let kernel = goat_goker::by_name("etcd6708").expect("kernel");
-    let r = Goat::new(cfg).test(Arc::new(KernelProgram(kernel)));
+    let t = std::time::Instant::now();
+    let r = Goat::new(campaign_cfg(worker, iterations, leg)).test(Arc::new(KernelProgram(kernel)));
+    let wall = t.elapsed().as_nanos() as f64;
     assert_eq!(r.records.len(), iterations, "campaign ran its full budget");
-
-    let after_ns: u64 = hists.iter().map(|h| reg.histogram(h).snapshot().sum).sum();
-    let after_bytes =
-        reg.counter("isolate.ipc_bytes_tx").get() + reg.counter("isolate.ipc_bytes_rx").get();
-    let runs = (reg.counter("isolate.runs").get() - runs_before).max(1);
     Sample {
-        overhead_ns_per_run: (after_ns - before_ns) as f64 / runs as f64,
-        bytes_per_run: (after_bytes - before_bytes) as f64 / runs as f64,
+        wall_ns_per_run: wall / iterations as f64,
+        bytes_per_run: (bytes() - before_bytes) as f64 / iterations as f64,
     }
 }
 
@@ -145,16 +146,15 @@ fn main() {
     // Runs with telemetry still off — the telemetry block embeds wall
     // times, so report identity is only meaningful without it.
     let kernel = goat_goker::by_name("etcd6708").expect("kernel");
-    let off = Goat::new(campaign_cfg(&worker, 50).with_isolate(IsolateMode::Off))
-        .test(Arc::new(KernelProgram(kernel)))
-        .to_json_summary()
-        .expect("summary");
-    for leg in LEGS {
-        let got = Goat::new(campaign_cfg(&worker, 50).with_ipc_batch(leg.batch))
+    let summary = |leg: Leg| {
+        Goat::new(campaign_cfg(&worker, 50, leg))
             .test(Arc::new(KernelProgram(kernel)))
             .to_json_summary()
-            .expect("summary");
-        assert_eq!(off, got, "{}: report changed under measurement config", leg.name);
+            .expect("summary")
+    };
+    let off = summary(LEGS[2]);
+    for leg in LEGS {
+        assert_eq!(off, summary(leg), "{}: report changed under measurement config", leg.name);
     }
 
     println!("ipc bench: etcd6708 campaigns through worker `{worker}`");
@@ -166,20 +166,21 @@ fn main() {
         println!("]");
         return;
     }
-    goat_metrics::set_enabled(true);
     for (iterations, reps) in [(1_000usize, 5usize), (10_000, 2)] {
         let tag = if iterations == 1_000 { "1k" } else { "10k" };
         for leg in LEGS {
             let samples: Vec<Sample> =
                 (0..reps).map(|_| run_leg(&worker, leg, iterations)).collect();
             result_line(
-                &format!("ipc_overhead_per_run/{}_{tag}", leg.name),
-                samples.iter().map(|s| s.overhead_ns_per_run).collect(),
+                &format!("wall_per_run/{}_{tag}", leg.name),
+                samples.iter().map(|s| s.wall_ns_per_run).collect(),
             );
-            result_line(
-                &format!("wire_bytes_per_run/{}_{tag}", leg.name),
-                samples.iter().map(|s| s.bytes_per_run).collect(),
-            );
+            if leg.isolate == IsolateMode::Proc {
+                result_line(
+                    &format!("wire_bytes_per_run/{}_{tag}", leg.name),
+                    samples.iter().map(|s| s.bytes_per_run).collect(),
+                );
+            }
         }
     }
     println!("]");

@@ -14,16 +14,26 @@
 //! through the varint-delta event codec of [`goat_trace::wire`].
 //!
 //! ```text
-//!   orchestrator                       worker
+//!   campaign thread                    worker serve loop (a run host)
 //!        | ---- spawn `goat --worker` --> |   (rlimit jail applied)
 //!        | <--------- Ready ------------- |   handshake
 //!        | ---- Init{program, base} ----> |   (once per checkout, and
 //!        |                                |    again when the base changes)
-//!        | ---- Run{iter, delta} ×batch > |   (GOAT_IPC_BATCH per write)
-//!        | <--------- Ack{iter} --------- |   (transport latency sample)
+//!        | ---- Run{iter, delta} ×batch > |   one write per claimed batch
+//!        | <--------- Ack{iter} --------- |   the worker reached the run
 //!        | <-------- Heartbeat{iter} ---- |   every GOAT_WORKER_HEARTBEAT_MS
+//!        |                                |    while a run is in flight
 //!        | <----- Result{iter, result} -- |   one per Run, in order
 //! ```
+//!
+//! There is one thread wake per direction and batch. The campaign
+//! thread that claimed a batch writes its `Run` frames and then reads
+//! the worker's stdout itself, decoding each frame as it arrives; no
+//! reader thread sits in between. On the worker side the serve loop is a
+//! run host ([`goat_runtime::pool::spawn_host`]), so each run executes
+//! on the thread that read its `Run` frame. The batch is the campaign
+//! engine's claim: 8 runs at one job, 4 at two or more (see
+//! `suite::claim_shape`).
 //!
 //! Every knob travels from the orchestrator (in `Init` + `Run`), so a
 //! worker cannot skew a run through its own environment: for
@@ -33,8 +43,11 @@
 //!
 //! Supervision is enforced from *outside* the sandbox: the orchestrator
 //! demands some frame (ack, heartbeat, or result) within
-//! `GOAT_WORKER_GRACE_MS`; silence means the worker is wedged and it is
-//! SIGKILLed. A worker that dies — by signal, abort, rlimit kill, or
+//! `GOAT_WORKER_GRACE_MS`, waiting on the pipe with `poll(2)`; silence
+//! means the worker is wedged and it is SIGKILLed. A run that wedges
+//! inside the runtime is caught earlier, by the worker's own supervisor:
+//! it answers the run as `TimedOut { phase: Wedged }` and starts a
+//! replacement serve loop on the same pipes, so the worker lives on. A worker that dies — by signal, abort, rlimit kill, or
 //! missed heartbeats — is autopsied into [`CrashForensics`] (exit
 //! status or signal, stderr tail, last acknowledged iteration) and the
 //! run is recorded as [`RunOutcome::Crashed`]; the campaign replaces
@@ -56,10 +69,10 @@
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{self, BufRead, ErrorKind, Read, Write};
-use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
+use std::process::{Child, ChildStdin, ChildStdout, Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::program::Program;
@@ -69,10 +82,6 @@ use goat_runtime::{Config, CrashForensics, RunOutcome, RunResult, SchedCounters,
 
 /// Environment variable selecting the isolation mode (`off` | `proc`).
 pub const ISOLATE_ENV: &str = "GOAT_ISOLATE";
-
-/// Environment variable setting how many `Run` frames the orchestrator
-/// sends per write (default 1; capped by the guided-campaign lag).
-pub const IPC_BATCH_ENV: &str = "GOAT_IPC_BATCH";
 
 /// Environment variable naming the worker command to spawn (defaults to
 /// the current executable, which works for the `goat` CLI).
@@ -102,10 +111,13 @@ pub const RLIMIT_CPU_S_ENV: &str = "GOAT_WORKER_RLIMIT_CPU_S";
 /// Stderr lines retained per worker for crash forensics.
 const STDERR_TAIL_LINES: usize = 40;
 
-/// First allocation when reading a frame payload: even a corrupt
-/// length prefix under the cap cannot force a giant upfront
-/// allocation, because the buffer grows only as bytes actually arrive.
-const READ_CHUNK: usize = 1024 * 1024;
+/// How long an autopsy waits for the stderr drain to reach EOF.
+const STDERR_DRAIN_WAIT: Duration = Duration::from_secs(1);
+
+/// The unit a frame buffer grows by: even a corrupt length prefix under
+/// the cap cannot force a giant upfront allocation, because the buffer
+/// grows only as bytes actually arrive.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// The frame-payload cap: a length prefix above it is treated as a
 /// corrupt stream, never as an allocation request.
@@ -148,33 +160,6 @@ impl std::fmt::Display for IsolateMode {
     }
 }
 
-/// Read one frame payload (the bytes after the length prefix).
-/// [`ErrorKind::UnexpectedEof`] means the peer is gone,
-/// [`ErrorKind::InvalidData`] means the length prefix exceeds
-/// [`MAX_FRAME`]. The length is validated *before* any allocation, and
-/// the buffer then grows only as bytes actually arrive, so a corrupt
-/// under-cap prefix cannot force a giant upfront allocation.
-pub(crate) fn read_payload(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            ErrorKind::InvalidData,
-            format!("frame length {len} exceeds the {MAX_FRAME}-byte cap"),
-        ));
-    }
-    let mut payload = Vec::with_capacity(len.min(READ_CHUNK));
-    let got = r.take(len as u64).read_to_end(&mut payload)?;
-    if got < len {
-        return Err(io::Error::new(
-            ErrorKind::UnexpectedEof,
-            format!("frame truncated: {got} of {len} bytes"),
-        ));
-    }
-    Ok(payload)
-}
-
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
@@ -191,9 +176,13 @@ fn spawn_grace_ms() -> u64 {
     env_u64(SPAWN_GRACE_MS_ENV, 10_000).max(1)
 }
 
-/// Resource jail and fault raising via raw libc calls (no crates).
+/// Resource jail, fault raising and pipe waits via raw libc calls (no
+/// crates).
 #[cfg(unix)]
 mod sys {
+    use std::io;
+    use std::time::Instant;
+
     /// `struct rlimit`: soft and hard limits, both `rlim_t` (u64 on the
     /// 64-bit platforms we target).
     #[repr(C)]
@@ -202,11 +191,27 @@ mod sys {
         max: u64,
     }
 
+    /// `struct pollfd`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+
+    #[cfg(target_os = "linux")]
+    type NFds = std::os::raw::c_ulong;
+    #[cfg(not(target_os = "linux"))]
+    type NFds = std::os::raw::c_uint;
+
     extern "C" {
         fn setrlimit(resource: i32, rlim: *const RLimit) -> i32;
         fn raise(sig: i32) -> i32;
         fn signal(sig: i32, handler: usize) -> usize;
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout: i32) -> i32;
     }
+
+    const POLLIN: i16 = 1;
 
     /// `SIG_DFL`: the default disposition.
     const SIG_DFL: usize = 0;
@@ -252,12 +257,48 @@ mod sys {
             raise(sig);
         }
     }
+
+    pub fn raw_fd(f: &impl std::os::fd::AsRawFd) -> i32 {
+        f.as_raw_fd()
+    }
+
+    /// Block until `fd` is readable or closed (`true`), or until
+    /// `deadline` passes (`false`).
+    pub fn wait_readable(fd: i32, deadline: Instant) -> io::Result<bool> {
+        loop {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return Ok(false);
+            }
+            // Round up, so a sub-millisecond remainder is not a busy
+            // zero-timeout poll.
+            let ms = left.as_micros().div_ceil(1000).min(i32::MAX as u128) as i32;
+            let mut pfd = PollFd { fd, events: POLLIN, revents: 0 };
+            match unsafe { poll(&mut pfd, 1, ms) } {
+                0 => continue,
+                n if n > 0 => return Ok(true),
+                _ => {
+                    let e = io::Error::last_os_error();
+                    if e.kind() != io::ErrorKind::Interrupted {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[cfg(not(unix))]
 mod sys {
     pub fn apply_rlimits() {}
     pub fn raise_signal(_sig: i32) {}
+    pub fn raw_fd<T>(_f: &T) -> i32 {
+        -1
+    }
+    /// No `poll(2)`: reads block without a deadline.
+    pub fn wait_readable(_fd: i32, _deadline: std::time::Instant) -> std::io::Result<bool> {
+        Ok(true)
+    }
 }
 
 /// Human name for the signals a worker plausibly dies from.
@@ -310,12 +351,16 @@ fn infra(reason: impl Into<String>) -> RunResult {
     synth_result(RunOutcome::InfraFailure { reason: reason.into() })
 }
 
-fn write_frame_locked(out: &Arc<Mutex<io::Stdout>>, frame: &WireFrame) -> io::Result<()> {
+/// Encode `frame` and write it to `out` in one write.
+fn send(out: &mut impl Write, frame: &WireFrame) -> io::Result<()> {
     let mut buf = Vec::with_capacity(24);
     wire::encode_frame_into(frame, &mut buf)?;
-    let mut out = out.lock().expect("worker stdout lock");
     out.write_all(&buf)?;
     out.flush()
+}
+
+fn write_frame_locked(out: &Mutex<io::Stdout>, frame: &WireFrame) -> io::Result<()> {
+    send(&mut *out.lock().expect("worker stdout lock"), frame)
 }
 
 /// How an injected worker fault redirects the serve loop.
@@ -330,7 +375,7 @@ enum FaultFlow {
 
 /// Fire any `GOAT_FAULT=worker:…` fault keyed on this run's seed.
 fn worker_fault_flow(
-    stdout: &Arc<Mutex<io::Stdout>>,
+    stdout: &Mutex<io::Stdout>,
     muted: &AtomicBool,
     iter: u64,
     seed: u64,
@@ -371,127 +416,338 @@ fn worker_fault_flow(
     }
 }
 
+/// The program and base config of the last `Init` frame.
+struct Held {
+    name: String,
+    program: Option<Arc<dyn Program>>,
+    base: Config,
+}
+
+/// Everything a serve loop works with. A loop whose run the supervisor
+/// abandoned hands a clone to its replacement, which carries on with
+/// the same pipes, the same `Init` state and the same exit channel.
+#[derive(Clone)]
+struct Serve<R> {
+    resolve: R,
+    stdout: Arc<Mutex<io::Stdout>>,
+    /// Frames from the orchestrator, locked per frame: a replacement loop
+    /// must be able to read the next frame.
+    stdin: Arc<Mutex<FrameReader<io::Stdin>>>,
+    /// Iteration of the run in flight, 0 when none: heartbeats are sent
+    /// only while it is set, so an idle pooled worker writes nothing
+    /// into a pipe no thread is reading.
+    current_iter: Arc<AtomicU64>,
+    /// Set when an injected fault must silence the liveness beacon so
+    /// the orchestrator's no-heartbeat watchdog can be exercised.
+    muted: Arc<AtomicBool>,
+    held: Arc<Mutex<Option<Held>>>,
+    /// The first loop to end sends the process exit code here.
+    exit: mpsc::Sender<i32>,
+}
+
+impl<R> Serve<R>
+where
+    R: Fn(&str) -> Option<Arc<dyn Program>> + Clone + Send + Sync + 'static,
+{
+    /// Start a serve loop on a run host thread, so every run it serves
+    /// executes inline on the thread that decoded its `Run` frame.
+    fn start(self) -> Result<(), String> {
+        let hook = self.clone();
+        let on_abandon: goat_runtime::pool::AbandonHook = Arc::new(move |r| hook.abandoned(r));
+        goat_runtime::pool::spawn_host(
+            move || {
+                let code = self.serve();
+                let _ = self.exit.send(code);
+            },
+            on_abandon,
+        )
+    }
+
+    /// The supervisor abandoned the run in flight (it wedged outside the
+    /// runtime) and built its result: answer the run, then hand stdin
+    /// and stdout to a replacement loop, which reads the batch's next
+    /// `Run` frame. Runs on the supervisor's thread.
+    fn abandoned(&self, result: RunResult) {
+        if self.answer(result).is_err() {
+            let _ = self.exit.send(1);
+            return;
+        }
+        if let Err(e) = self.clone().start() {
+            eprintln!("goat-worker: cannot replace a wedged serve loop: {e}");
+            let _ = self.exit.send(1);
+        }
+    }
+
+    /// Send the `Result` of the run in flight. The run leaves flight
+    /// under the stdout lock, so no heartbeat can follow its result.
+    fn answer(&self, result: RunResult) -> io::Result<()> {
+        let mut out = self.stdout.lock().expect("worker stdout lock");
+        let iter = self.current_iter.swap(0, Ordering::Relaxed);
+        send(&mut *out, &WireFrame::Result { iter, result: Box::new(result) })
+    }
+
+    /// Serve frames until the orchestrator closes stdin; returns the
+    /// process exit code.
+    fn serve(&self) -> i32 {
+        loop {
+            let frame = self
+                .stdin
+                .lock()
+                .expect("worker stdin lock")
+                .next_payload(&mut || Ok(true))
+                .and_then(decode);
+            let frame = match frame {
+                Ok(f) => f,
+                Err(ReadFail::Corrupt(e)) => {
+                    eprintln!("goat-worker: protocol error on stdin: {e}");
+                    return 1;
+                }
+                Err(ReadFail::Eof | ReadFail::Silent) => return 0,
+            };
+            match frame {
+                WireFrame::Init { program, base } => {
+                    let resolved = (self.resolve)(&program);
+                    *self.held.lock().expect("worker init state") =
+                        Some(Held { name: program, program: resolved, base: *base });
+                }
+                WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
+                    let Some((name, program, mut cfg)) = self
+                        .held
+                        .lock()
+                        .expect("worker init state")
+                        .as_ref()
+                        .map(|h| (h.name.clone(), h.program.clone(), h.base.clone()))
+                    else {
+                        eprintln!("goat-worker: Run frame before Init");
+                        return 1;
+                    };
+                    match worker_fault_flow(&self.stdout, &self.muted, iter, seed) {
+                        FaultFlow::Exit(code) => return code,
+                        FaultFlow::SkipRun => continue,
+                        FaultFlow::Proceed => {}
+                    }
+                    self.current_iter.store(iter, Ordering::Relaxed);
+                    if write_frame_locked(&self.stdout, &WireFrame::Ack { iter }).is_err() {
+                        return 1;
+                    }
+                    cfg.seed = seed;
+                    cfg.delay_bound = delay_bound;
+                    cfg.yield_prob = yield_prob;
+                    cfg.strategy = strategy;
+                    let result = match program {
+                        Some(p) => {
+                            goat_runtime::Runtime::run(cfg, crate::runner::Goat::instrumented(p))
+                        }
+                        None => infra(format!("worker: unknown program {name:?}")),
+                    };
+                    if self.answer(result).is_err() {
+                        return 1;
+                    }
+                }
+                other => {
+                    eprintln!("goat-worker: unexpected frame {other:?} (expected Init/Run)");
+                    return 1;
+                }
+            }
+        }
+    }
+}
+
 /// Serve the worker side of the protocol on stdin/stdout until the
 /// orchestrator closes the pipe; returns the process exit code.
 ///
 /// `resolve` maps the program name from an `Init` frame to the program
 /// to execute (the CLI passes the goker kernel registry). The worker
 /// jails itself with `setrlimit` before answering `Ready`, streams
-/// `Heartbeat` frames from a side thread, and answers every `Run` with
-/// `Ack` + `Result`. Injected worker faults (`GOAT_FAULT=worker:…`)
-/// fire here, keyed on the run's seed.
-pub fn serve_worker(resolve: &dyn Fn(&str) -> Option<Arc<dyn Program>>) -> i32 {
+/// `Heartbeat` frames from a side thread while a run is in flight, and
+/// answers every `Run` with `Ack` + `Result`. The serve loop is a run
+/// host ([`goat_runtime::pool::spawn_host`]): each run executes on the
+/// thread that read its frame. A run wedged outside the runtime is
+/// answered by the supervisor (`TimedOut { phase: Wedged }`) and a
+/// replacement loop serves the rest. Injected worker faults
+/// (`GOAT_FAULT=worker:…`) fire here, keyed on the run's seed.
+pub fn serve_worker<R>(resolve: R) -> i32
+where
+    R: Fn(&str) -> Option<Arc<dyn Program>> + Clone + Send + Sync + 'static,
+{
     sys::apply_rlimits();
     let stdout = Arc::new(Mutex::new(io::stdout()));
-    let current_iter = Arc::new(AtomicU64::new(0));
-    // Set when an injected fault must silence the liveness beacon so
-    // the orchestrator's no-heartbeat watchdog can be exercised.
-    let muted = Arc::new(AtomicBool::new(false));
     if write_frame_locked(&stdout, &WireFrame::Ready).is_err() {
         return 1;
     }
+    let (exit, exited) = mpsc::channel();
+    let serve = Serve {
+        resolve,
+        stdin: Arc::new(Mutex::new(FrameReader::new(io::stdin()))),
+        stdout,
+        current_iter: Arc::new(AtomicU64::new(0)),
+        muted: Arc::new(AtomicBool::new(false)),
+        held: Arc::new(Mutex::new(None)),
+        exit,
+    };
     {
-        let stdout = Arc::clone(&stdout);
-        let current_iter = Arc::clone(&current_iter);
-        let muted = Arc::clone(&muted);
+        let stdout = Arc::clone(&serve.stdout);
+        let current_iter = Arc::clone(&serve.current_iter);
+        let muted = Arc::clone(&serve.muted);
         let _ =
             std::thread::Builder::new().name("goat-worker-heartbeat".into()).spawn(move || loop {
                 std::thread::sleep(Duration::from_millis(heartbeat_ms()));
-                if muted.load(Ordering::Relaxed) {
+                let mut out = stdout.lock().expect("worker stdout lock");
+                let iter = current_iter.load(Ordering::Relaxed);
+                if iter == 0 || muted.load(Ordering::Relaxed) {
                     continue;
                 }
-                let iter = current_iter.load(Ordering::Relaxed);
-                if write_frame_locked(&stdout, &WireFrame::Heartbeat { iter }).is_err() {
+                if send(&mut *out, &WireFrame::Heartbeat { iter }).is_err() {
                     return;
                 }
             });
     }
-    let mut stdin = io::stdin().lock();
-    let mut program: Option<String> = None;
-    let mut base: Option<Config> = None;
-    loop {
-        let frame = match read_payload(&mut stdin).and_then(|p| wire::decode_frame(&p)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => return 0,
-            Err(e) => {
-                eprintln!("goat-worker: protocol error on stdin: {e}");
-                return 1;
-            }
-        };
-        match frame {
-            WireFrame::Init { program: p, base: b } => {
-                program = Some(p);
-                base = Some(*b);
-            }
-            WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
-                let (Some(program), Some(base)) = (&program, &base) else {
-                    eprintln!("goat-worker: Run frame before Init");
-                    return 1;
-                };
-                match worker_fault_flow(&stdout, &muted, iter, seed) {
-                    FaultFlow::Exit(code) => return code,
-                    FaultFlow::SkipRun => continue,
-                    FaultFlow::Proceed => {}
+    if let Err(e) = serve.start() {
+        eprintln!("goat-worker: cannot start the serve loop: {e}");
+        return 1;
+    }
+    // A loop that unwinds sends nothing; once no loop is left to send,
+    // the channel closes.
+    exited.recv().unwrap_or(1)
+}
+
+/// Length-prefixed frames off a pipe: a worker's stdout, read by the
+/// campaign thread itself, or the worker's stdin.
+///
+/// The buffer holds received bytes only. A length prefix is checked
+/// against [`MAX_FRAME`] before its payload is buffered, and the buffer
+/// grows by one [`READ_CHUNK`] at a time, only when it is full of
+/// received bytes. Whatever a length prefix claims, the buffer never
+/// exceeds the bytes received plus one chunk.
+pub(crate) struct FrameReader<R> {
+    src: R,
+    /// Initialized storage; the unread bytes are `buf[start..end]`.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+/// Why [`FrameReader::next`] returned no frame.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum ReadFail {
+    /// The worker closed its stdout (it is dead or dying); a frame cut
+    /// short by the close is EOF too.
+    Eof,
+    /// The stream is corrupt: an over-cap length prefix, an undecodable
+    /// payload or a failed read.
+    Corrupt(String),
+    /// No byte arrived before the caller's deadline.
+    Silent,
+}
+
+impl<R: Read> FrameReader<R> {
+    pub(crate) fn new(src: R) -> Self {
+        FrameReader { src, buf: Vec::new(), start: 0, end: 0 }
+    }
+
+    /// Bytes of storage the reader holds.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.capacity()
+    }
+
+    /// The next frame's payload (the bytes after its length prefix),
+    /// reading more bytes while no frame is complete. Before each read,
+    /// `ready` waits until the source is readable (or closed) and returns
+    /// `false` if it gave up waiting.
+    pub(crate) fn next_payload(
+        &mut self,
+        ready: &mut dyn FnMut() -> io::Result<bool>,
+    ) -> Result<&[u8], ReadFail> {
+        loop {
+            let held = &self.buf[self.start..self.end];
+            if let Some(prefix) = held.first_chunk::<4>() {
+                let len = u32::from_le_bytes(*prefix) as usize;
+                if len > MAX_FRAME {
+                    return Err(ReadFail::Corrupt(format!(
+                        "frame length {len} exceeds the {MAX_FRAME}-byte cap"
+                    )));
                 }
-                current_iter.store(iter, Ordering::Relaxed);
-                if write_frame_locked(&stdout, &WireFrame::Ack { iter }).is_err() {
-                    return 1;
-                }
-                let mut cfg = base.clone();
-                cfg.seed = seed;
-                cfg.delay_bound = delay_bound;
-                cfg.yield_prob = yield_prob;
-                cfg.strategy = strategy;
-                let result = match resolve(program) {
-                    Some(p) => {
-                        goat_runtime::Runtime::run(cfg, crate::runner::Goat::instrumented(p))
-                    }
-                    None => infra(format!("worker: unknown program {program:?}")),
-                };
-                let frame = WireFrame::Result { iter, result: Box::new(result) };
-                if write_frame_locked(&stdout, &frame).is_err() {
-                    return 1;
+                if held.len() >= 4 + len {
+                    let payload = self.start + 4..self.start + 4 + len;
+                    self.start = payload.end;
+                    return Ok(&self.buf[payload]);
                 }
             }
-            other => {
-                eprintln!("goat-worker: unexpected frame {other:?} (expected Init/Run)");
-                return 1;
+            self.fill(ready)?;
+        }
+    }
+
+    /// Read whatever the source has into the buffer's free tail.
+    fn fill(&mut self, ready: &mut dyn FnMut() -> io::Result<bool>) -> Result<(), ReadFail> {
+        if self.start == self.end {
+            (self.start, self.end) = (0, 0);
+        } else if self.end == self.buf.len() && self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            (self.start, self.end) = (0, self.end - self.start);
+        }
+        if self.end == self.buf.len() {
+            self.buf.reserve_exact(READ_CHUNK);
+            self.buf.resize(self.end + READ_CHUNK, 0);
+        }
+        loop {
+            match ready() {
+                Ok(true) => {}
+                Ok(false) => return Err(ReadFail::Silent),
+                Err(e) => return Err(ReadFail::Corrupt(format!("waiting for the worker: {e}"))),
+            }
+            match self.src.read(&mut self.buf[self.end..]) {
+                Ok(0) => return Err(ReadFail::Eof),
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(ReadFail::Corrupt(e.to_string())),
             }
         }
     }
 }
 
-/// What the reader thread saw on a worker's stdout (already decoded, so
-/// decode time lands in the reader thread, off the orchestrator's
-/// merge path).
-enum Event {
-    /// The startup handshake.
-    Ready,
-    /// A `Run` frame was received by the worker.
-    Ack(u64),
-    /// Liveness beacon.
-    Heartbeat,
-    /// A complete result.
-    Result {
-        /// Iteration the result belongs to.
-        iter: u64,
-        /// The decoded result (boxed: dwarfs the other variants).
-        result: Box<RunResult>,
-    },
-    /// A well-formed frame that makes no sense from a worker.
-    Unexpected(String),
-    /// The stream is corrupt (oversized/undecodable frame).
-    Corrupt(String),
-    /// The worker closed its stdout (it is dead or dying).
-    Eof,
+fn decode(payload: &[u8]) -> Result<WireFrame, ReadFail> {
+    wire::decode_frame(payload).map_err(|e| ReadFail::Corrupt(e.to_string()))
+}
+
+/// Cached handles on the `isolate.ipc_*` metrics the orchestrator
+/// records per frame.
+struct IpcMetrics {
+    bytes_rx: Arc<goat_metrics::Counter>,
+    bytes_tx: Arc<goat_metrics::Counter>,
+    ser_ns: Arc<goat_metrics::Histogram>,
+    transport_ns: Arc<goat_metrics::Histogram>,
+    deser_ns: Arc<goat_metrics::Histogram>,
+    runs: Arc<goat_metrics::Counter>,
+}
+
+fn ipc_metrics() -> &'static IpcMetrics {
+    static IPC: OnceLock<IpcMetrics> = OnceLock::new();
+    IPC.get_or_init(|| {
+        let reg = goat_metrics::global();
+        IpcMetrics {
+            bytes_rx: reg.counter("isolate.ipc_bytes_rx"),
+            bytes_tx: reg.counter("isolate.ipc_bytes_tx"),
+            ser_ns: reg.histogram("isolate.ipc_ser_ns"),
+            transport_ns: reg.histogram("isolate.ipc_transport_ns"),
+            deser_ns: reg.histogram("isolate.ipc_deser_ns"),
+            runs: reg.counter("isolate.runs"),
+        }
+    })
 }
 
 /// Orchestrator-side handle on one live worker subprocess.
 struct Worker {
     child: Child,
     stdin: ChildStdin,
-    events: mpsc::Receiver<Event>,
+    stdout: FrameReader<ChildStdout>,
     stderr_tail: Arc<Mutex<VecDeque<String>>>,
+    /// The thread draining stderr into `stderr_tail`; it ends at the
+    /// pipe's EOF, which follows the worker's death.
+    stderr_drain: Option<JoinHandle<()>>,
     /// Runs served so far (reuse accounting).
     runs: u64,
     /// Hash of the `Init` state (program, base config, fault plan) the
@@ -499,6 +755,23 @@ struct Worker {
     /// mismatch forces a fresh `Init`, so stale worker state can never
     /// leak across campaigns.
     init_hash: Option<u64>,
+}
+
+impl Worker {
+    /// The worker's next frame, waiting at most `within` for each read.
+    fn next_frame(&mut self, within: Duration) -> Result<WireFrame, ReadFail> {
+        let deadline = Instant::now() + within;
+        let fd = sys::raw_fd(&self.stdout.src);
+        let payload = self.stdout.next_payload(&mut || sys::wait_readable(fd, deadline))?;
+        let ipc = ipc_metrics();
+        ipc.bytes_rx.add(4 + payload.len() as u64);
+        let decode_started = Instant::now();
+        let frame = decode(payload)?;
+        if let WireFrame::Result { .. } = frame {
+            ipc.deser_ns.record(decode_started.elapsed().as_nanos() as u64);
+        }
+        Ok(frame)
+    }
 }
 
 /// Pool of idle workers plus the set of commands that failed to spawn
@@ -545,11 +818,10 @@ fn spawn_worker(cmd: &str) -> Result<Worker, String> {
         .stderr(Stdio::piped())
         // Campaign-level concerns stay in the orchestrator: a worker
         // must not write checkpoints or telemetry, must never isolate
-        // recursively, and takes its batches from the orchestrator.
+        // recursively.
         .env_remove("GOAT_TELEMETRY")
         .env_remove("GOAT_CHECKPOINT")
-        .env_remove(ISOLATE_ENV)
-        .env_remove(IPC_BATCH_ENV);
+        .env_remove(ISOLATE_ENV);
     // Scoped fault plans only exist in this process; propagate the
     // active spec so `faultpoint::scoped` test plans reach the worker.
     match faultpoint::current_spec() {
@@ -562,73 +834,42 @@ fn spawn_worker(cmd: &str) -> Result<Worker, String> {
     }
     let mut child = command.spawn().map_err(|e| format!("spawn {cmd:?}: {e}"))?;
     let stdin = child.stdin.take().expect("piped stdin");
-    let mut stdout = child.stdout.take().expect("piped stdout");
+    let stdout = FrameReader::new(child.stdout.take().expect("piped stdout"));
     let stderr = child.stderr.take().expect("piped stderr");
-    let (tx, rx) = mpsc::channel();
-    let _ = std::thread::Builder::new().name("goat-worker-reader".into()).spawn(move || loop {
-        let payload = match read_payload(&mut stdout) {
-            Ok(p) => p,
-            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
-                let _ = tx.send(Event::Eof);
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(Event::Corrupt(e.to_string()));
-                return;
-            }
-        };
-        goat_metrics::global().counter("isolate.ipc_bytes_rx").add(4 + payload.len() as u64);
-        let decode_started = Instant::now();
-        let event = match wire::decode_frame(&payload) {
-            Ok(WireFrame::Ready) => Event::Ready,
-            Ok(WireFrame::Ack { iter }) => Event::Ack(iter),
-            Ok(WireFrame::Heartbeat { .. }) => Event::Heartbeat,
-            Ok(WireFrame::Result { iter, result }) => {
-                goat_metrics::global()
-                    .histogram("isolate.ipc_deser_ns")
-                    .record(decode_started.elapsed().as_nanos() as u64);
-                Event::Result { iter, result }
-            }
-            Ok(f) => Event::Unexpected(format!("{f:?}")),
-            Err(e) => {
-                let _ = tx.send(Event::Corrupt(e.to_string()));
-                return;
-            }
-        };
-        if tx.send(event).is_err() {
-            return;
-        }
-    });
     let stderr_tail = Arc::new(Mutex::new(VecDeque::new()));
-    {
+    let stderr_drain = {
         let stderr_tail = Arc::clone(&stderr_tail);
-        let _ = std::thread::Builder::new().name("goat-worker-stderr".into()).spawn(move || {
-            for line in io::BufReader::new(stderr).lines() {
-                let Ok(line) = line else { return };
-                let mut tail = stderr_tail.lock().expect("stderr tail lock");
-                if tail.len() >= STDERR_TAIL_LINES {
-                    tail.pop_front();
+        std::thread::Builder::new()
+            .name("goat-worker-stderr".into())
+            .spawn(move || {
+                for line in io::BufReader::new(stderr).lines() {
+                    let Ok(line) = line else { return };
+                    let mut tail = stderr_tail.lock().expect("stderr tail lock");
+                    if tail.len() >= STDERR_TAIL_LINES {
+                        tail.pop_front();
+                    }
+                    tail.push_back(line);
                 }
-                tail.push_back(line);
-            }
-        });
-    }
-    match rx.recv_timeout(Duration::from_millis(spawn_grace_ms())) {
-        Ok(Event::Ready) => {}
+            })
+            .ok()
+    };
+    let mut worker =
+        Worker { child, stdin, stdout, stderr_tail, stderr_drain, runs: 0, init_hash: None };
+    match worker.next_frame(Duration::from_millis(spawn_grace_ms())) {
+        Ok(WireFrame::Ready) => {}
         other => {
-            let _ = child.kill();
-            let _ = child.wait();
-            let what = match other {
-                Ok(Event::Corrupt(e)) => format!("sent a corrupt handshake: {e}"),
-                Ok(Event::Eof) => "exited before completing the Ready handshake".to_string(),
+            let _ = worker.child.kill();
+            let _ = worker.child.wait();
+            return Err(match other {
+                Err(ReadFail::Corrupt(e)) => format!("sent a corrupt handshake: {e}"),
+                Err(ReadFail::Eof) => "exited before completing the Ready handshake".to_string(),
+                Err(ReadFail::Silent) => "never completed the Ready handshake".to_string(),
                 Ok(_) => "answered with a non-Ready frame".to_string(),
-                Err(_) => "never completed the Ready handshake".to_string(),
-            };
-            return Err(what);
+            });
         }
     }
     goat_metrics::global().counter("isolate.workers_spawned").inc();
-    Ok(Worker { child, stdin, events: rx, stderr_tail, runs: 0, init_hash: None })
+    Ok(worker)
 }
 
 /// SIGKILL a misbehaving worker and reap it.
@@ -645,9 +886,18 @@ fn autopsy(
     no_heartbeat: Option<Duration>,
 ) -> CrashForensics {
     let status = worker.child.wait().ok();
-    // Give the stderr drain thread a beat to pull the final lines out
-    // of the (now closed) pipe before snapshotting the tail.
-    std::thread::sleep(Duration::from_millis(50));
+    // The worker is reaped, so its stderr pipe is closed: wait for the
+    // drain thread to reach EOF, and with it the dying worker's last
+    // lines, before snapshotting the tail.
+    if let Some(drain) = worker.stderr_drain.take() {
+        let deadline = Instant::now() + STDERR_DRAIN_WAIT;
+        while !drain.is_finished() && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        if drain.is_finished() {
+            let _ = drain.join();
+        }
+    }
     let stderr_tail = {
         let tail = worker.stderr_tail.lock().expect("stderr tail lock");
         tail.iter().cloned().collect::<Vec<_>>().join("\n")
@@ -686,21 +936,10 @@ fn checkout(cmd: &str) -> Option<Worker> {
             };
         };
         drop(st);
-        // Drain queued idle heartbeats; Eof/Corrupt/protocol junk in
-        // the backlog (or an exited child) means the worker died or
-        // went insane while pooled.
-        let mut dead = false;
-        loop {
-            match worker.events.try_recv() {
-                Ok(Event::Eof | Event::Corrupt(_) | Event::Unexpected(_)) => {
-                    dead = true;
-                    break;
-                }
-                Ok(_) => continue,
-                Err(_) => break,
-            }
-        }
-        if dead || worker.child.try_wait().map(|s| s.is_some()).unwrap_or(true) {
+        // A worker that died while pooled is reaped and replaced. It
+        // wrote nothing while idle: heartbeats only flow while a run is
+        // in flight.
+        if worker.child.try_wait().map(|s| s.is_some()).unwrap_or(true) {
             let _ = worker.child.wait();
             goat_metrics::global().counter("isolate.workers_died").inc();
             continue;
@@ -779,7 +1018,6 @@ fn encode_batch(
     program: &str,
     runs: &[(u64, Config)],
 ) -> io::Result<(Vec<u8>, Option<u64>)> {
-    let metrics = goat_metrics::global();
     let mut buf = Vec::new();
     for (iter, cfg) in runs {
         let encode_started = Instant::now();
@@ -804,7 +1042,7 @@ fn encode_batch(
             },
             &mut buf,
         )?;
-        metrics.histogram("isolate.ipc_ser_ns").record(encode_started.elapsed().as_nanos() as u64);
+        ipc_metrics().ser_ns.record(encode_started.elapsed().as_nanos() as u64);
     }
     Ok((buf, held))
 }
@@ -829,7 +1067,7 @@ pub(crate) fn run_batch(
         Some(c) => c.to_string(),
         None => std::env::current_exe().ok()?.to_str()?.to_string(),
     };
-    let metrics = goat_metrics::global();
+    let ipc = ipc_metrics();
     let mut worker = checkout(&cmd)?;
     let (mut buf, mut held) = match encode_batch(worker.init_hash, program, runs) {
         Ok(v) => v,
@@ -865,7 +1103,7 @@ pub(crate) fn run_batch(
         }
     }
     worker.init_hash = held;
-    metrics.counter("isolate.ipc_bytes_tx").add(buf.len() as u64);
+    ipc.bytes_tx.add(buf.len() as u64);
     drop(buf);
     let grace = Duration::from_millis(grace_ms());
     let mut out: Vec<RunResult> = Vec::with_capacity(runs.len());
@@ -881,61 +1119,55 @@ pub(crate) fn run_batch(
             return Some($out);
         }};
     }
+    // The campaign thread reads the worker's stdout itself: each frame
+    // is decoded where it is consumed, and some frame must arrive
+    // within the grace window.
     while out.len() < runs.len() {
         let expect = runs[out.len()].0;
-        match worker.events.recv_timeout(grace) {
-            Ok(Event::Ack(i)) if i == expect => {
-                last_ack = Some(i);
-                // Time from the batch write (first run) or the previous
-                // result (later runs) to this ack: pure pipe + frame
-                // handling latency, free of the runs' own compute.
-                metrics
-                    .histogram("isolate.ipc_transport_ns")
-                    .record(mark.elapsed().as_nanos() as u64);
-            }
+        match worker.next_frame(grace) {
+            // The worker reached the run: the last-reached iteration a
+            // crash's forensics report.
+            Ok(WireFrame::Ack { iter }) if iter == expect => last_ack = Some(iter),
             // Stale acks/heartbeats from a reused worker count as
             // liveness but carry no other information.
-            Ok(Event::Ack(_) | Event::Heartbeat) => {}
-            Ok(Event::Result { iter: i, result }) if i == expect => {
+            Ok(WireFrame::Ack { .. } | WireFrame::Heartbeat { .. }) => {}
+            Ok(WireFrame::Result { iter, result }) if iter == expect => {
+                // From the batch write (first run) or the previous
+                // result (later runs) to this result's arrival.
+                ipc.transport_ns.record(mark.elapsed().as_nanos() as u64);
                 worker.runs += 1;
-                metrics.counter("isolate.runs").inc();
+                ipc.runs.inc();
                 out.push(*result);
                 mark = Instant::now();
             }
-            Ok(Event::Result { iter: i, .. }) => {
+            Ok(WireFrame::Result { iter, .. }) => {
                 kill_worker(&mut worker);
                 fill_infra!(
                     out,
-                    format!("worker protocol violation: result for iter {i}, expected {expect}")
+                    format!("worker protocol violation: result for iter {iter}, expected {expect}")
                 );
             }
-            Ok(Event::Ready) => {
+            Ok(WireFrame::Ready) => {
                 kill_worker(&mut worker);
                 fill_infra!(out, "worker protocol violation: unexpected Ready".to_string());
             }
-            Ok(Event::Unexpected(f)) => {
+            Ok(other) => {
                 kill_worker(&mut worker);
-                fill_infra!(out, format!("worker protocol violation: unexpected {f}"));
+                fill_infra!(out, format!("worker protocol violation: unexpected {other:?}"));
             }
-            Ok(Event::Corrupt(e)) => {
+            Err(ReadFail::Corrupt(e)) => {
                 kill_worker(&mut worker);
                 fill_infra!(out, format!("worker sent a corrupt frame: {e}"));
             }
-            Ok(Event::Eof) => {
+            Err(ReadFail::Eof) => {
                 let forensics = autopsy(&mut worker, last_ack, None);
                 goat_metrics::global().counter("isolate.workers_died").inc();
                 out.push(synth_result(RunOutcome::Crashed { forensics }));
                 fill_infra!(out, "worker died mid-batch before reaching this run".to_string());
             }
-            Err(RecvTimeoutError::Timeout) => {
+            Err(ReadFail::Silent) => {
                 kill_worker(&mut worker);
                 let forensics = autopsy(&mut worker, last_ack, Some(grace));
-                out.push(synth_result(RunOutcome::Crashed { forensics }));
-                fill_infra!(out, "worker died mid-batch before reaching this run".to_string());
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                kill_worker(&mut worker);
-                let forensics = autopsy(&mut worker, last_ack, None);
                 out.push(synth_result(RunOutcome::Crashed { forensics }));
                 fill_infra!(out, "worker died mid-batch before reaching this run".to_string());
             }
@@ -960,11 +1192,6 @@ pub(crate) fn run_in_worker(
 mod tests {
     use super::*;
 
-    /// One framed read + decode, as the serve loop and reader thread do.
-    fn read_frame(r: &mut impl Read) -> io::Result<WireFrame> {
-        read_payload(r).and_then(|p| wire::decode_frame(&p))
-    }
-
     #[test]
     fn isolate_mode_parses_and_displays() {
         assert_eq!(IsolateMode::parse("off"), Some(IsolateMode::Off));
@@ -979,52 +1206,162 @@ mod tests {
         assert_eq!(IsolateMode::default(), IsolateMode::Off);
     }
 
+    /// A source that hands its bytes out in the given read sizes,
+    /// cycling through them.
+    struct Trickle {
+        bytes: Vec<u8>,
+        pos: usize,
+        steps: Vec<usize>,
+        reads: usize,
+    }
+
+    impl Trickle {
+        fn new(bytes: Vec<u8>, steps: Vec<usize>) -> FrameReader<Trickle> {
+            FrameReader::new(Trickle { bytes, pos: 0, steps, reads: 0 })
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let step = self.steps.get(self.reads % self.steps.len().max(1)).copied();
+            self.reads += 1;
+            let n =
+                step.unwrap_or(usize::MAX).max(1).min(out.len()).min(self.bytes.len() - self.pos);
+            out[..n].copy_from_slice(&self.bytes[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// Read frames until the reader fails, checking after every call
+    /// that it holds no more than the bytes received plus one chunk.
+    fn drain(reader: &mut FrameReader<Trickle>) -> (Vec<WireFrame>, ReadFail) {
+        let mut frames = Vec::new();
+        loop {
+            let got = reader.next_payload(&mut || Ok(true)).and_then(decode);
+            let received = reader.src.pos;
+            assert!(
+                reader.capacity() <= received + READ_CHUNK,
+                "{} bytes buffered after receiving {received}",
+                reader.capacity()
+            );
+            match got {
+                Ok(f) => frames.push(f),
+                Err(fail) => return (frames, fail),
+            }
+        }
+    }
+
+    /// A well-formed worker stream: handshake, ack, heartbeat, result.
+    fn worker_stream() -> (Vec<u8>, Vec<usize>) {
+        let frames = [
+            WireFrame::Ready,
+            WireFrame::Ack { iter: 3 },
+            WireFrame::Heartbeat { iter: 3 },
+            WireFrame::Result { iter: 3, result: Box::new(infra("a result")) },
+        ];
+        let (mut bytes, mut ends) = (Vec::new(), Vec::new());
+        for f in &frames {
+            wire::encode_frame_into(f, &mut bytes).expect("encode");
+            ends.push(bytes.len());
+        }
+        (bytes, ends)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// Random bytes end as EOF or a corrupt stream, never a panic,
+        /// however the reads split them.
+        #[test]
+        fn random_streams_end_as_corrupt_or_eof(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..2048),
+            steps in proptest::collection::vec(1usize..96, 1..6),
+        ) {
+            let (_, fail) = drain(&mut Trickle::new(bytes, steps));
+            proptest::prop_assert!(matches!(fail, ReadFail::Eof | ReadFail::Corrupt(_)), "{fail:?}");
+        }
+
+        /// Every truncation of a valid stream yields exactly its complete
+        /// frames, then EOF: a frame cut short by the close is EOF.
+        #[test]
+        fn truncated_streams_yield_their_whole_frames_then_eof(
+            cut in 0usize..4096,
+            steps in proptest::collection::vec(1usize..96, 1..6),
+        ) {
+            let (bytes, ends) = worker_stream();
+            let cut = cut % (bytes.len() + 1);
+            let whole = ends.iter().filter(|&&e| e <= cut).count();
+            let (frames, fail) = drain(&mut Trickle::new(bytes[..cut].to_vec(), steps));
+            proptest::prop_assert_eq!(frames.len(), whole);
+            proptest::prop_assert_eq!(fail, ReadFail::Eof);
+        }
+    }
+
     #[test]
     fn oversized_frame_is_rejected_not_allocated() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(u32::MAX).to_le_bytes());
-        bytes.extend_from_slice(b"\xde\xad\xbe\xef");
-        let err = read_frame(&mut &bytes[..]).expect_err("must reject");
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
-        assert!(err.to_string().contains("exceeds"));
-        // One byte over the cap is already corrupt; the cap itself is not.
-        let over = ((MAX_FRAME + 1) as u32).to_le_bytes();
-        let err = read_payload(&mut &over[..]).expect_err("must reject");
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
-        let at = (MAX_FRAME as u32).to_le_bytes();
-        let err = read_payload(&mut &at[..]).expect_err("no payload follows");
-        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        // One byte over the cap is already corrupt, and so is the
+        // largest prefix; the payload behind it is never buffered.
+        for prefix in [MAX_FRAME as u32 + 1, u32::MAX] {
+            let (mut bytes, _) = worker_stream();
+            bytes.extend_from_slice(&prefix.to_le_bytes());
+            bytes.extend(std::iter::repeat_n(0xab, 3 * READ_CHUNK));
+            let (frames, fail) = drain(&mut Trickle::new(bytes, vec![4096]));
+            assert_eq!(frames.len(), 4, "the frames before the bad prefix are delivered");
+            let ReadFail::Corrupt(why) = fail else { panic!("{fail:?}") };
+            assert!(why.contains("exceeds"), "{why}");
+        }
+        // The cap itself is not corrupt: the stream just ends early.
+        let at = (MAX_FRAME as u32).to_le_bytes().to_vec();
+        assert_eq!(drain(&mut Trickle::new(at, vec![])).1, ReadFail::Eof);
+    }
+
+    #[test]
+    fn unparseable_frame_is_corrupt() {
+        let mut bytes = 4u32.to_le_bytes().to_vec();
+        bytes.extend_from_slice(b"]!{[");
+        assert!(matches!(drain(&mut Trickle::new(bytes, vec![])).1, ReadFail::Corrupt(_)));
     }
 
     #[test]
     fn undercap_length_lie_cannot_force_a_big_allocation() {
-        // A corrupt prefix claiming 32 MiB (under the cap) followed by
-        // 4 bytes: the incremental reader must fail with UnexpectedEof
-        // having allocated at most the read chunk.
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&(32u32 << 20).to_le_bytes());
+        // A prefix claiming 32 MiB (under the cap) followed by 4 bytes
+        // is EOF, having buffered at most one read chunk.
+        let mut bytes = (32u32 << 20).to_le_bytes().to_vec();
         bytes.extend_from_slice(b"\xde\xad\xbe\xef");
-        let err = read_payload(&mut &bytes[..]).expect_err("must fail");
-        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        let mut reader = Trickle::new(bytes, vec![3]);
+        let (frames, fail) = drain(&mut reader);
+        assert!(frames.is_empty());
+        assert_eq!(fail, ReadFail::Eof);
+        assert!(reader.capacity() <= 8 + READ_CHUNK);
     }
 
+    #[cfg(unix)]
     #[test]
-    fn truncated_frame_reads_as_eof() {
-        let mut full = Vec::new();
-        wire::encode_frame_into(&WireFrame::Ack { iter: 300 }, &mut full).expect("encode");
-        let err = read_frame(&mut &full[..full.len() - 1]).expect_err("must fail");
-        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
-        assert!(read_frame(&mut &[][..]).is_err());
-        assert!(matches!(read_frame(&mut &full[..]), Ok(WireFrame::Ack { iter: 300 })));
-    }
-
-    #[test]
-    fn unparseable_frame_is_invalid_data() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&4u32.to_le_bytes());
-        bytes.extend_from_slice(b"]!{[");
-        let err = read_frame(&mut &bytes[..]).expect_err("must fail");
-        assert_eq!(err.kind(), ErrorKind::InvalidData);
+    fn pipe_reads_wait_for_frames_and_give_up_at_the_deadline() {
+        let (rx, mut tx) = io::pipe().expect("pipe");
+        let fd = sys::raw_fd(&rx);
+        let mut reader = FrameReader::new(rx);
+        let mut next = |within_ms: u64| {
+            let deadline = Instant::now() + Duration::from_millis(within_ms);
+            reader.next_payload(&mut || sys::wait_readable(fd, deadline)).and_then(decode)
+        };
+        // Nothing written: the reader gives up at its deadline.
+        assert_eq!(next(20).expect_err("silent"), ReadFail::Silent);
+        // A frame written in two halves, the second after a pause.
+        let (bytes, ends) = worker_stream();
+        let writer = std::thread::spawn(move || {
+            tx.write_all(&bytes[..ends[0] + 3]).expect("write");
+            std::thread::sleep(Duration::from_millis(30));
+            tx.write_all(&bytes[ends[0] + 3..]).expect("write");
+            // Dropping the write end closes the pipe.
+        });
+        assert!(matches!(next(5000), Ok(WireFrame::Ready)));
+        assert!(matches!(next(5000), Ok(WireFrame::Ack { iter: 3 })));
+        assert!(matches!(next(5000), Ok(WireFrame::Heartbeat { iter: 3 })));
+        assert!(matches!(next(5000), Ok(WireFrame::Result { iter: 3, .. })));
+        writer.join().expect("writer");
+        assert_eq!(next(5000).expect_err("closed"), ReadFail::Eof);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! "Offline Analysis" loop).
 
 use crate::analysis::{analyze_run, analyze_run_with, GoatVerdict};
-use crate::bandit::{Arm, Bandit, GuidedSummary, GUIDED_LAG};
+use crate::bandit::{Arm, Bandit, GuidedSummary};
 use crate::checkpoint::{self, CampaignCheckpoint};
 use crate::coverage::RunCoverage;
 use crate::globaltree::GlobalGTree;
@@ -195,11 +195,6 @@ pub struct GoatConfig {
     /// environment variable; `None` falls back to the current
     /// executable.
     pub worker_cmd: Option<String>,
-    /// `Run` frames sent to a worker per pipe write. Batching amortizes
-    /// write/wake costs; the effective batch is capped at the guided
-    /// bandit's feedback lag so guided campaigns stay byte-identical
-    /// to sequential ones. Defaults to `GOAT_IPC_BATCH` (1 when unset).
-    pub ipc_batch: usize,
 }
 
 impl Default for GoatConfig {
@@ -245,11 +240,6 @@ impl Default for GoatConfig {
             worker_cmd: std::env::var(crate::isolate::WORKER_CMD_ENV)
                 .ok()
                 .filter(|v| !v.is_empty()),
-            ipc_batch: std::env::var(crate::isolate::IPC_BATCH_ENV)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or(1),
         }
     }
 }
@@ -385,30 +375,6 @@ impl GoatConfig {
     pub fn with_worker_cmd(mut self, cmd: impl Into<String>) -> Self {
         self.worker_cmd = Some(cmd.into());
         self
-    }
-
-    /// Set the worker run-batching window (overrides `GOAT_IPC_BATCH`).
-    pub fn with_ipc_batch(mut self, n: usize) -> Self {
-        assert!(n >= 1, "IPC batch must be at least 1");
-        self.ipc_batch = n;
-        self
-    }
-
-    /// The batch of iterations shipped to a worker per pipe write: 1
-    /// unless process isolation is on, and capped at the guided
-    /// bandit's feedback lag — a run's arm selection may only read
-    /// rewards merged at least [`GUIDED_LAG`] iterations behind it, so
-    /// a larger batch would let execution outrun the rewards it needs.
-    pub(crate) fn effective_batch(&self) -> usize {
-        if self.isolate != crate::isolate::IsolateMode::Proc {
-            return 1;
-        }
-        let batch = self.ipc_batch.max(1);
-        if self.guided {
-            batch.min(GUIDED_LAG)
-        } else {
-            batch
-        }
     }
 
     /// Runtime config for iteration `iter`; a guided campaign overlays

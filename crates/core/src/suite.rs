@@ -249,10 +249,9 @@ struct Stream {
     merged: usize,
     /// One past the last claimable index; grows on an extension grant.
     cutoff: usize,
-    /// Claim window: at least one IPC batch, capped at [`GUIDED_LAG`]
-    /// for guided campaigns.
+    /// Claim window ([`claim_shape`]).
     window: usize,
-    /// Iterations per claim ([`GoatConfig::effective_batch`]).
+    /// Iterations per claim ([`claim_shape`]).
     batch: usize,
     /// An early stop fired (bug/threshold/quarantine/saturation): no
     /// further claims, outstanding results are speculative discards.
@@ -271,6 +270,27 @@ struct Stream {
     returned: Vec<(usize, usize)>,
     /// Unspent base budget donated at finalize (early stoppers only).
     released: usize,
+}
+
+/// The claim window and the claim batch of a campaign served by `jobs`
+/// workers.
+///
+/// In-process runs are claimed one at a time, at most `jobs · 4` ahead
+/// of the merge point. Under process isolation a claim is the batch of
+/// `Run` frames shipped to a worker in one write, so the window grows to
+/// at least [`GUIDED_LAG`] and each of the `jobs` workers claims an even
+/// share of it: 8 runs at one job, 4 at two or four. A guided campaign's
+/// window is capped at [`GUIDED_LAG`] in both modes: an arm selection
+/// may only read rewards merged at least that many iterations behind
+/// it.
+fn claim_shape(cfg: &GoatConfig, jobs: usize) -> (usize, usize) {
+    let proc = cfg.isolate == crate::isolate::IsolateMode::Proc;
+    let mut window = if proc { (jobs * 4).max(GUIDED_LAG) } else { jobs * 4 };
+    if cfg.guided {
+        window = window.min(GUIDED_LAG);
+    }
+    let batch = if proc { (window / jobs).max(1) } else { 1 };
+    (window, batch)
 }
 
 fn claimable(s: &Stream) -> bool {
@@ -707,6 +727,10 @@ fn abandon(e: &Arc<Engine>, progress: &StdMutex<Progress>, r: RunResult) {
     };
     spawn_worker(e, partial);
     e.queue.state.lock().expect("suite queue").workers -= 1;
+    // The replacement may already have delivered the last iteration and
+    // left: then this was the last worker, and the coordinator waiting
+    // for the count to reach zero must be told.
+    e.queue.done_cv.notify_all();
 }
 
 /// One worker: claim a batch, run it, deliver it — until the queue
@@ -798,20 +822,14 @@ pub(crate) fn run_campaigns(
             || cfg
                 .coverage_threshold
                 .is_some_and(|th| start > 0 && m.covered.percent(&m.universe) >= th);
-        // The window must hold at least one IPC batch, or claims would
-        // split batches; `effective_batch` is already capped at the
-        // guided lag, so the cap below keeps the bandit argument.
-        let mut window = (jobs * 4).max(cfg.effective_batch());
-        if cfg.guided {
-            window = window.min(GUIDED_LAG);
-        }
+        let (window, batch) = claim_shape(cfg, jobs);
         let cutoff = cfg.iterations + preset.map_or(0, |g| g[k]);
         let stream = Stream {
             next: start,
             merged: start,
             cutoff,
             window,
-            batch: cfg.effective_batch(),
+            batch,
             halted: resumed_stopped,
             complete: resumed_stopped || start >= cutoff,
             pending: !resumed_stopped && start >= cutoff && realloc.is_some() && preset.is_none(),
@@ -1020,6 +1038,26 @@ mod tests {
     use super::*;
     use crate::program::FnProgram;
     use goat_runtime::{go, Chan};
+
+    #[test]
+    fn claim_shape_derives_the_ipc_batch_from_the_window() {
+        use crate::isolate::IsolateMode;
+        let proc = GoatConfig::default().with_isolate(IsolateMode::Proc).with_guided(false);
+        // (jobs, window, batch): no worker sits idle at any job count.
+        for (jobs, window, batch) in [(1, 8, 8), (2, 8, 4), (4, 16, 4), (8, 32, 4)] {
+            assert_eq!(claim_shape(&proc, jobs), (window, batch), "proc, jobs {jobs}");
+        }
+        let guided = proc.clone().with_guided(true);
+        for (jobs, batch) in [(1, 8), (2, 4), (4, 2), (8, 1), (16, 1)] {
+            assert_eq!(claim_shape(&guided, jobs), (GUIDED_LAG, batch), "guided, jobs {jobs}");
+        }
+        // In-process: one run per claim, `jobs · 4` ahead, as always.
+        let off = proc.with_isolate(IsolateMode::Off);
+        for jobs in [1, 2, 4] {
+            assert_eq!(claim_shape(&off, jobs), (jobs * 4, 1));
+            assert_eq!(claim_shape(&off.clone().with_guided(true), jobs), ((jobs * 4).min(8), 1));
+        }
+    }
 
     fn leak_kernel(name: &str) -> Arc<dyn Program> {
         Arc::new(FnProgram::new(name, || {

@@ -40,9 +40,8 @@ struct Cli {
     // always wins over a script's flag.
     memo: Option<String>,
     trace_pool_max: Option<usize>,
-    // Process isolation (flags win over GOAT_ISOLATE / GOAT_IPC_BATCH).
+    // Process isolation (flag wins over GOAT_ISOLATE).
     isolate: Option<goat::core::IsolateMode>,
-    ipc_batch: Option<usize>,
     // Worker count for any target (flag wins over GOAT_PARALLELISM)
     // and `-target all` budget reallocation (flag wins over
     // GOAT_SUITE_REALLOC).
@@ -76,7 +75,6 @@ fn parse_args() -> Result<Cli, String> {
         memo: None,
         trace_pool_max: None,
         isolate: None,
-        ipc_batch: None,
         jobs: None,
         realloc: None,
     };
@@ -150,13 +148,6 @@ fn parse_args() -> Result<Cli, String> {
                 cli.jobs = Some(n);
             }
             "-realloc" | "--realloc" => cli.realloc = Some(true),
-            "-ipc-batch" | "--ipc-batch" => {
-                let n: usize = num("-ipc-batch", take("-ipc-batch")?)?;
-                if n == 0 {
-                    return Err("-ipc-batch: must be >= 1".into());
-                }
-                cli.ipc_batch = Some(n);
-            }
             "-h" | "--help" => {
                 print_help();
                 std::process::exit(0);
@@ -216,9 +207,6 @@ fn campaign_config(cli: &Cli) -> GoatConfig {
     if let Some(m) = cli.isolate {
         cfg = cfg.with_isolate(m);
     }
-    if let Some(n) = cli.ipc_batch {
-        cfg = cfg.with_ipc_batch(n);
-    }
     if let Some(n) = cli.jobs {
         cfg = cfg.with_parallelism(n);
     }
@@ -262,12 +250,10 @@ fn print_help() {
          \x20                           re-analyzes hits and asserts equality (GOAT_MEMO)\n\
          \x20 -trace-pool-max <int>     recycled trace buffers kept per process\n\
          \x20                           (GOAT_TRACE_POOL_MAX, default 32)\n\n\
-         process isolation (flags override the matching GOAT_* env knobs):\n\
+         process isolation (the flag overrides the GOAT_ISOLATE env knob):\n\
          \x20 -isolate <off|proc>       run each iteration in a sandboxed worker\n\
          \x20                           subprocess with crash forensics and rlimit\n\
-         \x20                           jails (GOAT_ISOLATE; default off)\n\
-         \x20 -ipc-batch <int>          Run frames per write to a worker's pipe; capped at\n\
-         \x20                           the guided feedback lag (GOAT_IPC_BATCH; default 1)\n\n\
+         \x20                           jails (GOAT_ISOLATE; default off)\n\n\
          workers and suite mode (flags override the matching GOAT_* env knobs):\n\
          \x20 -jobs <int>               workers claiming iterations from one work-stealing\n\
          \x20                           queue, across every kernel under -target all;\n\
@@ -296,7 +282,7 @@ fn main() -> ExitCode {
     // stdin/stdout for a `GOAT_ISOLATE=proc` orchestrator. Intercepted
     // before flag parsing so the frame protocol owns the process.
     if std::env::args().nth(1).as_deref() == Some("--worker") {
-        let code = goat::core::serve_worker(&|name| {
+        let code = goat::core::serve_worker(|name: &str| {
             goat::goker::by_name(name).map(|k| Arc::new(KernelProgram(k)) as Arc<dyn Program>)
         });
         return ExitCode::from(code.clamp(0, 255) as u8);

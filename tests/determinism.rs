@@ -404,26 +404,30 @@ fn sigkilled_isolated_campaign_resumes_byte_identically() {
 }
 
 // ---------------------------------------------------------------------
-// IPC data-plane equivalence: run batching (`GOAT_IPC_BATCH`) is a
-// transport optimization — campaign reports must be byte-identical
-// however many Run frames share one pipe write.
+// IPC data-plane equivalence: run batching is a transport
+// optimization — campaign reports must be byte-identical however many
+// Run frames share one pipe write. The batch is derived from the claim
+// window; guided campaigns cap the window at GUIDED_LAG = 8, so jobs 8,
+// 2 and 1 ship batches of 1, 4 and 8.
 // ---------------------------------------------------------------------
 
-fn ipc_summary_json(
+fn guided_summary_json(
     kernel: &'static goat::goker::BugKernel,
     d: u32,
     seed0: u64,
     iterations: usize,
     stop_on_bug: bool,
-    batch: usize,
+    isolate: IsolateMode,
+    jobs: usize,
 ) -> String {
     let mut cfg = GoatConfig::default()
         .with_delay_bound(d)
         .with_iterations(iterations)
         .with_seed0(seed0)
-        .with_isolate(IsolateMode::Proc)
-        .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
-        .with_ipc_batch(batch);
+        .with_guided(true)
+        .with_parallelism(jobs)
+        .with_isolate(isolate)
+        .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
     if !stop_on_bug {
         cfg = cfg.keep_running();
     }
@@ -441,12 +445,21 @@ fn campaign_summaries_identical_across_ipc_modes() {
     {
         let kernel = goat::goker::by_name(name).expect("kernel");
         let off =
-            isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off);
-        for batch in [1usize, 4, 8] {
-            let got = ipc_summary_json(kernel, d, seed0, iterations, stop_on_bug, batch);
+            guided_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off, 1);
+        for (jobs, batch) in [(8usize, 1usize), (2, 4), (1, 8)] {
+            let got = guided_summary_json(
+                kernel,
+                d,
+                seed0,
+                iterations,
+                stop_on_bug,
+                IsolateMode::Proc,
+                jobs,
+            );
             assert_eq!(
                 off, got,
-                "{name}/proc+batch{batch}: campaign report must be byte-identical to -isolate off"
+                "{name}/proc, jobs {jobs} (batch {batch}): campaign report must be \
+                 byte-identical to -isolate off"
             );
         }
     }

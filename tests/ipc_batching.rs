@@ -1,6 +1,7 @@
-//! IPC run batching through the campaign engine: `-ipc-batch N` ships
-//! N runs per worker checkout whether the campaign comes from
-//! `Goat::test` or from `run_suite`, at any worker count.
+//! IPC run batching through the campaign engine: under `-isolate proc`
+//! one job claims batches of eight runs, each shipped in one worker
+//! checkout, whether the campaign comes from `Goat::test` or from
+//! `run_suite`.
 //!
 //! One test in its own binary: it counts process-wide `isolate.*`
 //! checkouts, which a concurrently running isolated test would skew.
@@ -38,13 +39,12 @@ fn ipc_batches_are_not_split_by_the_claim_window() {
         .with_parallelism(1)
         .with_guided(false)
         .with_isolate(IsolateMode::Proc)
-        .with_worker_cmd(env!("CARGO_BIN_EXE_goat"))
-        .with_ipc_batch(8);
+        .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
 
     let before = checkouts();
     let r = Goat::new(cfg.clone()).test(Arc::clone(&kernel));
     assert_eq!(r.records.len(), 16);
-    assert_eq!(checkouts() - before, 2, "Goat::test: 16 runs at -ipc-batch 8 are 2 batches");
+    assert_eq!(checkouts() - before, 2, "Goat::test: 16 runs at one job are 2 batches");
 
     let before = checkouts();
     let mut runs = 0;
@@ -52,5 +52,5 @@ fn ipc_batches_are_not_split_by_the_claim_window() {
         runs = r.records.len();
     });
     assert_eq!(runs, 16);
-    assert_eq!(checkouts() - before, 2, "run_suite: 16 runs at -ipc-batch 8 are 2 batches");
+    assert_eq!(checkouts() - before, 2, "run_suite: 16 runs at one job are 2 batches");
 }

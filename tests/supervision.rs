@@ -5,8 +5,9 @@
 //! kernel is quarantined instead of burning its budget. A checkpoint
 //! written under another retry/quarantine policy is not resumed. A
 //! campaign whose only worker wedges finishes on a replacement worker,
-//! and a one-worker campaign runs every iteration on that worker's
-//! thread.
+//! a run that wedges inside a sandboxed worker process is answered by a
+//! replacement serve loop of the same process, and a one-worker campaign
+//! runs every iteration on that worker's thread.
 //!
 //! Lives in its own integration-test binary (= its own process) because
 //! `GOAT_FAULT`, `GOAT_TELEMETRY`, and the teardown deadline resolve
@@ -16,6 +17,17 @@
 use goat::core::{FnProgram, Goat, GoatConfig, GoatVerdict, IsolateMode, Program};
 use goat::runtime::Chan;
 use std::sync::Arc;
+
+struct KernelProgram(&'static goat::goker::BugKernel);
+
+impl Program for KernelProgram {
+    fn name(&self) -> &str {
+        Program::name(self.0)
+    }
+    fn main(&self) {
+        Program::main(self.0)
+    }
+}
 
 fn clean_program() -> Arc<dyn Program> {
     Arc::new(FnProgram::new("handshake", || {
@@ -230,23 +242,85 @@ fn faulted_campaign_completes_with_correct_accounting() {
             serde_json::to_string(&wide.records).unwrap(),
             "a wedged worker must not change the campaign's records"
         );
-        // Claims of four: isolation is requested but its worker command
-        // is broken, so each batch runs in-process on the claiming
-        // worker. The wedge hits the second run of the batch 404..=407;
-        // the first is delivered with it, the last two go back to the
-        // queue.
+        // Claims of eight: isolation is requested but its worker command
+        // is broken, so each batch of eight (the derived batch at one
+        // job) runs in-process on the claiming worker. The wedge hits
+        // the sixth run of the batch 400..=407; the first five are
+        // delivered with it, and 406..=407 go back to the queue.
         let batched = Goat::new(
             base.clone()
                 .with_parallelism(1)
                 .with_isolate(IsolateMode::Proc)
-                .with_worker_cmd("/nonexistent/goat-worker")
-                .with_ipc_batch(4),
+                .with_worker_cmd("/nonexistent/goat-worker"),
         )
         .test(clean_program());
         assert_eq!(
             serde_json::to_string(&alone.records).unwrap(),
             serde_json::to_string(&batched.records).unwrap(),
             "giving back the rest of a wedged batch must not change the records"
+        );
+    }
+
+    // -- a wedge inside a real worker ---------------------------------
+    // At one job a worker serves batches of eight. Seed 602 is the third
+    // run of the batch 600..=607 and wedges inside the worker process:
+    // the worker's own supervisor answers it as a hang and a replacement
+    // serve loop, on the same pipes, serves the other five runs. No
+    // worker dies and none is spawned after the first, and the records
+    // are those of the same campaign in-process.
+    {
+        let _g = goat::runtime::faultpoint::scoped("iter:wedge:seed=602");
+        let kernel: Arc<dyn Program> =
+            Arc::new(KernelProgram(goat::goker::by_name("etcd6708").expect("kernel")));
+        let base = GoatConfig::default()
+            .with_delay_bound(1)
+            .with_iterations(12)
+            .with_seed0(600)
+            .keep_running()
+            .with_parallelism(1)
+            .with_iter_timeout_ms(Some(80));
+        let reg = goat::metrics::global();
+        let counts = || {
+            ["isolate.workers_spawned", "isolate.workers_died", "isolate.workers_killed"]
+                .map(|c| reg.counter_total(c))
+        };
+        let before = counts();
+        let isolated = Goat::new(
+            base.clone()
+                .with_isolate(IsolateMode::Proc)
+                .with_worker_cmd(env!("CARGO_BIN_EXE_goat")),
+        )
+        .test(Arc::clone(&kernel));
+        let after = counts();
+        assert_eq!(isolated.records.len(), 12);
+        for rec in &isolated.records {
+            if rec.seed == 602 {
+                assert!(matches!(rec.verdict, GoatVerdict::Hang), "{}", rec.verdict);
+            }
+            if rec.seed < 608 {
+                assert!(
+                    !matches!(
+                        rec.verdict,
+                        GoatVerdict::Crash { .. } | GoatVerdict::InfraFailure { .. }
+                    ),
+                    "seed {}: {}",
+                    rec.seed,
+                    rec.verdict
+                );
+            }
+        }
+        assert_eq!(
+            [after[0] - before[0], after[1] - before[1], after[2] - before[2]],
+            [1, 0, 0],
+            "one worker (spawned, died, killed) must serve the whole campaign: \
+             the replacement serve loop takes over the wedged one"
+        );
+        let in_process =
+            Goat::new(base.clone().with_isolate(IsolateMode::Off)).test(Arc::clone(&kernel));
+        assert_eq!(
+            serde_json::to_string(&isolated.records).unwrap(),
+            serde_json::to_string(&in_process.records).unwrap(),
+            "a wedge inside a worker must record what it records in-process"
         );
     }
 
