@@ -58,35 +58,56 @@ pub const CHECKPOINT_VERSION: u32 = 4;
 /// The campaign parameters that determine per-iteration behaviour,
 /// folded into a string. Two campaigns with equal fingerprints run the
 /// same program the same way for every shared iteration index — which
-/// is exactly the condition under which resuming is sound. The
-/// iteration budget is excluded on purpose (resume may extend it).
+/// is exactly the condition under which resuming is sound.
+///
+/// The config is destructured without `..`: a new [`GoatConfig`] field
+/// does not compile until it is either folded in here or bound to `_`
+/// with the reason it cannot change a record.
 pub fn fingerprint(program_name: &str, cfg: &GoatConfig) -> String {
+    let GoatConfig {
+        // Each of these changes some iteration's record: its schedule
+        // (seed, D, ε, step bound, strategy, guided arms), its outcome
+        // (the watchdog; in-process panic vs worker death under
+        // isolation; whether an infra failure is retried away), or where
+        // the campaign stops (stop rules, saturation, quarantine).
+        delay_bound,
+        seed0,
+        stop_on_bug,
+        coverage_threshold,
+        native_preempt_prob,
+        max_steps,
+        iter_timeout_ms,
+        max_retries,
+        quarantine_after,
+        quarantine_crashes,
+        strategy,
+        guided,
+        saturation_window,
+        isolate,
+        // Excluded on purpose: a resumed campaign may extend its budget.
+        iterations: _,
+        // Iterations are merged in order: results match at any count.
+        parallelism: _,
+        // Thread and stack reuse never change scheduling or traces.
+        pool: _,
+        // Where progress is saved, not what it is.
+        checkpoint: _,
+        // How often progress is saved, not what it is.
+        checkpoint_every: _,
+        // Memo hits reuse products equal to a fresh analysis.
+        memo: _,
+        // Has no effect.
+        spin: _,
+        // Any worker binary answers a run with the same bytes.
+        worker_cmd: _,
+    } = cfg;
     format!(
-        "v{CHECKPOINT_VERSION}:{program_name}:seed0={}:d={}:stop={}:cov={}:eps={:x}:steps={}:wd={}:strat={}:guided={}:sat={}:iso={}:retries={}:qinfra={}:qcrash={}:fault={}",
-        cfg.seed0,
-        cfg.delay_bound,
-        cfg.stop_on_bug,
-        cfg.coverage_threshold.map_or("none".to_string(), |t| format!("{:x}", t.to_bits())),
-        cfg.native_preempt_prob.to_bits(),
-        cfg.max_steps,
-        // The wall-clock watchdog changes per-iteration outcomes
-        // (TimedOut vs Completed), so records written under a different
-        // GOAT_ITER_TIMEOUT_MS cannot be mixed into this campaign.
-        cfg.iter_timeout_ms.map_or("off".to_string(), |ms| ms.to_string()),
-        // Strategy, guided mode and the saturation window all change
-        // per-iteration scheduling or the early-stop point, so sidecars
-        // written under different exploration settings cannot be mixed.
-        cfg.strategy,
-        cfg.guided,
-        cfg.saturation_window.map_or("off".to_string(), |w| w.to_string()),
-        cfg.isolate,
-        // Retries decide whether a transient infra failure is recorded,
-        // the quarantine thresholds where the campaign stops, and the
-        // fault plan which iterations fail at all: a sidecar written
-        // under other values would resume a different campaign.
-        cfg.max_retries,
-        cfg.quarantine_after,
-        cfg.quarantine_crashes,
+        "v{CHECKPOINT_VERSION}:{program_name}:seed0={seed0}:d={delay_bound}:stop={stop_on_bug}:cov={}:eps={:x}:steps={max_steps}:wd={}:strat={strategy}:guided={guided}:sat={}:iso={isolate}:retries={max_retries}:qinfra={quarantine_after}:qcrash={quarantine_crashes}:fault={}",
+        coverage_threshold.map_or("none".to_string(), |t| format!("{:x}", t.to_bits())),
+        native_preempt_prob.to_bits(),
+        iter_timeout_ms.map_or("off".to_string(), |ms| ms.to_string()),
+        saturation_window.map_or("off".to_string(), |w| w.to_string()),
+        // The fault plan decides which iterations fail at all.
         goat_runtime::faultpoint::current_spec().unwrap_or_else(|| "off".to_string()),
     )
 }
@@ -267,13 +288,87 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A config with every field set explicitly, so no ambient `GOAT_*`
+    /// variable can move its fingerprint.
+    fn pinned() -> GoatConfig {
+        GoatConfig {
+            delay_bound: 2,
+            iterations: 50,
+            seed0: 7,
+            stop_on_bug: true,
+            coverage_threshold: Some(90.0),
+            native_preempt_prob: 0.02,
+            max_steps: 200_000,
+            parallelism: 1,
+            pool: true,
+            iter_timeout_ms: Some(500),
+            max_retries: 2,
+            quarantine_after: 3,
+            quarantine_crashes: 0,
+            checkpoint: None,
+            checkpoint_every: 8,
+            memo: crate::MemoMode::On,
+            strategy: goat_runtime::StrategyKind::Pct { depth: 3, length: 512 },
+            guided: false,
+            saturation_window: None,
+            spin: None,
+            isolate: crate::IsolateMode::Off,
+            worker_cmd: None,
+        }
+    }
+
+    #[test]
+    fn fingerprint_string_is_pinned() {
+        // Sidecars written before the fingerprint was derived from a
+        // destructured config must still resume: the bytes are fixed.
+        // The empty scoped plan keeps `GOAT_FAULT` and other tests'
+        // plans out.
+        let _no_faults = goat_runtime::faultpoint::scoped("");
+        assert_eq!(
+            fingerprint("demo", &pinned()),
+            "v4:demo:seed0=7:d=2:stop=true:cov=4056800000000000:eps=3f947ae147ae147b:\
+             steps=200000:wd=500:strat=pct:3:512:guided=false:sat=off:iso=off:retries=2:\
+             qinfra=3:qcrash=0:fault=off"
+        );
+    }
+
     #[test]
     fn fingerprint_ignores_iteration_budget() {
-        let a = GoatConfig::default().with_iterations(10);
-        let b = GoatConfig::default().with_iterations(500);
-        assert_eq!(fingerprint("p", &a), fingerprint("p", &b));
-        let c = GoatConfig::default().with_delay_bound(2);
-        assert_ne!(fingerprint("p", &a), fingerprint("p", &c));
+        let _no_faults = goat_runtime::faultpoint::scoped("");
+        let base = pinned();
+        let fp = fingerprint("p", &base);
+        // Operational fields: none changes what an iteration records.
+        for cfg in [
+            base.clone().with_iterations(500),
+            base.clone().with_parallelism(4),
+            base.clone().with_pool(false),
+            base.clone().with_checkpoint("elsewhere.json"),
+            base.clone().with_checkpoint_every(1),
+            base.clone().with_memo(crate::MemoMode::Verify),
+            base.clone().with_spin(7),
+            base.clone().with_worker_cmd("other-goat"),
+        ] {
+            assert_eq!(fingerprint("p", &cfg), fp, "{cfg:?}");
+        }
+        // Semantic fields: each one moves the fingerprint.
+        for cfg in [
+            base.clone().with_delay_bound(3),
+            base.clone().with_seed0(8),
+            base.clone().keep_running(),
+            GoatConfig { coverage_threshold: None, ..base.clone() },
+            GoatConfig { native_preempt_prob: 0.5, ..base.clone() },
+            GoatConfig { max_steps: 1, ..base.clone() },
+            base.clone().with_iter_timeout_ms(None),
+            base.clone().with_max_retries(9),
+            base.clone().with_quarantine_after(9),
+            base.clone().with_quarantine_crashes(9),
+            base.clone().with_strategy(goat_runtime::StrategyKind::Native),
+            base.clone().with_guided(true),
+            base.clone().with_saturation_window(Some(5)),
+            base.clone().with_isolate(crate::IsolateMode::Proc),
+        ] {
+            assert_ne!(fingerprint("p", &cfg), fp, "{cfg:?}");
+        }
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //!        |                                |    again when the base changes)
 //!        | ---- Run{iter, delta} ×batch > |   one write per claimed batch
 //!        | <--------- Ack{iter} --------- |   the worker reached the run
-//!        | <-------- Heartbeat{iter} ---- |   every GOAT_WORKER_HEARTBEAT_MS
-//!        |                                |    while a run is in flight
+//!        | <-------- Heartbeat{iter} ---- |   every 100 ms while a run
+//!        |                                |    is in flight
 //!        | <----- Result{iter, result} -- |   one per Run, in order
 //! ```
 //!
@@ -56,10 +56,8 @@
 //! violations are retried InfraFailures.
 //!
 //! Workers jail themselves at startup with `setrlimit`: core dumps are
-//! disabled, the address space is capped (`GOAT_WORKER_RLIMIT_AS_MB`,
-//! default 4096, `0` = unlimited), and an optional CPU-time ceiling
-//! (`GOAT_WORKER_RLIMIT_CPU_S`, default off) converts runaway spins
-//! into a clean `SIGXCPU` death with forensics.
+//! disabled and the address space is capped at 4 GiB, so a runaway
+//! allocation kills the worker, not the campaign.
 //!
 //! Isolation degrades gracefully: if the worker command cannot be
 //! spawned or never completes the `Ready` handshake (e.g. the embedding
@@ -87,26 +85,19 @@ pub const ISOLATE_ENV: &str = "GOAT_ISOLATE";
 /// the current executable, which works for the `goat` CLI).
 pub const WORKER_CMD_ENV: &str = "GOAT_WORKER_CMD";
 
-/// Environment variable setting the worker heartbeat period in
-/// milliseconds (default 100).
-pub const HEARTBEAT_MS_ENV: &str = "GOAT_WORKER_HEARTBEAT_MS";
-
 /// Environment variable setting how long the orchestrator tolerates
 /// frame silence (no ack/heartbeat/result) before SIGKILLing a worker,
 /// in milliseconds (default 5000).
 pub const GRACE_MS_ENV: &str = "GOAT_WORKER_GRACE_MS";
 
-/// Environment variable setting the spawn-to-`Ready` handshake deadline
-/// in milliseconds (default 10000).
-pub const SPAWN_GRACE_MS_ENV: &str = "GOAT_WORKER_SPAWN_GRACE_MS";
+/// Worker heartbeat period while a run is in flight.
+const HEARTBEAT: Duration = Duration::from_millis(100);
 
-/// Environment variable capping the worker address space in MiB
-/// (default 4096; `0` disables the cap).
-pub const RLIMIT_AS_MB_ENV: &str = "GOAT_WORKER_RLIMIT_AS_MB";
+/// Spawn-to-`Ready` handshake deadline.
+const SPAWN_GRACE: Duration = Duration::from_secs(10);
 
-/// Environment variable capping worker CPU seconds (default `0` = off;
-/// exceeding it kills the worker with `SIGXCPU`).
-pub const RLIMIT_CPU_S_ENV: &str = "GOAT_WORKER_RLIMIT_CPU_S";
+/// Worker address-space cap, MiB.
+const RLIMIT_AS_MB: u64 = 4096;
 
 /// Stderr lines retained per worker for crash forensics.
 const STDERR_TAIL_LINES: usize = 40;
@@ -143,12 +134,6 @@ impl IsolateMode {
             _ => None,
         }
     }
-
-    /// The mode selected by [`ISOLATE_ENV`]; unset or unrecognized
-    /// values mean [`IsolateMode::Off`].
-    pub fn from_env() -> IsolateMode {
-        std::env::var(ISOLATE_ENV).ok().and_then(|v| IsolateMode::parse(&v)).unwrap_or_default()
-    }
 }
 
 impl std::fmt::Display for IsolateMode {
@@ -160,20 +145,8 @@ impl std::fmt::Display for IsolateMode {
     }
 }
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
-fn heartbeat_ms() -> u64 {
-    env_u64(HEARTBEAT_MS_ENV, 100).max(1)
-}
-
 fn grace_ms() -> u64 {
-    env_u64(GRACE_MS_ENV, 5000).max(1)
-}
-
-fn spawn_grace_ms() -> u64 {
-    env_u64(SPAWN_GRACE_MS_ENV, 10_000).max(1)
+    std::env::var(GRACE_MS_ENV).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(5000).max(1)
 }
 
 /// Resource jail, fault raising and pipe waits via raw libc calls (no
@@ -220,7 +193,6 @@ mod sys {
     const RLIMIT_AS: i32 = 5;
     #[cfg(not(target_os = "macos"))]
     const RLIMIT_AS: i32 = 9;
-    const RLIMIT_CPU: i32 = 0;
     const RLIMIT_CORE: i32 = 4;
 
     fn set(resource: i32, limit: u64) {
@@ -233,18 +205,10 @@ mod sys {
     }
 
     /// Apply the worker jail: no core dumps (forensics come from stderr
-    /// and exit status, not core files), a capped address space, and an
-    /// optional CPU-seconds ceiling.
+    /// and exit status, not core files) and a capped address space.
     pub fn apply_rlimits() {
         set(RLIMIT_CORE, 0);
-        let as_mb = super::env_u64(super::RLIMIT_AS_MB_ENV, 4096);
-        if as_mb > 0 {
-            set(RLIMIT_AS, as_mb.saturating_mul(1024 * 1024));
-        }
-        let cpu_s = super::env_u64(super::RLIMIT_CPU_S_ENV, 0);
-        if cpu_s > 0 {
-            set(RLIMIT_CPU, cpu_s);
-        }
+        set(RLIMIT_AS, super::RLIMIT_AS_MB * 1024 * 1024);
     }
 
     /// Deliver `sig` to the calling process with its *default*
@@ -591,7 +555,7 @@ where
         let muted = Arc::clone(&serve.muted);
         let _ =
             std::thread::Builder::new().name("goat-worker-heartbeat".into()).spawn(move || loop {
-                std::thread::sleep(Duration::from_millis(heartbeat_ms()));
+                std::thread::sleep(HEARTBEAT);
                 let mut out = stdout.lock().expect("worker stdout lock");
                 let iter = current_iter.load(Ordering::Relaxed);
                 if iter == 0 || muted.load(Ordering::Relaxed) {
@@ -855,7 +819,7 @@ fn spawn_worker(cmd: &str) -> Result<Worker, String> {
     };
     let mut worker =
         Worker { child, stdin, stdout, stderr_tail, stderr_drain, runs: 0, init_hash: None };
-    match worker.next_frame(Duration::from_millis(spawn_grace_ms())) {
+    match worker.next_frame(SPAWN_GRACE) {
         Ok(WireFrame::Ready) => {}
         other => {
             let _ = worker.child.kill();

@@ -14,16 +14,16 @@ use goat_metrics::{Histogram, HistogramSnapshot};
 use goat_model::{scan_sources, CoverageSet, CuTable, RequirementUniverse};
 use goat_runtime::pool::PoolStats;
 use goat_runtime::{
-    go_internal, Chan, Config, RunOutcome, RunResult, Runtime, SchedCounters, StrategyKind,
+    env_knob, go_internal, Chan, Config, RunOutcome, RunResult, Runtime, SchedCounters,
+    StrategyKind,
 };
 use goat_trace::{Ect, GTree, TracePoolStats};
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex as StdMutex, OnceLock};
+use std::sync::{Arc, Mutex as StdMutex};
 use std::time::{Duration, Instant};
 
-/// Duplicate-schedule analysis memoization mode (`GOAT_MEMO`, or the
-/// `-memo` flag).
+/// Duplicate-schedule analysis memoization mode (the `-memo` flag).
 ///
 /// Delay-bound campaigns revisit the same interleaving often — small
 /// kernels have few distinct schedules, and perturbation draws collide.
@@ -41,18 +41,6 @@ pub enum MemoMode {
     /// Reuse *and* re-analyze duplicates, asserting the stored products
     /// equal the fresh ones — the memoization self-check.
     Verify,
-}
-
-/// Process-wide default from `GOAT_MEMO`: `0`/`off` disables,
-/// `verify` enables the self-checking mode, anything else (including
-/// unset) leaves memoization on.
-fn default_memo() -> MemoMode {
-    static MEMO: OnceLock<MemoMode> = OnceLock::new();
-    *MEMO.get_or_init(|| match std::env::var("GOAT_MEMO").ok().as_deref() {
-        Some("0") | Some("off") => MemoMode::Off,
-        Some("verify") => MemoMode::Verify,
-        _ => MemoMode::On,
-    })
 }
 
 /// Memo key: the run's schedule fingerprint FNV-folded with its
@@ -138,18 +126,17 @@ pub struct GoatConfig {
     pub iter_timeout_ms: Option<u64>,
     /// Retries (with bounded exponential backoff) for *infra*-classified
     /// failures — pool checkout or thread-spawn errors, never kernel
-    /// verdicts. Defaults to `GOAT_MAX_RETRIES` (2 when unset).
+    /// verdicts. Defaults to 2.
     pub max_retries: u32,
     /// Quarantine the kernel after this many *consecutive* iterations
     /// whose infra retries were exhausted: the campaign stops and the
     /// remaining budget is reported as skipped-with-reason instead of
-    /// grinding a broken environment. Defaults to
-    /// `GOAT_QUARANTINE_AFTER` (3 when unset); 0 disables.
+    /// grinding a broken environment. Defaults to 3; 0 disables.
     pub quarantine_after: u32,
     /// Quarantine after this many consecutive *crashed* iterations
-    /// (kernel panics). Defaults to `GOAT_QUARANTINE_CRASHES`; 0 (the
-    /// default) disables, so repeat-crashing kernels keep recording
-    /// `Crashed` verdicts unless explicitly opted in.
+    /// (kernel panics). 0 (the default) disables, so repeat-crashing
+    /// kernels keep recording `Crashed` verdicts unless explicitly
+    /// opted in.
     pub quarantine_crashes: u32,
     /// Checkpoint sidecar path: the campaign engine periodically
     /// persists completed-seed ranges plus merged coverage there, and
@@ -159,10 +146,9 @@ pub struct GoatConfig {
     /// Merged iterations between checkpoint writes. Defaults to
     /// `GOAT_CHECKPOINT_EVERY` (8 when unset).
     pub checkpoint_every: usize,
-    /// Duplicate-schedule analysis memoization. Defaults to the
-    /// `GOAT_MEMO` environment variable ([`MemoMode::On`] when unset).
-    /// Memoization never changes campaign results — only how often the
-    /// fused analysis pass actually runs.
+    /// Duplicate-schedule analysis memoization. Defaults to
+    /// [`MemoMode::On`]. Memoization never changes campaign results —
+    /// only how often the fused analysis pass actually runs.
     pub memo: MemoMode,
     /// Scheduling strategy for every iteration (see
     /// [`goat_runtime::StrategyKind`]). Defaults to the `GOAT_STRATEGY`
@@ -172,12 +158,11 @@ pub struct GoatConfig {
     /// Coverage-guided exploration: pick each iteration's (strategy,
     /// yield_prob, delay_bound) with a deterministic epsilon-greedy
     /// bandit fed by per-iteration coverage deltas (see
-    /// [`crate::bandit`]). Defaults to the `GOAT_GUIDED` environment
-    /// variable (`1`/`true` enables).
+    /// [`crate::bandit`]). Off by default.
     pub guided: bool,
     /// Coverage-saturation early stop: end the campaign after this many
-    /// *consecutive* iterations with a zero coverage delta. Defaults to
-    /// `GOAT_SATURATION_WINDOW` (off when unset or 0).
+    /// *consecutive* iterations with a zero coverage delta. Off by
+    /// default.
     pub saturation_window: Option<usize>,
     /// No effect, like [`goat_runtime::Config::spin`] which it used to
     /// override. Kept, with [`GoatConfig::with_spin`], only for callers
@@ -197,68 +182,67 @@ pub struct GoatConfig {
     pub worker_cmd: Option<String>,
 }
 
+/// [`GoatConfig::from_env`]; panics on a malformed environment knob.
 impl Default for GoatConfig {
     fn default() -> Self {
-        GoatConfig {
-            delay_bound: 0,
-            iterations: 100,
-            seed0: 1,
-            stop_on_bug: true,
-            coverage_threshold: None,
-            native_preempt_prob: 0.02,
-            max_steps: 200_000,
-            parallelism: default_parallelism(),
-            pool: true,
-            iter_timeout_ms: std::env::var("GOAT_ITER_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|ms| *ms > 0),
-            max_retries: env_u32("GOAT_MAX_RETRIES", 2),
-            quarantine_after: env_u32("GOAT_QUARANTINE_AFTER", 3),
-            quarantine_crashes: env_u32("GOAT_QUARANTINE_CRASHES", 0),
-            checkpoint: std::env::var(checkpoint::CHECKPOINT_ENV)
-                .ok()
-                .filter(|p| !p.is_empty())
-                .map(PathBuf::from),
-            checkpoint_every: std::env::var(checkpoint::CHECKPOINT_EVERY_ENV)
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|n| *n >= 1)
-                .unwrap_or(8),
-            memo: default_memo(),
-            spin: None,
-            strategy: StrategyKind::from_env(),
-            guided: matches!(
-                std::env::var("GOAT_GUIDED").ok().as_deref(),
-                Some("1") | Some("true") | Some("on")
-            ),
-            saturation_window: std::env::var("GOAT_SATURATION_WINDOW")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .filter(|n| *n >= 1),
-            isolate: crate::isolate::IsolateMode::from_env(),
-            worker_cmd: std::env::var(crate::isolate::WORKER_CMD_ENV)
-                .ok()
-                .filter(|v| !v.is_empty()),
-        }
+        GoatConfig::from_env().unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
 /// Worker count from `GOAT_PARALLELISM` (1 when unset): the default of
 /// both [`GoatConfig::parallelism`] and [`crate::SuiteConfig::jobs`].
-pub(crate) fn default_parallelism() -> usize {
-    std::env::var("GOAT_PARALLELISM")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|n| *n >= 1)
-        .unwrap_or(1)
-}
-
-fn env_u32(name: &str, default: u32) -> u32 {
-    std::env::var(name).ok().and_then(|v| v.parse::<u32>().ok()).unwrap_or(default)
+pub(crate) fn env_parallelism() -> Result<usize, String> {
+    let n = env_knob("GOAT_PARALLELISM", "an integer >= 1", |v| {
+        v.parse::<usize>().ok().filter(|n| *n >= 1)
+    })?;
+    Ok(n.unwrap_or(1))
 }
 
 impl GoatConfig {
+    /// The default campaign with the environment knobs applied:
+    /// `GOAT_PARALLELISM`, `GOAT_CHECKPOINT`, `GOAT_CHECKPOINT_EVERY`,
+    /// `GOAT_ISOLATE` and `GOAT_WORKER_CMD` here, and `GOAT_STRATEGY` and
+    /// `GOAT_ITER_TIMEOUT_MS` through [`Config::from_env`], whose run
+    /// knobs this config mirrors. A set but unparseable value is an
+    /// error naming the variable and its expected form.
+    pub fn from_env() -> Result<Self, String> {
+        let run = Config::from_env()?;
+        Ok(GoatConfig {
+            delay_bound: 0,
+            iterations: 100,
+            seed0: 1,
+            stop_on_bug: true,
+            coverage_threshold: None,
+            native_preempt_prob: run.native_preempt_prob,
+            max_steps: run.max_steps,
+            parallelism: env_parallelism()?,
+            pool: run.pool,
+            iter_timeout_ms: run.iter_timeout_ms,
+            max_retries: 2,
+            quarantine_after: 3,
+            quarantine_crashes: 0,
+            checkpoint: env_knob(checkpoint::CHECKPOINT_ENV, "a path", |v| Some(PathBuf::from(v)))?,
+            checkpoint_every: env_knob(checkpoint::CHECKPOINT_EVERY_ENV, "an integer >= 1", |v| {
+                v.parse::<usize>().ok().filter(|n| *n >= 1)
+            })?
+            .unwrap_or(8),
+            memo: MemoMode::On,
+            spin: None,
+            strategy: run.strategy,
+            guided: false,
+            saturation_window: None,
+            isolate: env_knob(
+                crate::isolate::ISOLATE_ENV,
+                "off|proc",
+                crate::isolate::IsolateMode::parse,
+            )?
+            .unwrap_or_default(),
+            worker_cmd: env_knob(crate::isolate::WORKER_CMD_ENV, "a command", |v| {
+                Some(v.to_string())
+            })?,
+        })
+    }
+
     /// Config with delay bound `d` (the paper's GOAT-D0 … GOAT-D4).
     pub fn with_delay_bound(mut self, d: u32) -> Self {
         self.delay_bound = d;
@@ -334,7 +318,7 @@ impl GoatConfig {
         self
     }
 
-    /// Set the analysis memoization mode (overrides `GOAT_MEMO`).
+    /// Set the analysis memoization mode.
     pub fn with_memo(mut self, mode: MemoMode) -> Self {
         self.memo = mode;
         self

@@ -26,7 +26,7 @@
 //!   that are already merged. Finished campaigns reach the caller
 //!   through a *campaign-granularity* reorder buffer: `emit` always
 //!   fires in campaign order.
-//! * **Adaptive budget reallocation** (`GOAT_SUITE_REALLOC`) — kernels
+//! * **Adaptive budget reallocation** (`-realloc`) — kernels
 //!   that stop early (bug with `stop_on_bug`, or coverage saturation)
 //!   release their unspent base budget into a pool. Once *every* kernel
 //!   has completed its base budget (a deterministic barrier), the pool
@@ -78,8 +78,6 @@ use crate::plane::EctBuffers;
 use crate::program::Program;
 use crate::runner::{CampaignResult, Checkpointer, Goat, GoatConfig, MergeState};
 
-/// Environment knob enabling adaptive budget reallocation.
-pub const REALLOC_ENV: &str = "GOAT_SUITE_REALLOC";
 /// Schema version of the suite manifest sidecar.
 pub const SUITE_MANIFEST_VERSION: u32 = 1;
 
@@ -91,22 +89,19 @@ pub struct SuiteConfig {
     /// `GOAT_PARALLELISM`, then 1) — the suite's counterpart of
     /// [`GoatConfig::parallelism`]. Results are identical at any value.
     pub jobs: usize,
-    /// Adaptive budget reallocation (`GOAT_SUITE_REALLOC`): early
-    /// stoppers donate unspent base budget to still-exploring kernels.
-    /// Off by default — it extends some kernels' budgets, which changes
+    /// Adaptive budget reallocation (`-realloc`): early stoppers donate
+    /// unspent base budget to still-exploring kernels. Off by default —
+    /// it extends some kernels' budgets, which changes
     /// (deterministically) what the suite reports.
     pub realloc: bool,
 }
 
+/// Jobs from `GOAT_PARALLELISM`, realloc off; panics on a malformed
+/// `GOAT_PARALLELISM`.
 impl Default for SuiteConfig {
     fn default() -> Self {
-        SuiteConfig {
-            jobs: crate::runner::default_parallelism(),
-            realloc: matches!(
-                std::env::var(REALLOC_ENV).ok().as_deref(),
-                Some("1") | Some("on") | Some("true") | Some("yes")
-            ),
-        }
+        let jobs = crate::runner::env_parallelism().unwrap_or_else(|e| panic!("{e}"));
+        SuiteConfig { jobs, realloc: false }
     }
 }
 

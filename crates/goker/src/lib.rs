@@ -149,27 +149,24 @@ impl Rarity {
         }
     }
 
-    /// [`iteration_budget`] clamped against the per-iteration watchdog.
+    /// [`iteration_budget`] clamped against the per-iteration watchdog
+    /// `iter_timeout_ms` (a campaign's `GoatConfig::iter_timeout_ms`).
     ///
-    /// When `GOAT_ITER_TIMEOUT_MS` is set, every iteration may legally
-    /// burn up to that much wall clock before the watchdog reclaims it,
-    /// so a suite that schedules `budget` iterations commits to up to
-    /// `budget × timeout` per kernel in the worst case. This caps the
-    /// schedule so one pathological kernel cannot stall a suite for
-    /// more than ~60 s of watchdog-bounded iterations, while never
-    /// clamping below 10 iterations (enough for the Common class) and
-    /// never above the nominal budget. Without the env knob this is
+    /// Under a watchdog, every iteration may legally burn up to that
+    /// much wall clock before the watchdog reclaims it, so a suite that
+    /// schedules `budget` iterations commits to up to `budget × timeout`
+    /// per kernel in the worst case. This caps the schedule so one
+    /// pathological kernel cannot stall a suite for more than ~60 s of
+    /// watchdog-bounded iterations, while never clamping below 10
+    /// iterations (enough for the Common class) and never above the
+    /// nominal budget. Without a watchdog (`None` or `Some(0)`) this is
     /// exactly [`iteration_budget`].
     ///
     /// [`iteration_budget`]: Rarity::iteration_budget
-    pub fn clamped_iteration_budget(self) -> usize {
+    pub fn clamped_iteration_budget(self, iter_timeout_ms: Option<u64>) -> usize {
         const SUITE_KERNEL_WALL_BUDGET_MS: u64 = 60_000;
         let budget = self.iteration_budget();
-        match std::env::var("GOAT_ITER_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0)
-        {
+        match iter_timeout_ms.filter(|&ms| ms > 0) {
             Some(ms) => budget.min((SUITE_KERNEL_WALL_BUDGET_MS / ms).max(10) as usize),
             None => budget,
         }
@@ -331,28 +328,21 @@ mod tests {
 
     #[test]
     fn clamped_budget_bounds_suite_wall_clock() {
-        // Only this test (in this binary) touches GOAT_ITER_TIMEOUT_MS,
-        // so mutating it here cannot race another test.
-        std::env::remove_var("GOAT_ITER_TIMEOUT_MS");
         for r in [Rarity::Common, Rarity::Uncommon, Rarity::Rare, Rarity::VeryRare] {
-            assert_eq!(r.clamped_iteration_budget(), r.iteration_budget());
+            assert_eq!(r.clamped_iteration_budget(None), r.iteration_budget());
         }
         // 500 ms watchdog → 120 iterations fit the 60 s kernel budget:
         // only the classes above that are clamped.
-        std::env::set_var("GOAT_ITER_TIMEOUT_MS", "500");
-        assert_eq!(Rarity::Common.clamped_iteration_budget(), 10);
-        assert_eq!(Rarity::Uncommon.clamped_iteration_budget(), 120);
-        assert_eq!(Rarity::Rare.clamped_iteration_budget(), 120);
-        assert_eq!(Rarity::VeryRare.clamped_iteration_budget(), 120);
+        assert_eq!(Rarity::Common.clamped_iteration_budget(Some(500)), 10);
+        assert_eq!(Rarity::Uncommon.clamped_iteration_budget(Some(500)), 120);
+        assert_eq!(Rarity::Rare.clamped_iteration_budget(Some(500)), 120);
+        assert_eq!(Rarity::VeryRare.clamped_iteration_budget(Some(500)), 120);
         // Even an absurdly slow watchdog never clamps below 10.
-        std::env::set_var("GOAT_ITER_TIMEOUT_MS", "600000");
         for r in [Rarity::Common, Rarity::Uncommon, Rarity::Rare, Rarity::VeryRare] {
-            assert_eq!(r.clamped_iteration_budget(), 10);
+            assert_eq!(r.clamped_iteration_budget(Some(600_000)), 10);
         }
-        // Unparsable / zero values behave as unset.
-        std::env::set_var("GOAT_ITER_TIMEOUT_MS", "0");
-        assert_eq!(Rarity::VeryRare.clamped_iteration_budget(), 800);
-        std::env::remove_var("GOAT_ITER_TIMEOUT_MS");
+        // A zero watchdog behaves as none.
+        assert_eq!(Rarity::VeryRare.clamped_iteration_budget(Some(0)), 800);
     }
 
     #[test]

@@ -4,6 +4,7 @@ use crate::strategy::StrategyKind;
 use goat_trace::{Ect, Gid, VTime};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One nondeterministic choice the scheduler made, in program order.
 ///
@@ -95,7 +96,7 @@ pub struct Config {
     /// Scheduling policy (native, uniform-random exploration, or replay).
     pub policy: SchedPolicy,
     /// Pluggable scheduling strategy (see [`StrategyKind`]). Defaults
-    /// from the `GOAT_STRATEGY` environment variable (unset → native).
+    /// to the `GOAT_STRATEGY` environment variable (unset → native).
     /// [`SchedPolicy::UniformRandom`] overrides this to the random
     /// strategy for backwards compatibility; under
     /// [`SchedPolicy::Replay`] the strategy only drives the
@@ -199,9 +200,24 @@ impl Config {
     }
 }
 
-impl Default for Config {
-    fn default() -> Self {
-        Config {
+impl Config {
+    /// The default knobs with `GOAT_STRATEGY` and `GOAT_ITER_TIMEOUT_MS`
+    /// applied. Both are read once per process; a set but unparseable
+    /// value is an error naming the variable and its expected form.
+    pub fn from_env() -> Result<Config, String> {
+        type EnvKnobs = Result<(StrategyKind, Option<u64>), String>;
+        static ENV: OnceLock<EnvKnobs> = OnceLock::new();
+        let (strategy, iter_timeout_ms) = ENV
+            .get_or_init(|| {
+                let strategy =
+                    env_knob("GOAT_STRATEGY", STRATEGY_FORM, |v| StrategyKind::parse(v).ok())?;
+                let timeout = env_knob("GOAT_ITER_TIMEOUT_MS", "a non-negative integer", |v| {
+                    v.parse::<u64>().ok()
+                })?;
+                Ok((strategy.unwrap_or_default(), timeout.filter(|&ms| ms > 0)))
+            })
+            .clone()?;
+        Ok(Config {
             seed: 0,
             native_preempt_prob: 0.02,
             delay_bound: 0,
@@ -211,14 +227,50 @@ impl Default for Config {
             trace: true,
             max_trace_events: 1_000_000,
             policy: SchedPolicy::Native,
-            strategy: StrategyKind::from_env(),
+            strategy,
             pool: true,
-            iter_timeout_ms: std::env::var("GOAT_ITER_TIMEOUT_MS")
-                .ok()
-                .and_then(|v| v.parse::<u64>().ok())
-                .filter(|&ms| ms > 0),
+            iter_timeout_ms,
             spin: 0,
+        })
+    }
+}
+
+/// [`Config::from_env`]; panics on a malformed environment knob.
+impl Default for Config {
+    fn default() -> Self {
+        Config::from_env().unwrap_or_else(|e| panic!("{e}"))
+    }
+}
+
+/// The accepted forms of a strategy spec, for error messages.
+pub const STRATEGY_FORM: &str = "native|random|pct[:<depth>[:<len>]]";
+
+/// Parse the value `raw` of the knob `name` (a flag or an environment
+/// variable) with `parse`; a rejected value is an error naming the knob
+/// and the `expected` form.
+pub fn parse_knob<T>(
+    name: &str,
+    expected: &str,
+    raw: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    parse(raw).ok_or_else(|| format!("{name}: expected {expected}, got {raw:?}"))
+}
+
+/// Read the environment knob `name` with `parse` (see [`parse_knob`]).
+/// Unset or empty means `Ok(None)`, so a CI matrix can leave a knob
+/// blank.
+pub fn env_knob<T>(
+    name: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<Option<T>, String> {
+    match std::env::var(name) {
+        Ok(v) if !v.is_empty() => parse_knob(name, expected, &v, parse).map(Some),
+        Err(std::env::VarError::NotUnicode(v)) => {
+            Err(format!("{name}: expected {expected}, got {v:?}"))
         }
+        _ => Ok(None),
     }
 }
 

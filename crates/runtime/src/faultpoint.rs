@@ -31,8 +31,8 @@
 //! (`sink:err[:after=N]` is honoured by `goat-metrics`' JSONL sink,
 //! which sits below this crate; the grammar is shared.)
 //!
-//! Probability draws come from a dedicated RNG seeded by
-//! `GOAT_FAULT_SEED` (default 0), so a fault profile replays exactly.
+//! Probability draws come from a dedicated RNG with a fixed seed, so a
+//! fault profile replays exactly.
 //! When no plan is installed the per-call cost is one relaxed atomic
 //! load, mirroring `goat_metrics::enabled`.
 
@@ -43,9 +43,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// Environment variable naming the fault plan.
 pub const FAULT_ENV: &str = "GOAT_FAULT";
-
-/// Environment variable seeding the probability-draw RNG.
-pub const FAULT_SEED_ENV: &str = "GOAT_FAULT_SEED";
 
 /// A seed-keyed fault fired at the start of one run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -172,8 +169,7 @@ fn parse_plan(raw: &str) -> Plan {
             None => eprintln!("goat-runtime: ignoring malformed {FAULT_ENV} spec {one:?}"),
         }
     }
-    let seed = std::env::var(FAULT_SEED_ENV).ok().and_then(|v| v.parse().ok()).unwrap_or(0);
-    Plan { specs, raw: raw.to_string(), rng: Mutex::new(SmallRng::seed_from_u64(seed)) }
+    Plan { specs, raw: raw.to_string(), rng: Mutex::new(SmallRng::seed_from_u64(0)) }
 }
 
 fn install_locked(slot: &mut Option<&'static Plan>, plan: Option<Plan>) {

@@ -65,8 +65,8 @@ pub mod time;
 
 pub use chan::{Chan, RangeIter};
 pub use config::{
-    AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
-    SchedCounters, SchedPolicy, TimeoutPhase,
+    env_knob, parse_knob, AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome,
+    RunResult, SchedCounters, SchedPolicy, TimeoutPhase, STRATEGY_FORM,
 };
 pub use monitor::{Monitor, NullMonitor};
 pub use rt::{gid, go, go_internal, go_named, gosched, Runtime};

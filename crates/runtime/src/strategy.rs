@@ -99,19 +99,6 @@ impl StrategyKind {
         }
     }
 
-    /// The process-wide `GOAT_STRATEGY` default, read once. Unset or
-    /// unparseable values fall back to [`StrategyKind::Native`].
-    pub fn from_env() -> Self {
-        use std::sync::OnceLock;
-        static KIND: OnceLock<StrategyKind> = OnceLock::new();
-        *KIND.get_or_init(|| {
-            std::env::var("GOAT_STRATEGY")
-                .ok()
-                .and_then(|v| StrategyKind::parse(&v).ok())
-                .unwrap_or(StrategyKind::Native)
-        })
-    }
-
     /// Short name without knobs (`native` / `random` / `pct`).
     pub fn name(&self) -> &'static str {
         match self {

@@ -10,12 +10,9 @@
 //!
 //! The pool is deliberately dumb: a mutex over a stack of buffers, LIFO
 //! so the hottest (cache-warm, fully grown) buffer is reused first.
-//! Capacity is bounded by the `GOAT_TRACE_POOL_MAX` environment knob
-//! (default 32 buffers; `0` disables recycling entirely — every take is
-//! fresh and every return is dropped). The `goat` CLI exposes it as the
-//! `-trace-pool-max` flag; env wins when both are set. Both bug and
-//! non-bug traces flow back here — bug ECTs are returned by the front
-//! end once their report has been rendered.
+//! Capacity is bounded by [`POOL_MAX`] buffers. Both bug and non-bug
+//! traces flow back here — bug ECTs are returned by the front end once
+//! their report has been rendered.
 //!
 //! Counters are plain relaxed atomics (not gated behind telemetry) so
 //! [`stats`] is always meaningful; the campaign runner surfaces them in
@@ -36,24 +33,16 @@ fn pool() -> &'static Mutex<Vec<Vec<Event>>> {
     POOL.get_or_init(|| Mutex::new(Vec::new()))
 }
 
-/// Maximum number of idle buffers retained, from `GOAT_TRACE_POOL_MAX`
-/// (read once per process; `0` disables recycling).
-pub fn pool_max() -> usize {
-    static MAX: OnceLock<usize> = OnceLock::new();
-    *MAX.get_or_init(|| {
-        std::env::var("GOAT_TRACE_POOL_MAX").ok().and_then(|v| v.parse().ok()).unwrap_or(32)
-    })
-}
+/// Maximum number of idle buffers retained.
+pub const POOL_MAX: usize = 32;
 
 /// Check an empty event buffer out of the pool (recycled when one is
 /// idle, freshly allocated otherwise).
 pub fn take_buffer() -> Vec<Event> {
-    if pool_max() > 0 {
-        if let Some(buf) = pool().lock().expect("trace pool poisoned").pop() {
-            RECYCLED.fetch_add(1, Ordering::Relaxed);
-            debug_assert!(buf.is_empty());
-            return buf;
-        }
+    if let Some(buf) = pool().lock().expect("trace pool poisoned").pop() {
+        RECYCLED.fetch_add(1, Ordering::Relaxed);
+        debug_assert!(buf.is_empty());
+        return buf;
     }
     FRESH.fetch_add(1, Ordering::Relaxed);
     Vec::new()
@@ -64,14 +53,11 @@ pub fn take_buffer() -> Vec<Event> {
 /// capacity; buffers beyond the pool cap are dropped outright.
 pub fn recycle_buffer(mut buf: Vec<Event>) {
     buf.clear();
-    let max = pool_max();
-    if max > 0 {
-        let mut p = pool().lock().expect("trace pool poisoned");
-        if p.len() < max {
-            p.push(buf);
-            RETURNED.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
+    let mut p = pool().lock().expect("trace pool poisoned");
+    if p.len() < POOL_MAX {
+        p.push(buf);
+        RETURNED.fetch_add(1, Ordering::Relaxed);
+        return;
     }
     DROPPED.fetch_add(1, Ordering::Relaxed);
 }
@@ -85,7 +71,7 @@ pub struct TracePoolStats {
     pub fresh: u64,
     /// Buffers successfully returned to the pool.
     pub returned: u64,
-    /// Buffers dropped because the pool was full (or recycling disabled).
+    /// Buffers dropped because the pool was full.
     pub dropped: u64,
 }
 

@@ -12,205 +12,97 @@
 //!
 //! Example: `goat -target moby28462 -d 2 -freq 200 -cov`
 
-use goat::core::{bug_report, Goat, GoatConfig, Program, SuiteConfig};
+use goat::core::{bug_report, Goat, GoatConfig, IsolateMode, MemoMode, Program, SuiteConfig};
+use goat::runtime::{parse_knob, StrategyKind, STRATEGY_FORM};
 use std::process::ExitCode;
 use std::sync::Arc;
 
+/// One invocation: the campaign config — its `GOAT_*` env defaults with
+/// every flag applied on top, so a flag always wins — plus the flags
+/// that are not campaign knobs.
 struct Cli {
     target: String,
-    d: u32,
-    freq: usize,
     cov: bool,
-    seed: u64,
-    keep_running: bool,
-    // Supervision knobs: `None` keeps the env-derived default from
-    // `GoatConfig::default()` (GOAT_ITER_TIMEOUT_MS & friends).
-    iter_timeout_ms: Option<u64>,
-    checkpoint: Option<String>,
-    max_retries: Option<u32>,
-    quarantine_after: Option<u32>,
-    quarantine_crashes: Option<u32>,
-    // Exploration knobs (flags win over GOAT_STRATEGY / GOAT_GUIDED /
-    // GOAT_SATURATION_WINDOW).
-    strategy: Option<goat::runtime::StrategyKind>,
-    guided: Option<bool>,
-    saturation_window: Option<usize>,
-    // Hot-path knobs: the flag seeds the matching `GOAT_*` variable
-    // only when the environment leaves it unset, so an operator's env
-    // always wins over a script's flag.
-    memo: Option<String>,
-    trace_pool_max: Option<usize>,
-    // Process isolation (flag wins over GOAT_ISOLATE).
-    isolate: Option<goat::core::IsolateMode>,
-    // Worker count for any target (flag wins over GOAT_PARALLELISM)
-    // and `-target all` budget reallocation (flag wins over
-    // GOAT_SUITE_REALLOC).
-    jobs: Option<usize>,
-    realloc: Option<bool>,
+    realloc: bool,
+    cfg: GoatConfig,
 }
 
-/// Set `name` only when the environment does not already define it.
-fn env_default(name: &str, value: &str) {
-    if std::env::var_os(name).is_none() {
-        std::env::set_var(name, value);
-    }
+/// Take the next argument as the value of `flag` and parse it (see
+/// [`parse_knob`]).
+fn value<T>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    expected: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, String> {
+    let v = args.next().ok_or_else(|| format!("missing value for {flag}"))?;
+    parse_knob(flag, expected, &v, parse)
 }
+
+fn int<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+const INT: &str = "a non-negative integer";
+const POSITIVE: &str = "an integer >= 1";
 
 fn parse_args() -> Result<Cli, String> {
-    let mut cli = Cli {
-        target: String::new(),
-        d: 0,
-        freq: 100,
-        cov: false,
-        seed: 1,
-        keep_running: false,
-        iter_timeout_ms: None,
-        checkpoint: None,
-        max_retries: None,
-        quarantine_after: None,
-        quarantine_crashes: None,
-        strategy: None,
-        guided: None,
-        saturation_window: None,
-        memo: None,
-        trace_pool_max: None,
-        isolate: None,
-        jobs: None,
-        realloc: None,
-    };
+    let mut cli =
+        Cli { target: String::new(), cov: false, realloc: false, cfg: GoatConfig::from_env()? };
+    let cfg = &mut cli.cfg;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        let mut take = |name: &str| args.next().ok_or_else(|| format!("missing value for {name}"));
-        fn num<T: std::str::FromStr>(name: &str, v: String) -> Result<T, String>
-        where
-            T::Err: std::fmt::Display,
-        {
-            v.parse().map_err(|e| format!("{name}: {e}"))
-        }
-        match arg.as_str() {
-            "-target" | "--target" => cli.target = take("-target")?,
-            "-d" | "--d" => cli.d = num("-d", take("-d")?)?,
-            "-freq" | "--freq" => cli.freq = num("-freq", take("-freq")?)?,
-            "-seed" | "--seed" => cli.seed = num("-seed", take("-seed")?)?,
-            "-cov" | "--cov" => cli.cov = true,
-            "-keep-running" | "--keep-running" => cli.keep_running = true,
-            "-iter-timeout-ms" | "--iter-timeout-ms" => {
-                cli.iter_timeout_ms = Some(num("-iter-timeout-ms", take("-iter-timeout-ms")?)?)
+        let name = arg.strip_prefix("--").or_else(|| arg.strip_prefix('-')).unwrap_or_default();
+        let flag = format!("-{name}");
+        let args = &mut args;
+        match name {
+            "target" => cli.target = value(args, &flag, "a kernel name", |v| Some(v.to_string()))?,
+            "d" => cfg.delay_bound = value(args, &flag, INT, int)?,
+            "freq" => cfg.iterations = value(args, &flag, INT, int)?,
+            "seed" => cfg.seed0 = value(args, &flag, INT, int)?,
+            "cov" => cli.cov = true,
+            "keep-running" => cfg.stop_on_bug = false,
+            "iter-timeout-ms" => {
+                cfg.iter_timeout_ms = Some(value(args, &flag, INT, int)?).filter(|ms| *ms > 0)
             }
-            "-checkpoint" | "--checkpoint" => cli.checkpoint = Some(take("-checkpoint")?),
-            "-max-retries" | "--max-retries" => {
-                cli.max_retries = Some(num("-max-retries", take("-max-retries")?)?)
+            "checkpoint" => {
+                cfg.checkpoint = Some(value(args, &flag, "a path", |v| Some(v.into()))?)
             }
-            "-quarantine-after" | "--quarantine-after" => {
-                cli.quarantine_after = Some(num("-quarantine-after", take("-quarantine-after")?)?)
+            "max-retries" => cfg.max_retries = value(args, &flag, INT, int)?,
+            "quarantine-after" => cfg.quarantine_after = value(args, &flag, INT, int)?,
+            "quarantine-crashes" => cfg.quarantine_crashes = value(args, &flag, INT, int)?,
+            "strategy" => {
+                cfg.strategy = value(args, &flag, STRATEGY_FORM, |v| StrategyKind::parse(v).ok())?
             }
-            "-quarantine-crashes" | "--quarantine-crashes" => {
-                cli.quarantine_crashes =
-                    Some(num("-quarantine-crashes", take("-quarantine-crashes")?)?)
+            "guided" => cfg.guided = true,
+            "saturation-window" => {
+                cfg.saturation_window =
+                    Some(value(args, &flag, POSITIVE, |v| int(v).filter(|n| *n >= 1))?)
             }
-            "-strategy" | "--strategy" => {
-                let v = take("-strategy")?;
-                cli.strategy = Some(
-                    goat::runtime::StrategyKind::parse(&v)
-                        .map_err(|e| format!("-strategy: {e}"))?,
-                );
+            "memo" => {
+                cfg.memo = value(args, &flag, "off|on|verify", |v| match v {
+                    "0" | "off" => Some(MemoMode::Off),
+                    "1" | "on" => Some(MemoMode::On),
+                    "verify" => Some(MemoMode::Verify),
+                    _ => None,
+                })?
             }
-            "-guided" | "--guided" => cli.guided = Some(true),
-            "-saturation-window" | "--saturation-window" => {
-                let n: usize = num("-saturation-window", take("-saturation-window")?)?;
-                if n == 0 {
-                    return Err("-saturation-window: must be >= 1".into());
-                }
-                cli.saturation_window = Some(n);
+            "isolate" => cfg.isolate = value(args, &flag, "off|proc", IsolateMode::parse)?,
+            "jobs" => {
+                cfg.parallelism = value(args, &flag, POSITIVE, |v| int(v).filter(|n| *n >= 1))?
             }
-            "-memo" | "--memo" => {
-                let v = take("-memo")?;
-                match v.as_str() {
-                    "0" | "off" | "1" | "on" | "verify" => cli.memo = Some(v),
-                    other => return Err(format!("-memo: expected off|on|verify, got {other}")),
-                }
-            }
-            "-trace-pool-max" | "--trace-pool-max" => {
-                cli.trace_pool_max = Some(num("-trace-pool-max", take("-trace-pool-max")?)?)
-            }
-            "-isolate" | "--isolate" => {
-                let v = take("-isolate")?;
-                cli.isolate = Some(
-                    goat::core::IsolateMode::parse(&v)
-                        .ok_or_else(|| format!("-isolate: expected off|proc, got {v}"))?,
-                );
-            }
-            "-jobs" | "--jobs" => {
-                let n: usize = num("-jobs", take("-jobs")?)?;
-                if n == 0 {
-                    return Err("-jobs: must be >= 1".into());
-                }
-                cli.jobs = Some(n);
-            }
-            "-realloc" | "--realloc" => cli.realloc = Some(true),
-            "-h" | "--help" => {
+            "realloc" => cli.realloc = true,
+            "h" | "help" => {
                 print_help();
                 std::process::exit(0);
             }
-            other => return Err(format!("unknown flag {other}")),
+            _ => return Err(format!("unknown flag {arg}")),
         }
     }
     if cli.target.is_empty() {
         return Err("missing -target (use '-target list' to enumerate kernels)".into());
     }
-    // Seed the env-first hot-path knobs before anything reads (and
-    // caches) them: the analysis memo mode and the trace-buffer pool cap
-    // are process-wide defaults resolved from GOAT_* on first use.
-    if let Some(m) = &cli.memo {
-        env_default("GOAT_MEMO", m);
-    }
-    if let Some(n) = cli.trace_pool_max {
-        env_default("GOAT_TRACE_POOL_MAX", &n.to_string());
-    }
     Ok(cli)
-}
-
-/// Base campaign config for this invocation: the common flags plus the
-/// supervision overrides (flags win over the `GOAT_*` env defaults).
-fn campaign_config(cli: &Cli) -> GoatConfig {
-    let mut cfg = GoatConfig::default()
-        .with_delay_bound(cli.d)
-        .with_iterations(cli.freq)
-        .with_seed0(cli.seed);
-    if cli.keep_running {
-        cfg = cfg.keep_running();
-    }
-    if let Some(ms) = cli.iter_timeout_ms {
-        cfg = cfg.with_iter_timeout_ms((ms > 0).then_some(ms));
-    }
-    if let Some(path) = &cli.checkpoint {
-        cfg = cfg.with_checkpoint(path.clone());
-    }
-    if let Some(n) = cli.max_retries {
-        cfg = cfg.with_max_retries(n);
-    }
-    if let Some(n) = cli.quarantine_after {
-        cfg = cfg.with_quarantine_after(n);
-    }
-    if let Some(n) = cli.quarantine_crashes {
-        cfg = cfg.with_quarantine_crashes(n);
-    }
-    if let Some(s) = cli.strategy {
-        cfg = cfg.with_strategy(s);
-    }
-    if let Some(on) = cli.guided {
-        cfg = cfg.with_guided(on);
-    }
-    if let Some(w) = cli.saturation_window {
-        cfg = cfg.with_saturation_window(Some(w));
-    }
-    if let Some(m) = cli.isolate {
-        cfg = cfg.with_isolate(m);
-    }
-    if let Some(n) = cli.jobs {
-        cfg = cfg.with_parallelism(n);
-    }
-    cfg
 }
 
 /// Exit code for a usage error (bad flags, unknown kernel) — EX_USAGE.
@@ -230,38 +122,41 @@ fn print_help() {
          \x20 -freq <int>     maximum testing iterations (default 100)\n\
          \x20 -cov            print the coverage report after the campaign\n\
          \x20 -seed <int>     base seed (default 1)\n\n\
-         supervision (flags override the matching GOAT_* env knobs):\n\
+         Every flag wins over the GOAT_* variable named with it; a malformed value\n\
+         of either is a usage error.\n\n\
+         supervision:\n\
          \x20 -keep-running             run the full budget even after a detection\n\
          \x20 -iter-timeout-ms <int>    per-iteration watchdog; 0 disables (GOAT_ITER_TIMEOUT_MS)\n\
          \x20 -checkpoint <path>        persist/resume campaign progress (GOAT_CHECKPOINT)\n\
-         \x20 -max-retries <int>        retries for infra failures (GOAT_MAX_RETRIES)\n\
-         \x20 -quarantine-after <int>   quarantine after N infra failures (GOAT_QUARANTINE_AFTER)\n\
-         \x20 -quarantine-crashes <int> quarantine after N crashed iterations, 0 = off\n\
-         \x20                           (GOAT_QUARANTINE_CRASHES)\n\n\
-         exploration (flags override the matching GOAT_* env knobs):\n\
+         \x20 -max-retries <int>        retries for infra failures (default 2)\n\
+         \x20 -quarantine-after <int>   quarantine after N infra failures (default 3)\n\
+         \x20 -quarantine-crashes <int> quarantine after N crashed iterations (default 0 = off)\n\n\
+         exploration:\n\
          \x20 -strategy <spec>          scheduling strategy: native | random | pct[:<depth>[:<len>]]\n\
          \x20                           (GOAT_STRATEGY; default native)\n\
          \x20 -guided                   coverage-guided arm selection over strategy/yield/delay\n\
-         \x20                           configurations (GOAT_GUIDED)\n\
-         \x20 -saturation-window <int>  stop after N consecutive iterations with no new\n\
-         \x20                           coverage (GOAT_SATURATION_WINDOW)\n\n\
-         execution hot path (flags seed the GOAT_* env knob; env remains the override):\n\
-         \x20 -memo <off|on|verify>     duplicate-schedule analysis memoization; verify\n\
-         \x20                           re-analyzes hits and asserts equality (GOAT_MEMO)\n\
-         \x20 -trace-pool-max <int>     recycled trace buffers kept per process\n\
-         \x20                           (GOAT_TRACE_POOL_MAX, default 32)\n\n\
-         process isolation (the flag overrides the GOAT_ISOLATE env knob):\n\
+         \x20                           configurations\n\
+         \x20 -saturation-window <int>  stop after N consecutive iterations with no new coverage\n\
+         \x20 -memo <off|on|verify>     duplicate-schedule analysis memoization (default on);\n\
+         \x20                           verify re-analyzes hits and asserts equality\n\n\
+         process isolation and workers:\n\
          \x20 -isolate <off|proc>       run each iteration in a sandboxed worker\n\
          \x20                           subprocess with crash forensics and rlimit\n\
-         \x20                           jails (GOAT_ISOLATE; default off)\n\n\
-         workers and suite mode (flags override the matching GOAT_* env knobs):\n\
+         \x20                           jails (GOAT_ISOLATE; default off)\n\
          \x20 -jobs <int>               workers claiming iterations from one work-stealing\n\
          \x20                           queue, across every kernel under -target all;\n\
          \x20                           output is byte-identical at any value\n\
          \x20                           (GOAT_PARALLELISM; default 1)\n\
          \x20 -realloc                  -target all: early-stopping kernels donate unspent\n\
-         \x20                           budget to still-exploring ones, deterministically\n\
-         \x20                           (GOAT_SUITE_REALLOC)\n\n\
+         \x20                           budget to still-exploring ones, deterministically\n\n\
+         environment only:\n\
+         \x20 GOAT_CHECKPOINT_EVERY     merged iterations between checkpoint writes (default 8)\n\
+         \x20 GOAT_WORKER_CMD           worker binary for -isolate proc (default: this one)\n\
+         \x20 GOAT_WORKER_GRACE_MS      worker frame silence before SIGKILL (default 5000)\n\
+         \x20 GOAT_TEARDOWN_TIMEOUT_MS  how long a wedged run's teardown may take (default 5000)\n\
+         \x20 GOAT_POOL_MAX_IDLE        idle host threads kept for reuse (default 256)\n\
+         \x20 GOAT_TELEMETRY            path of a JSONL telemetry stream (default off)\n\
+         \x20 GOAT_FAULT                fault-injection plan, for testing the supervision layer\n\n\
          exit codes: 0 clean, 1 bug detected, 2 quarantined/infra failure, 64 usage"
     );
 }
@@ -318,18 +213,15 @@ fn main() -> ExitCode {
         // (kernel order via the reorder buffer) and bug-trace recycling
         // all live in `run_suite`; output is byte-identical at any
         // `-jobs` value.
-        let cfg = campaign_config(&cli);
-        let mut suite = SuiteConfig::default().with_jobs(cfg.parallelism);
-        if let Some(on) = cli.realloc {
-            suite = suite.with_realloc(on);
-        }
+        let cfg = &cli.cfg;
+        let suite = SuiteConfig { jobs: cfg.parallelism, realloc: cli.realloc };
         let kernels: Vec<Arc<dyn Program>> = goat::goker::all_kernels()
             .into_iter()
             .map(|k| Arc::new(KernelProgram(k)) as Arc<dyn Program>)
             .collect();
         let mut detected = 0usize;
         let mut quarantined = 0usize;
-        goat::core::run_suite(&cfg, &suite, &kernels, &mut |_, name, result| {
+        goat::core::run_suite(cfg, &suite, &kernels, &mut |_, name, result| {
             if let Some(reason) = &result.quarantined {
                 quarantined += 1;
                 println!(
@@ -359,7 +251,7 @@ fn main() -> ExitCode {
         println!(
             "
 detected {detected}/68 at D={} within {} iterations",
-            cli.d, cli.freq
+            cfg.delay_bound, cfg.iterations
         );
         return if quarantined > 0 {
             ExitCode::from(EXIT_INFRA)
@@ -377,9 +269,9 @@ detected {detected}/68 at D={} within {} iterations",
 
     println!(
         "testing {} (D={}, freq={}, seed0={}) — {}",
-        kernel.name, cli.d, cli.freq, cli.seed, kernel.description
+        kernel.name, cli.cfg.delay_bound, cli.cfg.iterations, cli.cfg.seed0, kernel.description
     );
-    let goat = Goat::new(campaign_config(&cli));
+    let goat = Goat::new(cli.cfg);
     let mut result = goat.test(Arc::new(KernelProgram(kernel)));
 
     if let Some(reason) = &result.quarantined {

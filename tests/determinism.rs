@@ -514,10 +514,7 @@ fn binary_garbage_frames_degrade_to_retried_infra_failures() {
 /// suite knobs via flags only.
 fn goat_cmd() -> std::process::Command {
     let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_goat"));
-    cmd.env_remove("GOAT_SUITE_REALLOC")
-        .env_remove("GOAT_ISOLATE")
-        .env_remove("GOAT_CHECKPOINT")
-        .env_remove("GOAT_PARALLELISM");
+    cmd.env_remove("GOAT_ISOLATE").env_remove("GOAT_CHECKPOINT").env_remove("GOAT_PARALLELISM");
     cmd
 }
 

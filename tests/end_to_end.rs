@@ -251,3 +251,72 @@ fn cli_exit_codes_are_distinct_per_outcome() {
         .expect("run");
     assert_eq!(quarantined.code(), Some(2));
 }
+
+// ---------------------------------------------------------------------
+// Environment knobs: a malformed value is a usage error, and every flag
+// wins over its variable.
+// ---------------------------------------------------------------------
+
+/// Run the CLI on a small campaign with `env` set; returns the exit code
+/// and stderr.
+fn goat_with_env(env: (&str, &str)) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_goat"))
+        .args(["-target", "moby28462", "-freq", "2", "-seed", "1"])
+        .env(env.0, env.1)
+        .output()
+        .expect("run");
+    (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
+}
+
+#[test]
+fn malformed_env_knobs_are_usage_errors() {
+    // A typo must not quietly run the default mode.
+    let (code, stderr) = goat_with_env(("GOAT_ISOLATE", "prc"));
+    assert_eq!(code, Some(64), "{stderr}");
+    assert!(stderr.contains("GOAT_ISOLATE: expected off|proc, got \"prc\""), "{stderr}");
+    let (code, stderr) = goat_with_env(("GOAT_PARALLELISM", "0"));
+    assert_eq!(code, Some(64), "{stderr}");
+    assert!(stderr.contains("GOAT_PARALLELISM: expected an integer >= 1, got \"0\""), "{stderr}");
+    // An empty value means unset, as the CI matrix's blank cells rely on.
+    let (code, stderr) = goat_with_env(("GOAT_ISOLATE", ""));
+    assert_eq!(code, Some(1), "{stderr}");
+}
+
+#[test]
+fn a_flag_wins_over_its_env_var() {
+    let stdout = |strategy_env: Option<&str>, flag: bool| {
+        let mut c = std::process::Command::new(env!("CARGO_BIN_EXE_goat"));
+        c.args(["-target", "moby28462", "-freq", "10", "-seed", "3"]).env_remove("GOAT_STRATEGY");
+        if flag {
+            c.args(["-strategy", "native"]);
+        }
+        if let Some(v) = strategy_env {
+            c.env("GOAT_STRATEGY", v);
+        }
+        let out = c.output().expect("run");
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let native = stdout(None, true);
+    assert_eq!(stdout(Some("pct"), true), native);
+    // The variable is not inert: without the flag it changes the run.
+    assert_ne!(stdout(Some("pct"), false), native);
+}
+
+#[test]
+fn memo_modes_print_the_same_report() {
+    let report = |mode: &str| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_goat"))
+            .args(["-target", "etcd6708", "-d", "2", "-freq", "30", "-seed", "11"])
+            .args(["-keep-running", "-cov", "-memo", mode])
+            .output()
+            .expect("run");
+        assert!(matches!(out.status.code(), Some(0 | 1)), "{out:?}");
+        String::from_utf8(out.stdout).expect("utf-8")
+    };
+    let off = report("off");
+    assert_eq!(report("on"), off);
+    assert_eq!(report("verify"), off);
+    let bad = goat_cli().args(["-target", "etcd6708", "-memo", "maybe"]).status().expect("run");
+    assert_eq!(bad.code(), Some(64));
+}

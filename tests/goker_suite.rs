@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 /// Suite base config: the rarity labels and iteration budgets in this
 /// file are calibrated against *native* scheduling, so the exploration
-/// knobs are pinned explicitly — ambient `GOAT_STRATEGY`/`GOAT_GUIDED`
-/// (the CI matrix legs) must not re-calibrate the suite.
+/// knobs are pinned explicitly — an ambient `GOAT_STRATEGY` (the PCT CI
+/// matrix leg) must not re-calibrate the suite.
 fn native_config() -> GoatConfig {
     GoatConfig::default()
         .with_strategy(StrategyKind::Native)
@@ -75,10 +75,11 @@ fn symptom_matches(expected: ExpectedSymptom, verdict: &GoatVerdict) -> bool {
 fn goat_exposes_all_68_kernels_with_expected_symptoms() {
     let mut failures = Vec::new();
     for kernel in all_kernels() {
-        // Clamped: under a tight GOAT_ITER_TIMEOUT_MS every iteration
-        // may burn its full watchdog allowance, so the raw budget
+        // Clamped: under a tight watchdog (GOAT_ITER_TIMEOUT_MS) every
+        // iteration may burn its full allowance, so the raw budget
         // could stall the suite for minutes per kernel.
-        match expose(kernel, kernel.rarity.clamped_iteration_budget()) {
+        let budget = kernel.rarity.clamped_iteration_budget(GoatConfig::default().iter_timeout_ms);
+        match expose(kernel, budget) {
             Some((d, iter, verdict)) => {
                 if !symptom_matches(kernel.expected, &verdict) {
                     failures.push(format!(
@@ -160,7 +161,7 @@ fn guided_exploration_finds_schedule_dependent_bugs_no_slower_than_random() {
     let class: Vec<&'static BugKernel> =
         all_kernels().into_iter().filter(|k| k.rarity == Rarity::Uncommon).collect();
     assert!(!class.is_empty(), "Uncommon class must be non-empty");
-    let budget = Rarity::Uncommon.clamped_iteration_budget();
+    let budget = Rarity::Uncommon.clamped_iteration_budget(GoatConfig::default().iter_timeout_ms);
     let mut random_total = 0usize;
     let mut guided_total = 0usize;
     let mut random_detected = 0usize;

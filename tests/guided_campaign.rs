@@ -25,9 +25,9 @@ impl Program for KernelProgram {
     }
 }
 
-/// Guided base config, exploration knobs pinned explicitly so ambient
-/// `GOAT_STRATEGY`/`GOAT_GUIDED`/`GOAT_SATURATION_WINDOW` settings (the
-/// CI matrix legs) cannot change what this binary tests.
+/// Guided base config, exploration knobs pinned explicitly so an ambient
+/// `GOAT_STRATEGY` (the PCT CI matrix leg) cannot change what this
+/// binary tests.
 fn guided_config(seed0: u64) -> GoatConfig {
     GoatConfig::default()
         .with_iterations(30)

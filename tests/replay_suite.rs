@@ -35,9 +35,10 @@ fn every_exposed_bug_replays_deterministically() {
     let mut failures = Vec::new();
     for kernel in all_kernels() {
         // Find the bug with whichever variant works fastest. The budget
-        // is clamped against GOAT_ITER_TIMEOUT_MS so a tight watchdog
-        // cannot turn the search into minutes of timed-out iterations.
-        let budget = kernel.rarity.clamped_iteration_budget();
+        // is clamped against the watchdog (GOAT_ITER_TIMEOUT_MS) so a
+        // tight one cannot turn the search into minutes of timed-out
+        // iterations.
+        let budget = kernel.rarity.clamped_iteration_budget(GoatConfig::default().iter_timeout_ms);
         let mut exposed = None;
         for d in [0u32, 2, 3, 4] {
             // Exposure budgets are calibrated against native

@@ -50,7 +50,7 @@ fn snapshot_path(kernel: &str, seed0: u64) -> PathBuf {
 /// The pinned default-mode configuration. The exploration knobs are set
 /// explicitly (native strategy, guided off, no saturation window) so the
 /// goldens stay byte-identical even when the surrounding environment
-/// sets `GOAT_STRATEGY`/`GOAT_GUIDED` — as the PCT CI matrix leg does —
+/// sets `GOAT_STRATEGY` — as the PCT CI matrix leg does —
 /// while still proving that those defaults serialize exactly like the
 /// pre-exploration schema (no `saturated`/`guided` fields at all).
 fn pinned_config(seed0: u64, delay_bound: u32) -> GoatConfig {

@@ -40,9 +40,9 @@ fn telemetry_only_adds_the_telemetry_field() {
                 .with_seed0(seed0)
                 .with_delay_bound(d)
                 .with_parallelism(1)
-                // Pinned explicitly so the PCT/guided CI legs (which set
-                // GOAT_STRATEGY/GOAT_GUIDED process-wide) cannot perturb
-                // the golden comparison.
+                // Pinned explicitly so the PCT CI leg (which sets
+                // GOAT_STRATEGY process-wide) cannot perturb the golden
+                // comparison.
                 .with_strategy(StrategyKind::Native)
                 .with_guided(false)
                 .with_saturation_window(None)
