@@ -122,16 +122,15 @@ pub fn run(cfg: Config) {
 mod tests {
     use super::*;
     use goat_core::{analyze_run, GoatVerdict};
-    use goat_runtime::{Config as RtConfig, Runtime, SchedPolicy};
+    use goat_runtime::{Config as RtConfig, Runtime, StrategyKind};
 
     #[test]
     fn correct_store_replicates_cleanly() {
         for seed in 0..10u64 {
-            for policy in [SchedPolicy::Native, SchedPolicy::UniformRandom] {
-                let r = Runtime::run(RtConfig::new(seed).with_policy(policy.clone()), || {
-                    run(Config::correct())
-                });
-                assert!(r.clean(), "seed {seed} {policy:?}: {:?} {:?}", r.outcome, r.alive_at_end);
+            for strategy in [RtConfig::default().strategy, StrategyKind::Random] {
+                let cfg = RtConfig::new(seed).with_strategy(strategy);
+                let r = Runtime::run(cfg, || run(Config::correct()));
+                assert!(r.clean(), "seed {seed} {strategy}: {:?} {:?}", r.outcome, r.alive_at_end);
             }
         }
     }

@@ -3,8 +3,8 @@
 //! paper's future-work suggestion, §VI).
 //!
 //! For every kernel, measure the executions needed to expose the bug
-//! under: native D0, GOAT D2 (bounded yields), and UniformRandom (every
-//! handoff fully random). The interesting question: does full control
+//! under: native D0, GOAT D2 (bounded yields), and the random strategy
+//! (every handoff fully random). The interesting question: does full control
 //! beat targeted yields, and at what cost to realism?
 //!
 //! ```text
@@ -13,7 +13,7 @@
 
 use goat_bench::{bucket_label, freq, kernel_program, name_salt, seed0};
 use goat_core::analyze_run;
-use goat_runtime::{Config, Runtime, SchedPolicy};
+use goat_runtime::{Config, Runtime, StrategyKind};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -45,7 +45,7 @@ fn main() {
     let variants: Vec<(&str, ConfigFactory)> = vec![
         ("native-d0", Box::new(Config::new)),
         ("goat-d2", Box::new(|s| Config::new(s).with_delay_bound(2))),
-        ("uniform-random", Box::new(|s| Config::new(s).with_policy(SchedPolicy::UniformRandom))),
+        ("uniform-random", Box::new(|s| Config::new(s).with_strategy(StrategyKind::Random))),
     ];
 
     println!("Ablation — yield injection vs. full scheduler control (budget {budget})\n");

@@ -500,7 +500,7 @@ where
                     cfg.strategy = strategy;
                     let result = match program {
                         Some(p) => {
-                            goat_runtime::Runtime::run(cfg, crate::runner::Goat::instrumented(p))
+                            goat_runtime::Runtime::run(cfg, crate::instrument::instrumented(p))
                         }
                         None => infra(format!("worker: unknown program {name:?}")),
                     };
@@ -1139,17 +1139,6 @@ pub(crate) fn run_batch(
     }
     checkin(&cmd, worker);
     Some(out)
-}
-
-/// Execute one iteration inside a sandboxed worker (a batch of one).
-pub(crate) fn run_in_worker(
-    cmd: Option<&str>,
-    program: &str,
-    iter: u64,
-    cfg: &Config,
-) -> Option<RunResult> {
-    let runs = [(iter, cfg.clone())];
-    run_batch(cmd, program, &runs).map(|mut v| v.pop().expect("one result per run"))
 }
 
 #[cfg(test)]

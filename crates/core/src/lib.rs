@@ -46,6 +46,7 @@ pub mod checkpoint;
 /// [`coverage::reference`] multi-pass extractor).
 pub mod coverage;
 mod globaltree;
+mod instrument;
 /// Out-of-process run isolation (`GOAT_ISOLATE=proc`): worker sandbox,
 /// crash forensics, and resource jails.
 pub mod isolate;

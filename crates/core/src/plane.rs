@@ -30,7 +30,7 @@
 //! **Idempotence contract (the analysis memo depends on it).** The
 //! campaign runner memoizes this pass's products by schedule
 //! fingerprint and *skips re-running it* when a later iteration
-//! replays an identical trace (`GOAT_MEMO`, see `DESIGN.md` §13). That
+//! replays an identical trace (`-memo`, see `DESIGN.md` §13). That
 //! is sound only because every mutation the pass makes to shared state
 //! — [`RequirementUniverse`] growth via `discover_cu`, `op_req_id`,
 //! and select-case discovery — is idempotent: re-analyzing the same
@@ -38,7 +38,7 @@
 //! side effect added to this sweep that is *not* idempotent (e.g. a
 //! per-run sequence number in the universe, or an append-only log)
 //! must either be keyed so replays coalesce or be hoisted to the
-//! runner's merge step; `GOAT_MEMO=verify` (re-analyze every hit and
+//! runner's merge step; `-memo verify` (re-analyze every hit and
 //! assert equality, exercised by `tests/determinism.rs`) is the
 //! regression net for this contract.
 

@@ -7,16 +7,14 @@ use crate::bandit::{Arm, Bandit, GuidedSummary};
 use crate::checkpoint::{self, CampaignCheckpoint};
 use crate::coverage::RunCoverage;
 use crate::globaltree::GlobalGTree;
+use crate::instrument::instrumented;
 use crate::plane::EctBuffers;
 use crate::program::Program;
 use goat_detectors::{Detector, ProgramFn, ToolVerdict};
 use goat_metrics::{Histogram, HistogramSnapshot};
 use goat_model::{scan_sources, CoverageSet, CuTable, RequirementUniverse};
 use goat_runtime::pool::PoolStats;
-use goat_runtime::{
-    env_knob, go_internal, Chan, Config, RunOutcome, RunResult, Runtime, SchedCounters,
-    StrategyKind,
-};
+use goat_runtime::{env_knob, Config, RunOutcome, RunResult, Runtime, SchedCounters, StrategyKind};
 use goat_trace::{Ect, GTree, TracePoolStats};
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -959,7 +957,7 @@ impl MergeState {
             let verdict = analyze_run_with(&result, analysis.as_ref().map(|a| &a.tree));
             if let (Some(k), Some(a)) = (key, analysis.as_ref()) {
                 if hit {
-                    // GOAT_MEMO=verify: duplicates are re-analyzed and
+                    // MemoMode::Verify: duplicates are re-analyzed and
                     // the stored products must agree exactly.
                     self.memo_hits += 1;
                     let entry = &self.memo[&k];
@@ -987,7 +985,7 @@ impl MergeState {
         // Supervision accounting: consecutive failures degrade a
         // repeatedly-failing kernel to skipped-with-reason instead of
         // grinding the remaining budget. Infra failures reach this point
-        // only after `run_supervised` exhausted its retries.
+        // only after `supervise_from` exhausted its retries.
         if let RunOutcome::InfraFailure { reason } = &result.outcome {
             self.infra_streak += 1;
             // An infra-failed iteration did not crash, so it breaks a
@@ -1197,33 +1195,6 @@ impl Goat {
         scan_sources(sources.iter()).unwrap_or_default()
     }
 
-    /// Wrap a program with the paper's `goat.Start`/`goat.Watch`/
-    /// `goat.Stop` protocol: an *internal* watcher goroutine accompanies
-    /// the instrumented main and is signalled when it returns. The
-    /// watcher is excluded from application-level analysis (§III-E), so
-    /// this also exercises the runtime-goroutine filter on every run.
-    pub(crate) fn instrumented(program: Arc<dyn Program>) -> impl FnOnce() + Send + 'static {
-        move || {
-            let goat_done: Chan<()> = Chan::new(1);
-            {
-                let goat_done = goat_done.clone();
-                go_internal("goat::watcher", move || {
-                    // Waits for main's completion signal; if main never
-                    // finishes, this internal goroutine parks forever and
-                    // is filtered out of the goroutine tree.
-                    let _ = goat_done.recv();
-                });
-            }
-            program.main();
-            // defer goat.Stop(goat_done): the signal itself runs on an
-            // internal goroutine so the tool's own channel operations
-            // never enter the program's coverage universe.
-            go_internal("goat::stopper", move || {
-                goat_done.send(());
-            });
-        }
-    }
-
     /// Run a full testing campaign on `program`.
     ///
     /// The campaign is a suite of one on the campaign engine
@@ -1258,49 +1229,59 @@ impl Goat {
         })
     }
 
-    /// Execute one iteration, honouring the isolation mode: under
-    /// [`IsolateMode::Proc`] the run is shipped to a sandboxed worker
-    /// subprocess (same deterministic engine, byte-identical results);
-    /// in-process otherwise. When isolation is requested but unavailable
-    /// — the worker binary cannot be spawned, or the program is not
-    /// resolvable by name in a separate process — the run transparently
-    /// falls back in-process, which preserves results exactly.
-    ///
-    /// [`IsolateMode::Proc`]: crate::isolate::IsolateMode::Proc
-    fn run_one(&self, i: usize, program: &Arc<dyn Program>, arm: Option<&Arm>) -> RunResult {
-        let cfg = self.cfg.runtime_config(i, arm);
+    /// Execute the contiguous iterations `lo..lo + arms.len()` and pass
+    /// their supervised results to `sink` in order, each as soon as it
+    /// exists (an abandoned worker's finished prefix is still
+    /// delivered).
+    pub(crate) fn run_batch_supervised(
+        &self,
+        lo: usize,
+        program: &Arc<dyn Program>,
+        arms: &[Option<Arm>],
+        sink: &mut dyn FnMut(goat_runtime::RunResult),
+    ) {
+        let runs = arms
+            .iter()
+            .enumerate()
+            .map(|(k, arm)| ((lo + k + 1) as u64, self.cfg.runtime_config(lo + k, arm.as_ref())))
+            .collect();
+        self.execute(program, runs, &mut |k, r| {
+            sink(self.supervise_from(lo + k, program, arms[k], r));
+        });
+    }
+
+    /// Execute `runs` (iteration number, config) in order and pass each
+    /// result to `each` with its index as soon as it exists. Under
+    /// process isolation the runs ship to one sandboxed worker
+    /// subprocess as a single frame burst ([`crate::isolate::run_batch`])
+    /// and come back byte-identical to in-process runs. When isolation
+    /// is off or unavailable — the worker binary cannot be spawned, or
+    /// the program is not resolvable by name in a separate process —
+    /// they execute in-process, which preserves results exactly.
+    fn execute(
+        &self,
+        program: &Arc<dyn Program>,
+        runs: Vec<(u64, Config)>,
+        each: &mut dyn FnMut(usize, RunResult),
+    ) {
         if self.cfg.isolate == crate::isolate::IsolateMode::Proc {
-            if let Some(result) = crate::isolate::run_in_worker(
-                self.cfg.worker_cmd.as_deref(),
-                program.name(),
-                (i + 1) as u64,
-                &cfg,
-            ) {
-                return result;
+            let worker_cmd = self.cfg.worker_cmd.as_deref();
+            if let Some(results) = crate::isolate::run_batch(worker_cmd, program.name(), &runs) {
+                results.into_iter().enumerate().for_each(|(k, r)| each(k, r));
+                return;
             }
         }
-        Runtime::run(cfg, Self::instrumented(Arc::clone(program)))
+        for (k, (_, cfg)) in runs.into_iter().enumerate() {
+            each(k, Runtime::run(cfg, instrumented(Arc::clone(program))));
+        }
     }
 
-    /// One supervised iteration: run it, and when the *infrastructure*
-    /// (not the kernel) failed — pool checkout, thread spawn — retry up
-    /// to [`GoatConfig::max_retries`] times with bounded backoff. Kernel
-    /// verdicts (crash, hang, timeout) are results, never retried.
-    fn run_supervised(
-        &self,
-        i: usize,
-        program: &Arc<dyn Program>,
-        arm: Option<Arm>,
-    ) -> goat_runtime::RunResult {
-        let first = self.run_one(i, program, arm.as_ref());
-        self.supervise_from(i, program, arm, first)
-    }
-
-    /// The retry tail of supervision, starting from an already-obtained
-    /// first result (so batch execution can feed its per-run outcomes
-    /// through exactly the same policy): infra failures retry up to
-    /// [`GoatConfig::max_retries`] times with deterministic backoff;
-    /// anything else — including worker crashes — is a result.
+    /// Supervise iteration `i` from its first result: when the
+    /// *infrastructure* (not the kernel) failed — pool checkout, thread
+    /// spawn, a broken worker stream — retry up to
+    /// [`GoatConfig::max_retries`] times with deterministic backoff,
+    /// through the same isolation path. Anything else — including kernel
+    /// crashes, hangs and timeouts — is a result, never retried.
     fn supervise_from(
         &self,
         i: usize,
@@ -1331,50 +1312,8 @@ impl Goat {
             }
             std::thread::sleep(backoff);
             attempt += 1;
-            result = self.run_one(i, program, arm.as_ref());
-        }
-    }
-
-    /// Execute the contiguous iterations `lo..lo + arms.len()` and pass
-    /// their supervised results to `sink` in order, each as soon as it
-    /// exists (an abandoned worker's finished prefix is still
-    /// delivered).
-    ///
-    /// Under process isolation with a batch window the whole range
-    /// ships to one worker as a single frame burst
-    /// ([`crate::isolate::run_batch`]); any per-run infra failures that
-    /// come back (stream corruption, mid-batch death) then re-enter the
-    /// normal one-at-a-time retry policy, so batching changes wall
-    /// clock, never results. Everything else — batch of one, isolation
-    /// off or unavailable — goes through the historical per-run path.
-    pub(crate) fn run_batch_supervised(
-        &self,
-        lo: usize,
-        program: &Arc<dyn Program>,
-        arms: &[Option<Arm>],
-        sink: &mut dyn FnMut(goat_runtime::RunResult),
-    ) {
-        if arms.len() > 1 && self.cfg.isolate == crate::isolate::IsolateMode::Proc {
-            let runs: Vec<(u64, Config)> = arms
-                .iter()
-                .enumerate()
-                .map(|(k, arm)| {
-                    ((lo + k + 1) as u64, self.cfg.runtime_config(lo + k, arm.as_ref()))
-                })
-                .collect();
-            if let Some(results) =
-                crate::isolate::run_batch(self.cfg.worker_cmd.as_deref(), program.name(), &runs)
-            {
-                for (k, r) in results.into_iter().enumerate() {
-                    sink(self.supervise_from(lo + k, program, arms[k], r));
-                }
-                return;
-            }
-            // Isolation just became unavailable: fall through to the
-            // per-run path, which runs in-process.
-        }
-        for (k, arm) in arms.iter().enumerate() {
-            sink(self.run_supervised(lo + k, program, *arm));
+            let run = vec![((i + 1) as u64, self.cfg.runtime_config(i, arm.as_ref()))];
+            self.execute(program, run, &mut |_, r| result = r);
         }
     }
 
@@ -1449,7 +1388,7 @@ impl Goat {
         schedule: goat_runtime::ReplayLog,
     ) -> (GoatVerdict, goat_runtime::RunResult) {
         let cfg = Config::new(0).with_trace(true).with_replay(schedule);
-        let result = Runtime::run(cfg, Self::instrumented(program));
+        let result = Runtime::run(cfg, instrumented(program));
         (analyze_run(&result), result)
     }
 }
@@ -1664,10 +1603,8 @@ mod tests {
     #[test]
     fn watcher_goroutine_is_traced_but_filtered() {
         // Run one instrumented execution directly to inspect its trace.
-        let result = goat_runtime::Runtime::run(
-            goat_runtime::Config::new(1),
-            Goat::instrumented(clean_program()),
-        );
+        let result =
+            goat_runtime::Runtime::run(goat_runtime::Config::new(1), instrumented(clean_program()));
         let verdict = analyze_run(&result);
         let ect = result.ect.expect("traced");
         let tree = goat_trace::GTree::from_ect(&ect);

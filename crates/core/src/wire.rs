@@ -23,7 +23,7 @@
 
 use goat_runtime::{
     AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
-    SchedCounters, SchedPolicy, StrategyKind, TimeoutPhase,
+    SchedCounters, StrategyKind, TimeoutPhase,
 };
 use goat_trace::wire::{put_bool, put_f64, put_ivarint, put_str, put_uvarint, Reader};
 use goat_trace::{Ect, Gid, VTime};
@@ -150,23 +150,20 @@ fn get_replay_log(r: &mut Reader<'_>) -> io::Result<ReplayLog> {
     Ok(ReplayLog { decisions })
 }
 
-fn put_policy(buf: &mut Vec<u8>, p: &SchedPolicy) {
-    match p {
-        SchedPolicy::Native => buf.push(0),
-        SchedPolicy::UniformRandom => buf.push(1),
-        SchedPolicy::Replay(log) => {
-            buf.push(2);
+fn put_opt_replay_log(buf: &mut Vec<u8>, log: Option<&ReplayLog>) {
+    match log {
+        Some(log) => {
+            buf.push(1);
             put_replay_log(buf, log);
         }
+        None => buf.push(0),
     }
 }
 
-fn get_policy(r: &mut Reader<'_>) -> io::Result<SchedPolicy> {
-    Ok(match r.u8()? {
-        0 => SchedPolicy::Native,
-        1 => SchedPolicy::UniformRandom,
-        2 => SchedPolicy::Replay(get_replay_log(r)?),
-        other => return Err(err(format_args!("bad policy tag {other}"))),
+fn get_opt_replay_log(r: &mut Reader<'_>) -> io::Result<Option<ReplayLog>> {
+    Ok(match r.bool()? {
+        true => Some(get_replay_log(r)?),
+        false => None,
     })
 }
 
@@ -213,10 +210,9 @@ pub fn encode_config(cfg: &Config, buf: &mut Vec<u8>) {
     put_uvarint(buf, u64::from(cfg.delay_bound));
     put_f64(buf, cfg.yield_prob);
     put_uvarint(buf, cfg.max_steps);
-    put_uvarint(buf, cfg.time_step_ns);
     put_bool(buf, cfg.trace);
     put_uvarint(buf, cfg.max_trace_events as u64);
-    put_policy(buf, &cfg.policy);
+    put_opt_replay_log(buf, cfg.replay.as_ref());
     put_strategy(buf, &cfg.strategy);
     put_bool(buf, cfg.pool);
     put_opt_u64(buf, cfg.iter_timeout_ms);
@@ -230,10 +226,9 @@ pub fn decode_config(r: &mut Reader<'_>) -> io::Result<Config> {
         delay_bound: r.uvarint()? as u32,
         yield_prob: r.f64()?,
         max_steps: r.uvarint()?,
-        time_step_ns: r.uvarint()?,
         trace: r.bool()?,
         max_trace_events: r.uvarint()? as usize,
-        policy: get_policy(r)?,
+        replay: get_opt_replay_log(r)?,
         strategy: get_strategy(r)?,
         pool: r.bool()?,
         iter_timeout_ms: get_opt_u64(r)?,
@@ -587,10 +582,9 @@ mod tests {
             delay_bound: 0,
             yield_prob: 0.0,
             max_steps: 123_456,
-            time_step_ns: 10_000,
             trace: true,
             max_trace_events: 1_000_000,
-            policy: SchedPolicy::Replay(ReplayLog {
+            replay: Some(ReplayLog {
                 decisions: vec![
                     Decision::Pick(Gid(3)),
                     Decision::SelectChoice(2),

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 ///
 /// Recording every such decision makes a run **schedule-forcing
 /// replayable** independently of the RNG: feed the log back via
-/// [`SchedPolicy::Replay`] and the same interleaving re-executes (the
+/// [`Config::replay`] and the same interleaving re-executes (the
 /// paper's "replaying the program's ECT" detection mode).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Decision {
@@ -41,24 +41,6 @@ impl ReplayLog {
     }
 }
 
-/// The scheduling policy driving nondeterministic choices.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub enum SchedPolicy {
-    /// Go-like native scheduling: FIFO global run queue with
-    /// probability-ε preemption noise (the default; §III-A).
-    #[default]
-    Native,
-    /// Uniform random choice among runnable goroutines at every handoff
-    /// — the paper's future-work "take full control over the scheduler"
-    /// exploration mode, useful as an ablation against yield injection.
-    UniformRandom,
-    /// Schedule-forcing replay of a recorded decision log. When the
-    /// program diverges from the log (e.g. it changed), the scheduler
-    /// falls back to native policy and flags
-    /// [`RunResult::replay_diverged`].
-    Replay(ReplayLog),
-}
-
 /// Configuration of one program execution under the GoAT runtime.
 ///
 /// The two knobs at the heart of the paper are [`Config::delay_bound`]
@@ -87,37 +69,38 @@ pub struct Config {
     /// Watchdog bound on scheduler steps; exceeding it aborts the run
     /// with [`RunOutcome::StepLimit`] (the paper's 30 s watchdog).
     pub max_steps: u64,
-    /// Virtual nanoseconds added to the clock per scheduler step.
-    pub time_step_ns: u64,
     /// Whether to record an ECT.
     pub trace: bool,
     /// Hard cap on recorded events (guards memory on runaway programs).
     pub max_trace_events: usize,
-    /// Scheduling policy (native, uniform-random exploration, or replay).
-    pub policy: SchedPolicy,
-    /// Pluggable scheduling strategy (see [`StrategyKind`]). Defaults
-    /// to the `GOAT_STRATEGY` environment variable (unset → native).
-    /// [`SchedPolicy::UniformRandom`] overrides this to the random
-    /// strategy for backwards compatibility; under
-    /// [`SchedPolicy::Replay`] the strategy only drives the
-    /// after-divergence fallback.
+    /// A recorded schedule to force: every pick, select choice and
+    /// yield decision is taken from this log for as long as the program
+    /// follows it. On divergence (e.g. the program changed) the
+    /// strategy takes over and [`RunResult::replay_diverged`] is set.
+    pub replay: Option<ReplayLog>,
+    /// Scheduling strategy (see [`StrategyKind`]): native, uniform
+    /// random or PCT. Defaults to the `GOAT_STRATEGY` environment
+    /// variable (unset → native). Under [`Config::replay`] it only
+    /// drives the scheduling after the run diverged from its log.
     pub strategy: StrategyKind,
-    /// Reuse host resources across runs: host the run on the shared
-    /// worker-thread pool and take goroutine stacks from the host's free
-    /// list. `false` means no reuse — a fresh host thread for the run
-    /// and a freshly mapped stack per goroutine. Scheduling semantics
-    /// and traces are identical either way; reuse only removes thread
-    /// creation and stack mapping cost. The pool's idle-retention size
-    /// is set by the `GOAT_POOL_MAX_IDLE` environment variable.
+    /// Reuse host resources across runs: host the run on a thread that
+    /// already exists (the calling run host, or a parked pool thread)
+    /// and take goroutine stacks from the host's free list. `false`
+    /// means no reuse — a fresh host thread for the run and a freshly
+    /// mapped stack per goroutine. Scheduling semantics and traces are
+    /// identical either way; reuse only removes thread creation and
+    /// stack mapping cost. The pool's idle-retention size is set by the
+    /// `GOAT_POOL_MAX_IDLE` environment variable.
     pub pool: bool,
     /// Wall-clock watchdog bound per run, in milliseconds (defaults from
     /// the `GOAT_ITER_TIMEOUT_MS` environment variable; `None` disables
     /// the watchdog). Complements [`Config::max_steps`], which cannot
-    /// fire while a goroutine stalls *outside* the scheduler: at the
-    /// soft deadline the driver requests a cooperative abort through the
-    /// scheduler gate, and at the hard deadline (soft + grace) it
-    /// abandons the run with [`RunOutcome::TimedOut`] even if no
-    /// goroutine ever re-enters the runtime.
+    /// fire while a goroutine stalls *outside* the scheduler: past the
+    /// soft deadline the supervisor requests a cooperative abort through
+    /// the scheduler gate, and when a grace (a quarter of the bound,
+    /// 10 ms to 1 s) has passed since that request it decides the run
+    /// [`RunOutcome::TimedOut`] even if no goroutine ever re-enters the
+    /// runtime.
     pub iter_timeout_ms: Option<u64>,
     /// No effect. It was the spin budget of the thread-per-goroutine
     /// backend's token handoff; goroutines are now coroutines on one
@@ -164,15 +147,10 @@ impl Config {
         self
     }
 
-    /// Set the scheduling policy.
-    pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.policy = policy;
+    /// Replay a recorded schedule.
+    pub fn with_replay(mut self, log: ReplayLog) -> Self {
+        self.replay = Some(log);
         self
-    }
-
-    /// Convenience: replay a recorded schedule.
-    pub fn with_replay(self, log: ReplayLog) -> Self {
-        self.with_policy(SchedPolicy::Replay(log))
     }
 
     /// Enable or disable reuse of host threads and goroutine stacks.
@@ -223,10 +201,9 @@ impl Config {
             delay_bound: 0,
             yield_prob: 0.5,
             max_steps: 200_000,
-            time_step_ns: 10_000,
             trace: true,
             max_trace_events: 1_000_000,
-            policy: SchedPolicy::Native,
+            replay: None,
             strategy,
             pool: true,
             iter_timeout_ms,
@@ -281,9 +258,10 @@ pub enum TimeoutPhase {
     /// scheduler gate, so the runtime unwound it cooperatively — clean
     /// teardown, host thread reclaimed.
     Cooperative,
-    /// No goroutine re-entered the runtime before the hard deadline; the
-    /// run was abandoned with its host thread wedged (written off
-    /// through the pool's abandoned-worker path).
+    /// No goroutine re-entered the runtime within the grace after the
+    /// cooperative abort was requested, so the supervisor decided the
+    /// run itself; a host that stays wedged is written off through the
+    /// pool's abandoned-worker path.
     Wedged,
 }
 
@@ -406,7 +384,7 @@ pub struct SchedCounters {
     /// Run-token handoffs (run-queue pops).
     pub picks: u64,
     /// Handoffs where the scheduler deviated from FIFO (uniform-random
-    /// policy or native preemption noise ε).
+    /// strategy or native preemption noise ε).
     pub random_picks: u64,
     /// Goroutine block transitions (channel, lock, timer, …).
     pub blocks: u64,
@@ -474,10 +452,10 @@ pub struct RunResult {
     /// ECT analysis in tests.
     pub alive_at_end: Vec<AliveGoroutine>,
     /// The scheduler's decision log: feed back via
-    /// [`SchedPolicy::Replay`] to force the same interleaving.
+    /// [`Config::with_replay`] to force the same interleaving.
     pub schedule: ReplayLog,
     /// True when a replay run diverged from its log and fell back to
-    /// native scheduling.
+    /// its strategy.
     pub replay_diverged: bool,
     /// Deterministic scheduler counters for this run.
     pub sched: SchedCounters,

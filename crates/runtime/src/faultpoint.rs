@@ -20,8 +20,8 @@
 //!
 //! | site            | action  | param       | effect                                        |
 //! |-----------------|---------|-------------|-----------------------------------------------|
-//! | `pool_checkout` | `err`   | probability | worker checkout fails → `InfraFailure` outcome |
-//! | `iter`          | `wedge` | `seed=N`    | run N's main stalls **outside** runtime primitives (hard watchdog path) |
+//! | `pool_checkout` | `err`   | probability | a run gets no host → `InfraFailure` outcome   |
+//! | `iter`          | `wedge` | `seed=N`    | run N's main stalls **outside** runtime primitives (wedged watchdog path) |
 //! | `iter`          | `spin`  | `seed=N`    | run N's main yields forever **inside** the scheduler (cooperative watchdog path) |
 //! | `iter`          | `panic` | `seed=N`    | run N's main panics (kernel-crash path)       |
 //! | `worker`        | `kill`  | `<sig>[@seed=N]` | isolated worker raises signal `<sig>` on run N (worker-death forensics path) |

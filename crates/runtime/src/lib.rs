@@ -66,9 +66,9 @@ pub mod time;
 pub use chan::{Chan, RangeIter};
 pub use config::{
     env_knob, parse_knob, AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome,
-    RunResult, SchedCounters, SchedPolicy, TimeoutPhase, STRATEGY_FORM,
+    RunResult, SchedCounters, TimeoutPhase, STRATEGY_FORM,
 };
-pub use monitor::{Monitor, NullMonitor};
+pub use monitor::Monitor;
 pub use rt::{gid, go, go_internal, go_named, gosched, Runtime};
 pub use select::Select;
 pub use strategy::StrategyKind;

@@ -6,7 +6,7 @@
 //! trait so each baseline can be implemented faithfully without touching
 //! the scheduler.
 
-use crate::config::{AliveGoroutine, TimeoutPhase};
+use crate::config::AliveGoroutine;
 use goat_model::Cu;
 use goat_trace::{Gid, RId};
 
@@ -28,19 +28,4 @@ pub trait Monitor: Send + Sync {
     /// The main goroutine returned; `alive` lists the application
     /// goroutines that had not finished at that point (goleak's view).
     fn on_main_end(&self, alive: &[AliveGoroutine]) {}
-
-    /// Called once per scheduler step with the step count and virtual
-    /// clock in nanoseconds (lets timeout-based detectors keep time).
-    fn on_step(&self, steps: u64, vclock_ns: u64) {}
-
-    /// The wall-clock watchdog ended the run (the paper's timeout flag
-    /// for a suspected hang). `phase` says whether the abort was
-    /// cooperative or the run was abandoned wedged.
-    fn on_timeout(&self, phase: TimeoutPhase, elapsed_ms: u64) {}
 }
-
-/// A monitor that observes nothing (useful default).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullMonitor;
-
-impl Monitor for NullMonitor {}

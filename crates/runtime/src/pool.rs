@@ -4,19 +4,18 @@
 //! (see [`crate::Runtime`]), so a run needs exactly one thread, for its
 //! whole lifetime. Under the paper's campaign model a kernel is executed
 //! thousands of times; this pool keeps those host threads alive between
-//! runs. A thread of the pool hosts runs in one of two ways:
+//! runs.
 //!
-//! * **Run host** — [`crate::pool::spawn_host`] starts a long-lived body (a campaign
-//!   engine worker) on a pool thread. Every [`crate::Runtime::run`] that
-//!   body makes executes inline on that thread: no handoff and no wait,
-//!   so an in-process iteration never crosses threads.
-//! * **Hosted run** — any other caller (a plain thread, a goroutine of
-//!   another run) checks a worker out per run; the worker drives every
-//!   goroutine of the run to the end of its teardown, wakes the caller
-//!   and returns to the idle stack.
-//!
-//! A worker also keeps its idle coroutine stacks, so a warm worker maps
-//! nothing.
+//! Every run executes inline on a *run host*. [`spawn_host`] starts a
+//! long-lived body (a campaign engine worker, a `goat --worker` serve
+//! loop) on a pool thread, and every [`crate::Runtime::run`] that body
+//! makes executes on that thread: no handoff and no wait, so an
+//! in-process iteration never crosses threads. Any other caller (a
+//! plain thread, a goroutine of another run) borrows a host for one run
+//! ([`with_host`]) — a parked pool thread, or a fresh one when
+//! [`crate::Config::pool`] is off — and receives the result over a
+//! one-shot channel. A worker also keeps its idle coroutine stacks, so a
+//! warm worker maps nothing.
 //!
 //! Properties:
 //!
@@ -31,10 +30,9 @@
 //! * **Wedge-proof** — a thread wedged by a goroutine stuck outside
 //!   runtime primitives is written off by the process's run supervisor
 //!   at the teardown deadline and a parked replacement is spawned, so
-//!   one bad run cannot drain the pool. A hosted worker is simply never
-//!   returned; a run host never returns from the run it was abandoned
-//!   in — the supervisor hands that run's result to the host's abandon
-//!   hook instead.
+//!   one bad run cannot drain the pool. The supervisor hands the run's
+//!   result to the run's abandon hook, and the wedged thread never
+//!   returns from the run: should it ever wake, it unwinds and exits.
 
 use std::cell::RefCell;
 use std::panic::{self, AssertUnwindSafe};
@@ -44,12 +42,12 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Receives the result of an inline run whose host the supervisor
-/// abandoned (called on the supervisor's thread; see [`spawn_host`]).
+/// Receives the result of a run whose host the supervisor abandoned
+/// (called on the supervisor's thread; see [`spawn_host`]).
 pub type AbandonHook = Arc<dyn Fn(crate::RunResult) + Send + Sync>;
 
 thread_local! {
-    /// Set while this thread runs a [`spawn_host`] body.
+    /// Set while this thread runs a [`spawn_host`] body and no run.
     static HOST: RefCell<Option<AbandonHook>> = const { RefCell::new(None) };
 }
 
@@ -103,29 +101,6 @@ impl WorkerPool {
             abandoned: AtomicU64::new(0),
             workers_replaced: AtomicU64::new(0),
         }
-    }
-
-    /// Run `job` on a pooled worker: check out an idle worker if one is
-    /// parked, otherwise spawn a new one. Never blocks on pool state.
-    ///
-    /// Checkout can fail — the OS refuses a thread, or the
-    /// `pool_checkout` faultpoint fires — in which case the job is
-    /// dropped (releasing whatever it captured) and the reason is
-    /// returned for the caller to surface as an infra failure.
-    pub(crate) fn execute(&'static self, job: Job) -> Result<(), String> {
-        if let Some(reason) = crate::faultpoint::should_fail("pool_checkout") {
-            return Err(reason);
-        }
-        // Checkout latency is only measured when telemetry is on; the
-        // disabled cost is one relaxed atomic load.
-        let t0 = goat_metrics::enabled().then(std::time::Instant::now);
-        if self.checkout(job)? {
-            self.jobs_reused.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(t0) = t0 {
-            checkout_histogram().record(t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
     }
 
     /// Hand `job` to a parked worker, or spawn one; returns whether a
@@ -197,29 +172,63 @@ impl WorkerPool {
     }
 }
 
-/// Start `job` — one whole run — on a host thread: a pooled worker, or
-/// a fresh thread when `pooled` is false. Either way the
-/// `pool_checkout` faultpoint can refuse it; on failure the job is
-/// dropped unrun and the reason returned. The fresh thread is detached
-/// on purpose: a run wedged outside the runtime must be abandonable.
-pub(crate) fn host(job: Job, pooled: bool) -> Result<(), String> {
-    if pooled {
-        return global().execute(job);
-    }
+/// Execute one run on a run host and return its result: inline when
+/// this thread is an idle run host ([`spawn_host`]) and `pooled` is on,
+/// otherwise on a borrowed host — a parked pool worker (or a new one),
+/// or a fresh thread when `pooled` is off, detached so that a run
+/// wedged outside the runtime can be abandoned. `run` executes the run
+/// on whichever thread hosts it, given the hook that receives its result
+/// should the supervisor abandon that thread; a borrowing caller waits
+/// on that same one-shot channel. The `pool_checkout` faultpoint can
+/// refuse the run either way: `run` is then dropped unrun and the
+/// reason returned.
+pub(crate) fn with_host<F>(pooled: bool, run: F) -> Result<crate::RunResult, String>
+where
+    F: FnOnce(AbandonHook) -> crate::RunResult + Send + 'static,
+{
     if let Some(reason) = crate::faultpoint::should_fail("pool_checkout") {
         return Err(reason);
     }
-    std::thread::Builder::new()
-        .name("goat-run".to_string())
-        .spawn(job)
-        .map(drop)
-        .map_err(|e| format!("failed to spawn run host thread: {e}"))
+    let pool = global();
+    // Taken for the run, so a run nested in one of its goroutines
+    // borrows a host of its own.
+    if let Some(hook) = HOST.with(|h| h.borrow_mut().take_if(|_| pooled)) {
+        pool.jobs_reused.fetch_add(1, Ordering::Relaxed);
+        let result = run(Arc::clone(&hook));
+        HOST.with(|h| *h.borrow_mut() = Some(hook));
+        return Ok(result);
+    }
+    let (tx, rx) = mpsc::channel();
+    let deliver: AbandonHook = Arc::new(move |r| {
+        let _ = tx.send(r);
+    });
+    let job: Job = Box::new(move || {
+        let result = run(Arc::clone(&deliver));
+        deliver(result);
+    });
+    if pooled {
+        // Checkout latency is only measured when telemetry is on; the
+        // disabled cost is one relaxed atomic load.
+        let t0 = goat_metrics::enabled().then(std::time::Instant::now);
+        if pool.checkout(job)? {
+            pool.jobs_reused.fetch_add(1, Ordering::Relaxed);
+        }
+        if let Some(t0) = t0 {
+            checkout_histogram().record(t0.elapsed().as_nanos() as u64);
+        }
+    } else {
+        std::thread::Builder::new()
+            .name("goat-run".to_string())
+            .spawn(job)
+            .map_err(|e| format!("failed to spawn run host thread: {e}"))?;
+    }
+    rx.recv().map_err(|_| "the run host exited without a result".to_string())
 }
 
 /// Start `body` on a pool thread as a run host: while it runs, every
 /// [`crate::Runtime::run`] it makes with [`crate::Config::pool`] on —
 /// and that is not nested inside another run — executes inline on this
-/// thread instead of being handed to another one.
+/// thread instead of borrowing another one.
 ///
 /// The supervisor still owns an inline run's deadlines. When it
 /// abandons one (the teardown deadline passed with the host wedged), it
@@ -228,8 +237,8 @@ pub(crate) fn host(job: Job, pooled: bool) -> Result<(), String> {
 /// `Runtime::run`: should it ever wake, it unwinds out of `body` and
 /// exits, so nothing it still holds is delivered twice.
 ///
-/// Unlike a run checkout, starting a host is not subject to the
-/// `pool_checkout` faultpoint (inline runs are).
+/// Unlike a run, starting a host is not subject to the `pool_checkout`
+/// faultpoint.
 pub fn spawn_host<F: FnOnce() + Send + 'static>(
     body: F,
     on_abandon: AbandonHook,
@@ -241,17 +250,6 @@ pub fn spawn_host<F: FnOnce() + Send + 'static>(
             HOST.with(|h| *h.borrow_mut() = None);
         }))
         .map(drop)
-}
-
-/// The abandon hook of the run host this thread is, if it is one.
-pub(crate) fn host_hook() -> Option<AbandonHook> {
-    HOST.with(|h| h.borrow().clone())
-}
-
-/// Account one run executed inline by a run host: a run hosted by an
-/// already-running worker.
-pub(crate) fn note_inline_run() {
-    global().jobs_reused.fetch_add(1, Ordering::Relaxed);
 }
 
 /// The pool-checkout latency histogram in the global metrics registry
@@ -340,7 +338,7 @@ mod tests {
         let hosts = Arc::new(Mutex::new(Vec::new()));
         for i in 0..10 {
             let inner = Arc::clone(&hosts);
-            pool.execute(Box::new(move || {
+            pool.checkout(Box::new(move || {
                 inner.lock().unwrap().push(std::thread::current().id());
             }))
             .expect("checkout");
@@ -372,10 +370,10 @@ mod tests {
     #[test]
     fn panicking_job_does_not_poison_the_pool() {
         let ran = Arc::new(AtomicUsize::new(0));
-        global().execute(Box::new(|| panic!("deliberate test panic"))).expect("checkout");
+        global().checkout(Box::new(|| panic!("deliberate test panic"))).expect("checkout");
         let ran2 = Arc::clone(&ran);
         global()
-            .execute(Box::new(move || {
+            .checkout(Box::new(move || {
                 ran2.fetch_add(1, Ordering::SeqCst);
             }))
             .expect("checkout");

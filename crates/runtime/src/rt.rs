@@ -27,13 +27,13 @@
 //! interleavings rare.
 
 use crate::config::{
-    AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, SchedPolicy,
-    TimeoutPhase,
+    AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, TimeoutPhase,
 };
 use crate::coro::{self, Coroutine, Resume};
 use crate::faultpoint::{self, SeedFault};
 use crate::monitor::Monitor;
-use crate::strategy::{Strategy, StrategyKind, YieldChoice, YieldCtx};
+use crate::pool::AbandonHook;
+use crate::strategy::{Strategy, YieldChoice, YieldCtx};
 use goat_model::{Cu, CuKind, Istr};
 use goat_trace::{BlockReason, Ect, EventKind, Gid, RId, TraceBuf, VTime};
 use parking_lot::{Condvar, Mutex};
@@ -129,6 +129,9 @@ fn install_panic_hook() {
 // ---------------------------------------------------------------------
 // Scheduler state
 // ---------------------------------------------------------------------
+
+/// Virtual nanoseconds added to the clock per scheduler step.
+const TIME_STEP_NS: u64 = 10_000;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum GState {
@@ -266,7 +269,7 @@ pub(crate) struct Sched {
     main_exited: bool,
     /// Every nondeterministic choice taken, for schedule-forcing replay.
     decision_log: Vec<Decision>,
-    /// Cursor into the replay log when the policy is `Replay`.
+    /// Cursor into [`Config::replay`].
     replay_cursor: usize,
     /// The replayed program diverged from its log.
     replay_diverged: bool,
@@ -280,9 +283,10 @@ pub(crate) struct Sched {
     /// until `GOAT_TEARDOWN_TIMEOUT_MS` after this before it abandons
     /// the host thread.
     decided_at: Option<Instant>,
-    /// The supervisor's soft watchdog deadline passed; the next goroutine
-    /// to reach the scheduler gate aborts the run cooperatively.
-    timeout_requested: bool,
+    /// When the supervisor, past the soft watchdog deadline, requested a
+    /// cooperative abort: the next goroutine to reach the scheduler gate
+    /// aborts the run.
+    timeout_requested: Option<Instant>,
     /// Pluggable scheduling strategy (native / random / PCT); consulted
     /// at every pick and yield decision that is not replayed from a log.
     strategy: Box<dyn Strategy>,
@@ -291,16 +295,9 @@ pub(crate) struct Sched {
 impl Sched {
     fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>, tb: Arc<TraceBuf>) -> Self {
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
-        // `UniformRandom` predates the strategy layer and still forces
-        // the random strategy; native and replay runs use the configured
-        // one (replay only consults it after divergence). Building
-        // native/random consumes no RNG draws, preserving byte-identity
-        // with the pre-strategy scheduler.
-        let kind = match cfg.policy {
-            SchedPolicy::UniformRandom => StrategyKind::Random,
-            _ => cfg.strategy,
-        };
-        let strategy = kind.build(&mut rng);
+        // Building native/random consumes no RNG draws, preserving
+        // byte-identity with the pre-strategy scheduler.
+        let strategy = cfg.strategy.build(&mut rng);
         Sched {
             cfg,
             slots: Vec::new(),
@@ -327,7 +324,7 @@ impl Sched {
             counters: SchedCounters::default(),
             started: Instant::now(),
             decided_at: None,
-            timeout_requested: false,
+            timeout_requested: None,
             strategy,
         }
     }
@@ -353,28 +350,34 @@ impl Sched {
         RId(self.next_rid)
     }
 
-    /// Select-case choice: replayed from the log when the policy is
-    /// `Replay`, pseudo-random otherwise; always recorded.
+    /// The next decision of [`Config::replay`], while the run follows
+    /// its log: `accept` maps it (given the run queue) to the choice to
+    /// take, and the cursor moves on. A decision `accept` rejects, or an
+    /// exhausted log, marks the run diverged, and from then on nothing
+    /// is replayed.
+    fn replayed<T>(
+        &mut self,
+        accept: impl FnOnce(&Decision, &VecDeque<Gid>) -> Option<T>,
+    ) -> Option<T> {
+        if self.replay_diverged {
+            return None;
+        }
+        let log = self.cfg.replay.as_ref()?;
+        let choice = log.decisions.get(self.replay_cursor).and_then(|d| accept(d, &self.runq));
+        match choice {
+            Some(_) => self.replay_cursor += 1,
+            None => self.replay_diverged = true,
+        }
+        choice
+    }
+
+    /// Select-case choice: replayed, or pseudo-random; always recorded.
     pub(crate) fn choose(&mut self, n: usize) -> usize {
         assert!(n > 0);
-        let replayed = if let SchedPolicy::Replay(log) = &self.cfg.policy {
-            if !self.replay_diverged {
-                match log.decisions.get(self.replay_cursor) {
-                    Some(Decision::SelectChoice(i)) if *i < n => {
-                        self.replay_cursor += 1;
-                        Some(*i)
-                    }
-                    _ => {
-                        self.replay_diverged = true;
-                        None
-                    }
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let replayed = self.replayed(|d, _| match *d {
+            Decision::SelectChoice(i) if i < n => Some(i),
+            _ => None,
+        });
         let i = replayed.unwrap_or_else(|| self.rng.gen_range(0..n));
         self.counters.select_choices += 1;
         self.decision_log.push(Decision::SelectChoice(i));
@@ -385,24 +388,10 @@ impl Sched {
     /// to execute: replayed or delegated to the strategy (delay budget /
     /// native preemption noise / PCT change points); always recorded.
     pub(crate) fn decide_yield(&mut self, g: Gid) -> bool {
-        let replayed = if let SchedPolicy::Replay(log) = &self.cfg.policy {
-            if !self.replay_diverged {
-                match log.decisions.get(self.replay_cursor) {
-                    Some(Decision::YieldAt(b)) => {
-                        self.replay_cursor += 1;
-                        Some(*b)
-                    }
-                    _ => {
-                        self.replay_diverged = true;
-                        None
-                    }
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let replayed = self.replayed(|d, _| match *d {
+            Decision::YieldAt(b) => Some(b),
+            _ => None,
+        });
         let yield_now = match replayed {
             Some(b) => b,
             None => {
@@ -425,12 +414,6 @@ impl Sched {
         };
         self.decision_log.push(Decision::YieldAt(yield_now));
         yield_now
-    }
-
-    /// Borrow the attached monitor (no `Arc` refcount bump — callers on
-    /// the scheduling hot path invoke it many times per step).
-    pub(crate) fn monitor(&self) -> Option<&Arc<dyn Monitor>> {
-        self.monitor.as_ref()
     }
 
     /// Create a goroutine slot in `Runnable` state and enqueue it.
@@ -513,11 +496,8 @@ impl Sched {
     /// watchdog. Returns false when the step limit aborts the run.
     pub(crate) fn tick(&mut self) -> bool {
         self.steps += 1;
-        self.clock += self.cfg.time_step_ns;
+        self.clock += TIME_STEP_NS;
         self.tb.set_clock(self.clock);
-        if let Some(m) = &self.monitor {
-            m.on_step(self.steps, self.clock);
-        }
         // Synthetic GC cadence: the Go tracer interleaves GC events with
         // application events; emit a cycle every few thousand steps so
         // traces carry the GC/Mem category with realistic placement.
@@ -527,14 +507,11 @@ impl Sched {
             self.emit(Gid::RUNTIME, EventKind::GcDone, None);
         }
         self.fire_due_timers();
-        if self.timeout_requested && self.outcome.is_none() {
+        if self.timeout_requested.is_some() && self.outcome.is_none() {
             // Cooperative watchdog abort: the supervisor's soft deadline
             // passed and this goroutine reached the scheduler gate, so
             // the run can be unwound cleanly (host thread reclaimed).
             let elapsed_ms = self.started.elapsed().as_millis() as u64;
-            if let Some(m) = &self.monitor {
-                m.on_timeout(TimeoutPhase::Cooperative, elapsed_ms);
-            }
             self.set_outcome(RunOutcome::TimedOut { phase: TimeoutPhase::Cooperative, elapsed_ms });
             return false;
         }
@@ -545,36 +522,16 @@ impl Sched {
         true
     }
 
-    /// Run-queue pop according to the scheduling policy; every pick is
+    /// Run-queue pop, replayed or chosen by the strategy; every pick is
     /// recorded for schedule-forcing replay.
     fn pick_next(&mut self) -> Option<Gid> {
         if self.runq.is_empty() {
             return None;
         }
-        let replayed: Option<usize> = if let SchedPolicy::Replay(log) = &self.cfg.policy {
-            if !self.replay_diverged {
-                match log.decisions.get(self.replay_cursor) {
-                    Some(Decision::Pick(g)) => match self.runq.iter().position(|x| x == g) {
-                        Some(idx) => {
-                            self.replay_cursor += 1;
-                            Some(idx)
-                        }
-                        None => {
-                            self.replay_diverged = true;
-                            None
-                        }
-                    },
-                    _ => {
-                        self.replay_diverged = true;
-                        None
-                    }
-                }
-            } else {
-                None
-            }
-        } else {
-            None
-        };
+        let replayed = self.replayed(|d, runq| match d {
+            Decision::Pick(g) => runq.iter().position(|x| x == g),
+            _ => None,
+        });
         let (idx, random) = match replayed {
             Some(i) => (i, false),
             None => self.strategy.pick(&self.runq, self.cfg.native_preempt_prob, &mut self.rng),
@@ -712,11 +669,27 @@ pub(crate) struct RtShared {
     /// The attached monitor, reachable without the scheduler lock so
     /// gate functions can consult it on lock-free paths.
     pub(crate) monitor: Option<Arc<dyn Monitor>>,
-    /// Wakes a hosted run's driver when its host is done or abandoned.
+    /// Wakes an abandoned host that woke up while the supervisor was
+    /// still handing its run's result over.
     done_cv: Condvar,
-    /// Whether the run is hosted on the shared worker pool and its
-    /// goroutine stacks are reused (snapshot of [`Config::pool`]).
+    /// Whether the run's host thread and goroutine stacks are reused
+    /// (snapshot of [`Config::pool`]).
     pub(crate) pooled: bool,
+}
+
+impl RtShared {
+    /// A run of `cfg` whose main goroutine executes `main`; its host
+    /// grants main the token first thing.
+    fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>, main: Job) -> Arc<RtShared> {
+        let pooled = cfg.pool;
+        let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
+        let mut s = Sched::new(cfg, monitor.clone(), Arc::clone(&tb));
+        s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
+        s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
+        let gid = s.new_goroutine(Istr::new("main"), false, main);
+        debug_assert_eq!(gid, Gid::MAIN);
+        Arc::new(RtShared { state: Mutex::new(s), tb, monitor, done_cv: Condvar::new(), pooled })
+    }
 }
 
 /// The running goroutine's context on its host thread.
@@ -913,11 +886,38 @@ fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Job) {
     }
 }
 
-/// One whole run on its host thread: resume whichever goroutine the
+/// Execute a run on this thread, its host, and return its result. Every
+/// [`Runtime::run`] executes here: on the run host that called it, or
+/// on a host it borrowed ([`crate::pool::with_host`]). The process's
+/// supervisor owns the run's wall-clock deadlines. When it abandons the
+/// run (the teardown wedged), it collects the result itself and hands
+/// it to `on_abandon`; this thread, should it ever wake, unwinds out
+/// instead of returning, so the result is delivered exactly once.
+fn run_inline(
+    rt: &Arc<RtShared>,
+    iter_timeout_ms: Option<u64>,
+    on_abandon: AbandonHook,
+) -> RunResult {
+    let started = rt.state.lock().started;
+    let watch = crate::supervise::watch(rt, started, iter_timeout_ms, on_abandon);
+    host_run(Arc::clone(rt));
+    let mut s = rt.state.lock();
+    while s.host == Host::Abandoning {
+        rt.done_cv.wait(&mut s);
+    }
+    if s.host == Host::Abandoned {
+        drop(s);
+        panic::resume_unwind(Box::new(Abandoned));
+    }
+    drop(s);
+    crate::supervise::unwatch(watch);
+    collect(rt)
+}
+
+/// Drive a run on its host thread: resume whichever goroutine the
 /// scheduler granted the token until the outcome is decided, then unwind
 /// every goroutine that has not finished and drop the bodies of those
-/// that never ran. A run host calls this inline; any other caller of
-/// [`Runtime::run`] hands it to a host thread and waits on `done_cv`.
+/// that never ran.
 fn host_run(rt: Arc<RtShared>) {
     CURRENT.with(|c| *c.borrow_mut() = Some(Ctx { rt: Arc::clone(&rt), gid: Gid::MAIN }));
     let set_gid = |g: Gid| {
@@ -973,7 +973,6 @@ fn host_run(rt: Arc<RtShared>) {
     drop(rt.state.lock().take_unfinished());
     CURRENT.with(|c| *c.borrow_mut() = None);
     rt.state.lock().host_finished();
-    rt.done_cv.notify_all();
 }
 
 /// Spawn a goroutine executing `f` (Go's `go` statement).
@@ -1037,8 +1036,9 @@ pub fn gosched() {
 fn iter_fault_body(seed: u64) -> Option<Job> {
     let body: Job = match faultpoint::seed_fault("iter", seed)? {
         // Stall outside every runtime primitive: no scheduler gate is
-        // ever reached, so only the hard watchdog deadline (and the
-        // teardown abandonment path) can reclaim this run.
+        // ever reached, so only the supervisor deciding the run wedged
+        // once the watchdog's grace ran out (and the teardown
+        // abandonment path) can reclaim this run.
         SeedFault::Wedge => Box::new(|| std::thread::sleep(Duration::from_secs(3600))),
         // Yield forever: every gosched passes the scheduler gate, so
         // the soft deadline aborts cooperatively (or the step limit
@@ -1076,92 +1076,29 @@ impl Runtime {
     /// Run `f` with a [`Monitor`] observing primitive operations (how the
     /// baseline detectors of §IV-A attach).
     ///
-    /// On a run host between runs ([`crate::pool::spawn_host`]) with the
-    /// pool on, the run executes inline on the calling thread. Any other
+    /// The run executes inline when the caller is an idle run host
+    /// ([`crate::pool::spawn_host`]) and the pool is on. Any other
     /// caller — a plain thread, a goroutine of another run, or a
-    /// `Config::pool = false` run — hands the run to a host thread and
-    /// sleeps until it is torn down. Either way the process's supervisor
-    /// owns the run's wall-clock deadlines.
+    /// `Config::pool = false` run — borrows a host thread for the run
+    /// and sleeps until it delivers the result. Either way the process's
+    /// supervisor owns the run's wall-clock deadlines.
     pub fn run_monitored<F: FnOnce() + Send + 'static>(
         cfg: Config,
         monitor: Option<Arc<dyn Monitor>>,
         f: F,
     ) -> RunResult {
         install_panic_hook();
-        let pooled = cfg.pool;
-        let seed = cfg.seed;
-        let iter_timeout_ms = cfg.iter_timeout_ms;
-        let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
-        let rt = Arc::new(RtShared {
-            state: Mutex::new(Sched::new(cfg, monitor.clone(), Arc::clone(&tb))),
-            tb,
-            monitor,
-            done_cv: Condvar::new(),
-            pooled,
+        let (pooled, iter_timeout_ms) = (cfg.pool, cfg.iter_timeout_ms);
+        let main = iter_fault_body(cfg.seed).unwrap_or_else(|| Box::new(f));
+        let rt = RtShared::new(cfg, monitor, main);
+        let host_rt = Arc::clone(&rt);
+        let hosted = crate::pool::with_host(pooled, move |on_abandon| {
+            run_inline(&host_rt, iter_timeout_ms, on_abandon)
         });
-
-        let body = iter_fault_body(seed).unwrap_or_else(|| Box::new(f));
-        // Bootstrap: create the main goroutine; the host grants it the
-        // token first thing.
-        let started = {
-            let mut s = rt.state.lock();
-            s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
-            s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
-            let gid = s.new_goroutine(Istr::new("main"), false, body);
-            debug_assert_eq!(gid, Gid::MAIN);
-            s.started
-        };
-        let inline = if pooled && CURRENT.with(|c| c.borrow().is_none()) {
-            crate::pool::host_hook()
-        } else {
-            None
-        };
-        match inline {
-            Some(on_abandon) => {
-                // The `pool_checkout` faultpoint refuses a host on both
-                // paths, so injected infra failures mean the same thing
-                // wherever a run executes.
-                if let Some(reason) = faultpoint::should_fail("pool_checkout") {
-                    refuse(&rt, reason);
-                    return collect(&rt);
-                }
-                crate::pool::note_inline_run();
-                let watch =
-                    crate::supervise::watch(&rt, started, iter_timeout_ms, Some(on_abandon));
-                host_run(Arc::clone(&rt));
-                // A host the supervisor abandoned meanwhile waits until
-                // the run's result was handed over, then leaves.
-                let mut s = rt.state.lock();
-                while s.host == Host::Abandoning {
-                    rt.done_cv.wait(&mut s);
-                }
-                if s.host == Host::Abandoned {
-                    drop(s);
-                    panic::resume_unwind(Box::new(Abandoned));
-                }
-                drop(s);
-                crate::supervise::unwatch(watch);
-            }
-            None => {
-                let host_rt = Arc::clone(&rt);
-                // A hosted worker that wakes after being abandoned just
-                // returns to the pool: its driver already collected.
-                let job = Box::new(move || host_run(host_rt));
-                match crate::pool::host(job, pooled) {
-                    Err(reason) => refuse(&rt, reason),
-                    Ok(()) => {
-                        let watch = crate::supervise::watch(&rt, started, iter_timeout_ms, None);
-                        let mut s = rt.state.lock();
-                        while s.host == Host::Running {
-                            rt.done_cv.wait(&mut s);
-                        }
-                        drop(s);
-                        crate::supervise::unwatch(watch);
-                    }
-                }
-            }
-        }
-        collect(&rt)
+        hosted.unwrap_or_else(|reason| {
+            refuse(&rt, reason);
+            collect(&rt)
+        })
     }
 }
 
@@ -1190,6 +1127,7 @@ impl Sched {
 }
 
 /// What the supervisor found when one of a run's deadlines fell due.
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) enum Due {
     /// The host finished the teardown: nothing left to watch.
     Finished,
@@ -1202,18 +1140,20 @@ pub(crate) enum Due {
 
 impl RtShared {
     /// The supervisor's view of one due deadline of this run. Before an
-    /// outcome is decided the watchdog (`soft`, `hard`) escalates twice:
-    /// at the soft deadline it requests a cooperative abort through the
-    /// scheduler gate, and at the hard deadline it decides the run
-    /// itself — the only way out when every goroutine is stuck outside
-    /// runtime primitives. Once the outcome is decided the teardown has
-    /// `teardown`; a goroutine wedged outside runtime primitives holds
-    /// the host thread forever, so at that deadline the host is
-    /// abandoned.
+    /// outcome is decided the watchdog (`soft` deadline, `grace`)
+    /// escalates twice: at its first look past the soft deadline it
+    /// requests a cooperative abort through the scheduler gate, and once
+    /// `grace` has passed since that request it decides the run itself
+    /// — the only way out when every goroutine is stuck outside runtime
+    /// primitives. A supervisor that wakes late still gives the
+    /// cooperative abort its whole grace. Once the outcome is decided
+    /// the teardown has `teardown`; a goroutine wedged outside runtime
+    /// primitives holds the host thread forever, so at that deadline the
+    /// host is abandoned.
     pub(crate) fn on_deadline(
         &self,
         now: Instant,
-        watchdog: Option<(Instant, Instant)>,
+        watchdog: Option<(Instant, Duration)>,
         teardown: Duration,
     ) -> Due {
         let mut s = self.state.lock();
@@ -1224,34 +1164,30 @@ impl RtShared {
             if now < decided + teardown {
                 return Due::Again(decided + teardown);
             }
-            // Written off before anyone can see the flag, so a woken
-            // driver already finds the replacement accounted.
+            // Written off before the result is handed over, so its
+            // receiver already finds the replacement accounted.
             if self.pooled {
                 crate::pool::note_abandoned();
             }
             s.host = Host::Abandoning;
-            drop(s);
-            self.done_cv.notify_all();
             return Due::Abandoned;
         }
-        match watchdog {
-            Some((_, hard)) if now >= hard => {
+        // No watchdog: look now and then, in case the outcome is decided
+        // and the teardown then wedges.
+        let Some((soft, grace)) = watchdog else { return Due::Again(now + teardown) };
+        match s.timeout_requested {
+            None if now < soft => Due::Again(soft),
+            None => {
+                s.timeout_requested = Some(now);
+                Due::Again(now + grace)
+            }
+            Some(requested) if now < requested + grace => Due::Again(requested + grace),
+            Some(_) => {
                 let elapsed_ms = s.started.elapsed().as_millis() as u64;
-                if let Some(m) = s.monitor() {
-                    m.on_timeout(TimeoutPhase::Wedged, elapsed_ms);
-                }
                 s.set_outcome(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, elapsed_ms });
                 s.begin_shutdown();
                 Due::Again(now + teardown)
             }
-            Some((soft, hard)) if now >= soft => {
-                s.timeout_requested = true;
-                Due::Again(hard)
-            }
-            Some((soft, _)) => Due::Again(soft),
-            // No watchdog: look now and then, in case the outcome is
-            // decided and the teardown then wedges.
-            None => Due::Again(now + teardown),
         }
     }
 
@@ -1405,6 +1341,7 @@ fn report_run_telemetry(seed: u64, r: &RunResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::strategy::StrategyKind;
 
     #[test]
     fn empty_main_completes() {
@@ -1593,23 +1530,48 @@ mod tests {
     }
 
     #[test]
-    fn uniform_random_policy_explores_more() {
-        use crate::config::SchedPolicy;
+    fn uniform_random_strategy_explores_more() {
         let fingerprints: std::collections::BTreeSet<String> = (0..10u64)
             .map(|seed| {
-                let r =
-                    Runtime::run(Config::new(seed).with_policy(SchedPolicy::UniformRandom), || {
-                        for _ in 0..4 {
-                            go_named("w", || gosched());
-                        }
-                        gosched();
-                        gosched();
-                    });
+                let r = Runtime::run(Config::new(seed).with_strategy(StrategyKind::Random), || {
+                    for _ in 0..4 {
+                        go_named("w", || gosched());
+                    }
+                    gosched();
+                    gosched();
+                });
                 assert!(r.outcome.is_completed());
                 r.ect.unwrap().render()
             })
             .collect();
         assert!(fingerprints.len() > 1, "random policy must vary schedules");
+    }
+
+    #[test]
+    fn a_late_supervisor_still_gives_the_cooperative_abort_its_grace() {
+        let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
+        let soft = rt.state.lock().started + Duration::from_millis(50);
+        let grace = Duration::from_micros(12_500);
+        let teardown = Duration::from_secs(5);
+        // The supervisor's first look comes past the hard deadline
+        // (soft + grace), so the soft phase never ran.
+        let late = soft + grace + Duration::from_millis(20);
+        assert_eq!(rt.on_deadline(late, Some((soft, grace)), teardown), Due::Again(late + grace));
+        {
+            let s = rt.state.lock();
+            assert_eq!(s.timeout_requested, Some(late));
+            assert_eq!(s.outcome, None);
+        }
+        let after = late + grace;
+        assert_eq!(
+            rt.on_deadline(after, Some((soft, grace)), teardown),
+            Due::Again(after + teardown)
+        );
+        let outcome = rt.state.lock().outcome.clone();
+        assert!(
+            matches!(outcome, Some(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, .. })),
+            "{outcome:?}"
+        );
     }
 
     #[test]

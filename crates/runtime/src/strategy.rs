@@ -9,8 +9,9 @@
 //!   the paper's delay-bounded yield injection (the default; exactly
 //!   the pre-strategy behaviour, byte-for-byte).
 //! * **random** — uniform random choice among runnable goroutines at
-//!   every handoff (the historical [`SchedPolicy::UniformRandom`],
-//!   which still selects this strategy for compatibility).
+//!   every handoff: the paper's future-work "take full control over
+//!   the scheduler" exploration mode, an ablation against bounded
+//!   yield injection.
 //! * **pct** — PCT-style priority scheduling (Burckhardt et al.): each
 //!   goroutine draws a random priority at spawn, the scheduler always
 //!   runs the highest-priority runnable goroutine, and `depth − 1`
@@ -22,10 +23,7 @@
 //! Every choice a strategy makes is still recorded in the scheduler's
 //! decision log, so schedule-forcing replay is strategy-agnostic: a
 //! trace produced under any strategy replays byte-identically through
-//! [`SchedPolicy::Replay`] without knowing which strategy produced it.
-//!
-//! [`SchedPolicy::UniformRandom`]: crate::SchedPolicy::UniformRandom
-//! [`SchedPolicy::Replay`]: crate::SchedPolicy::Replay
+//! [`crate::Config::replay`] without knowing which strategy produced it.
 
 use goat_trace::Gid;
 use rand::{Rng, SmallRng};
@@ -123,9 +121,8 @@ impl StrategyKind {
 impl fmt::Display for StrategyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StrategyKind::Native => write!(f, "native"),
-            StrategyKind::Random => write!(f, "random"),
             StrategyKind::Pct { depth, length } => write!(f, "pct:{depth}:{length}"),
+            other => f.write_str(other.name()),
         }
     }
 }

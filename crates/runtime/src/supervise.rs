@@ -6,16 +6,17 @@
 //! a short list of live runs. The supervisor sleeps until the earliest
 //! deadline of that list and wakes only when one falls due — a run that
 //! ends before its first deadline is never looked at. What a due
-//! deadline means is decided by [`RtShared::on_deadline`]: the soft and
-//! hard watchdog deadlines (`Config::iter_timeout_ms`), then the
-//! teardown deadline (`GOAT_TEARDOWN_TIMEOUT_MS`, default 5 s) after
-//! which the host thread is abandoned.
+//! deadline means is decided by [`RtShared::on_deadline`]: the soft
+//! watchdog deadline (`Config::iter_timeout_ms`) and the grace a
+//! cooperative abort gets after it, then the teardown deadline
+//! (`GOAT_TEARDOWN_TIMEOUT_MS`, default 5 s) after which the host
+//! thread is abandoned.
 //!
-//! An abandoned run is finished here. A hosted run's driver is woken and
-//! collects the result itself. An inline run's host is the thread that
-//! would have collected it, and it is wedged: the supervisor collects
-//! the result and hands it to the hook its run host registered
-//! ([`crate::pool::spawn_host`]).
+//! An abandoned run is finished here. Its host is the thread that would
+//! have collected the result, and it is wedged: the supervisor collects
+//! the result and hands it to the run's abandon hook — the hook a run
+//! host registered ([`crate::pool::spawn_host`]), or the channel a
+//! borrowing caller waits on ([`crate::pool::with_host`]).
 
 use crate::pool::AbandonHook;
 use crate::rt::{collect, Due, RtShared};
@@ -30,10 +31,11 @@ struct Watch {
     rt: Arc<RtShared>,
     /// When the supervisor next looks at this run.
     due: Instant,
-    /// Soft and hard watchdog deadlines, if the run has a watchdog.
-    watchdog: Option<(Instant, Instant)>,
-    /// Inline runs only: where the result goes if the host is abandoned.
-    on_abandon: Option<AbandonHook>,
+    /// The soft watchdog deadline and the grace a cooperative abort gets
+    /// before the run is decided wedged, if the run has a watchdog.
+    watchdog: Option<(Instant, Duration)>,
+    /// Where the result goes if the host is abandoned.
+    on_abandon: AbandonHook,
 }
 
 struct Registry {
@@ -67,11 +69,10 @@ pub(crate) fn watch(
     rt: &Arc<RtShared>,
     started: Instant,
     iter_timeout_ms: Option<u64>,
-    on_abandon: Option<AbandonHook>,
+    on_abandon: AbandonHook,
 ) -> u64 {
     let watchdog = iter_timeout_ms.map(|ms| {
-        let soft = started + Duration::from_millis(ms);
-        (soft, soft + Duration::from_millis((ms / 4).clamp(10, 1_000)))
+        (started + Duration::from_millis(ms), Duration::from_millis((ms / 4).clamp(10, 1_000)))
     });
     let due = watchdog.map_or_else(|| started + teardown(), |(soft, _)| soft);
     let mut reg = REGISTRY.lock();
@@ -143,16 +144,13 @@ fn supervise() {
     }
 }
 
-/// Finish an abandoned run without its host. A hosted run's driver was
-/// already woken to collect the result; an inline run's result goes to
-/// its host's hook. A panicking hook must not take the supervisor, and
-/// with it every other run's deadlines, down.
+/// Finish an abandoned run without its host: collect the result and
+/// hand it to the run's abandon hook. A panicking hook must not take the
+/// supervisor, and with it every other run's deadlines, down.
 fn abandon(w: Watch) {
-    if let Some(on_abandon) = w.on_abandon {
-        let result = collect(&w.rt);
-        if std::panic::catch_unwind(AssertUnwindSafe(|| on_abandon(result))).is_err() {
-            eprintln!("goat: the abandon hook of a wedged run host panicked");
-        }
+    let result = collect(&w.rt);
+    if std::panic::catch_unwind(AssertUnwindSafe(|| (w.on_abandon)(result))).is_err() {
+        eprintln!("goat: the abandon hook of a wedged run host panicked");
     }
     w.rt.abandoned();
 }

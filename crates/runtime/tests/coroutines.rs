@@ -1,7 +1,8 @@
 //! Hazards of running a run's goroutines as coroutines on one host
 //! thread: state left on a suspended stack at teardown, one thread
 //! hosting thousands of goroutines, and a runtime started from inside a
-//! goroutine, whether the outer run is hosted or inline on a run host.
+//! goroutine, whether the outer run executes on a borrowed host or
+//! inline on the run host that started it.
 //!
 //! Every test holds `SERIAL`, so the pool counters one test reads are
 //! not moved by another test of this binary.
@@ -72,9 +73,10 @@ fn ten_thousand_goroutines_share_one_host_thread() {
     assert!(spawned <= 1, "one run spawned {spawned} host threads");
 }
 
-/// The outer run is hosted (the test thread hands it to a pool host) or
-/// inline (a run host runs it itself); either way the nested run takes
-/// the hosted path and must not disturb the outer goroutine.
+/// The outer run executes on a borrowed host (the test thread borrows a
+/// pool thread) or inline (a run host runs it itself); either way the
+/// nested run borrows a host of its own and must not disturb the outer
+/// goroutine.
 #[test]
 fn a_nested_runtime_leaves_the_outer_goroutine_intact() {
     let _s = serial();

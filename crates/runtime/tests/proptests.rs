@@ -14,7 +14,7 @@
 //! non-blocking selects, sleeps and yields.
 
 use goat_runtime::{
-    go_named, gosched, time, Chan, Config, Mutex, Runtime, SchedPolicy, Select, WaitGroup,
+    go_named, gosched, time, Chan, Config, Mutex, Runtime, Select, StrategyKind, WaitGroup,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -149,11 +149,11 @@ proptest! {
     }
 
     #[test]
-    fn generated_programs_complete_under_uniform_random_policy(
+    fn generated_programs_complete_under_uniform_random_strategy(
         script in script_strategy(),
         seed in 0u64..1000,
     ) {
-        let cfg = Config::new(seed).with_policy(SchedPolicy::UniformRandom);
+        let cfg = Config::new(seed).with_strategy(StrategyKind::Random);
         let r = run_script(&script, cfg);
         prop_assert!(r.outcome.is_completed(), "outcome {:?}", r.outcome);
         prop_assert!(r.alive_at_end.is_empty());

@@ -15,7 +15,7 @@
 use goat::core::{FnProgram, Goat, GoatConfig};
 use goat::runtime::context::Context;
 use goat::runtime::{
-    go_named, time, Chan, Config, Mutex, Runtime, RwLock, SchedPolicy, Select, WaitGroup,
+    go_named, time, Chan, Config, Mutex, Runtime, RwLock, Select, StrategyKind, WaitGroup,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -104,7 +104,7 @@ fn service_is_correct_across_schedules_and_policies() {
         for (label, cfg) in [
             ("native", Config::new(seed)),
             ("d3", Config::new(seed).with_delay_bound(3)),
-            ("random", Config::new(seed).with_policy(SchedPolicy::UniformRandom)),
+            ("random", Config::new(seed).with_strategy(StrategyKind::Random)),
         ] {
             let processed = Arc::new(AtomicUsize::new(0));
             let p = Arc::clone(&processed);

@@ -239,7 +239,7 @@ fn campaign_summaries_identical_across_memo_and_spin() {
 
 #[test]
 fn memo_verify_mode_passes_across_kernels() {
-    // GOAT_MEMO=verify re-analyzes every duplicate schedule and asserts
+    // MemoMode::Verify re-analyzes every duplicate schedule and asserts
     // the stored products equal the fresh ones; surviving campaigns on
     // kernels with plenty of duplicate schedules is the memoization
     // soundness check. D=0 maximizes duplicates (no injected yields),

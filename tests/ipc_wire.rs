@@ -15,7 +15,7 @@ use goat::core::wire::{self, WireFrame};
 use goat::model::{Cu, CuKind};
 use goat::runtime::{
     AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome, RunResult,
-    SchedCounters, SchedPolicy, StrategyKind, TimeoutPhase,
+    SchedCounters, StrategyKind, TimeoutPhase,
 };
 use goat::trace::wire::{decode_events, encode_events, Reader};
 use goat::trace::{BlockReason, Ect, Event, EventKind, Gid, RId, SelCaseFlavor, VTime};
@@ -312,13 +312,13 @@ proptest! {
 }
 
 /// One frame of every kind the wire carries, each with non-trivial
-/// fields (an `Init` base with a replay policy, a `Result` with a trace
+/// fields (an `Init` base with a replay log, a `Result` with a trace
 /// and crash forensics).
 fn one_frame_of_each_kind() -> Vec<WireFrame> {
     let specs: Vec<EvSpec> =
         (0..12u8).map(|i| (i * 5 % 29, i as u64 * 3 + 1, i as u64 * 7 + 2, i % 3 == 0)).collect();
     let mut base = Config::new(0).with_max_steps(123_456);
-    base.policy = SchedPolicy::Replay(ReplayLog {
+    base.replay = Some(ReplayLog {
         decisions: vec![Decision::Pick(Gid(3)), Decision::SelectChoice(1), Decision::YieldAt(true)],
     });
     base.iter_timeout_ms = Some(2000);

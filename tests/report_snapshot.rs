@@ -13,6 +13,9 @@
 //! they also prove that a telemetry-off run serializes byte-identically
 //! to the pre-telemetry output (the optional `telemetry` field must not
 //! appear at all when disabled).
+//!
+//! The CLI's bug report for one of those campaigns is pinned the same
+//! way, interleaving listing and coverage report included.
 
 use goat::core::{Goat, GoatConfig, Program};
 use goat::goker::{by_name, BugKernel};
@@ -82,9 +85,8 @@ fn check_or_bless(got: &str, path: &PathBuf, label: &str) {
         .unwrap_or_else(|e| panic!("missing snapshot {}: {e}", path.display()));
     assert_eq!(
         got, want,
-        "campaign report JSON for {label} drifted from its committed snapshot; if the \
-         schema change is deliberate, re-bless with \
-         GOAT_BLESS=1 cargo test --test report_snapshot"
+        "report for {label} drifted from its committed snapshot; if the change is \
+         deliberate, re-bless with GOAT_BLESS=1 cargo test --test report_snapshot"
     );
 }
 
@@ -136,4 +138,26 @@ fn guided_campaign_report_matches_committed_snapshot() {
         .join("tests/snapshots")
         .join(format!("{name}_s{seed0}_guided.json"));
     check_or_bless(&got, &path, "guided campaign");
+}
+
+/// The CLI's stdout for a campaign that detects a bug, pinned
+/// byte-for-byte. Its interleaving listing shows the tool's own
+/// `goat::watcher`/`goat::stopper` goroutines at their `go` statements
+/// in `crates/core/src/instrument.rs`, so this golden moves only when
+/// the report format, the schedule or that file changes. Every `GOAT_*`
+/// variable is cleared: the command alone decides the output.
+#[test]
+fn cli_bug_report_matches_committed_snapshot() {
+    let mut cmd = std::process::Command::new(env!("CARGO_BIN_EXE_goat"));
+    cmd.args(["-target", "etcd6708", "-d", "2", "-freq", "30", "-seed", "11"])
+        .args(["-keep-running", "-cov"]);
+    for (var, _) in std::env::vars().filter(|(v, _)| v.starts_with("GOAT_")) {
+        cmd.env_remove(var);
+    }
+    let out = cmd.output().expect("run goat");
+    assert_eq!(out.status.code(), Some(1), "a detected bug exits 1: {out:?}");
+    let got = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/snapshots/etcd6708_s11_cli.txt");
+    check_or_bless(&got, &path, "the etcd6708 CLI bug report");
 }
