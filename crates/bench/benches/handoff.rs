@@ -1,6 +1,7 @@
 //! Benchmarks of the execution hot path: token-handoff latency between
-//! goroutine coroutines, the end-to-end campaign cost on top of the
-//! out-of-lock trace append, and the duplicate-schedule analysis memo.
+//! goroutine coroutines, the end-to-end campaign cost with every trace
+//! event recorded under the run's one scheduler lock, and the
+//! duplicate-schedule analysis memo.
 //!
 //! `handoff_256_steps` is a two-goroutine rendezvous ping-pong: every
 //! round is two scheduler handoffs with nothing else on the critical

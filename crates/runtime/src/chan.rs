@@ -12,9 +12,8 @@
 //!   `None` (Go's zero value with `ok = false`);
 //! * sending on a closed channel panics; closing a closed channel panics.
 //!
-//! Because the runtime schedules exactly one goroutine at a time, channel
-//! state transitions are serial; the per-channel lock only protects
-//! against the brief hand-off window.
+//! The scheduler runs one goroutine at a time, so channel state changes
+//! are serial; the per-channel lock exists because `Chan` is `Send + Sync`.
 
 use crate::rt::{
     block_current, cu_here, current, gopanic, op_enter, Ctx, Sched, SelToken, TimerTarget,
@@ -172,8 +171,9 @@ impl<T: Send + 'static> Chan<T> {
     /// Panics when called outside a goroutine.
     pub fn new(cap: usize) -> Chan<T> {
         let ctx = current();
-        let id = ctx.rt.state.lock().alloc_rid();
-        ctx.rt.tb.push(ctx.gid, EventKind::ChMake { ch: id, cap }, None);
+        let mut s = ctx.rt.state.lock();
+        let id = s.alloc_rid();
+        s.emit(ctx.gid, EventKind::ChMake { ch: id, cap }, None);
         Chan {
             core: Arc::new(ChanCore {
                 id,
@@ -219,17 +219,18 @@ impl<T: Send + 'static> Chan<T> {
             drop(st);
             gopanic("send on closed channel");
         }
+        // A waiting receiver takes the value: its wake and the send's
+        // event share one scheduler critical section.
         if let Some(rw) = st.pop_valid_recver() {
             rw.slot.put(RecvOutcome::Val(v));
             drop(st);
-            ctx.rt.state.lock().wake(rw.g, ctx.gid, Some(cu));
-            ctx.rt.tb.push(ctx.gid, EventKind::ChSend { ch: self.core.id }, Some(cu));
+            ctx.wake_and_emit([rw.g], EventKind::ChSend { ch: self.core.id }, cu);
             return Ok(());
         }
         if st.buf.len() < self.core.cap {
             st.buf.push_back(v);
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::ChSend { ch: self.core.id }, Some(cu));
+            ctx.emit(EventKind::ChSend { ch: self.core.id }, cu);
             return Ok(());
         }
         Err(v)
@@ -257,22 +258,21 @@ impl<T: Send + 'static> Chan<T> {
         let core = &self.core;
         let mut st = core.st.lock();
         if let Some(v) = st.buf.pop_front() {
-            core.refill_from_sender(&ctx, &mut st, &cu);
+            let woken = core.refill_from_sender(&mut st);
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: core.id, closed: false }, Some(cu));
+            ctx.wake_and_emit(woken, EventKind::ChRecv { ch: core.id, closed: false }, cu);
             return Some(Some(v));
         }
         if let Some(mut sw) = st.pop_valid_sender() {
             let v = sw.val.take().expect("blocked sender always holds a value");
             sw.slot.put(SendOutcome::Sent);
             drop(st);
-            ctx.rt.state.lock().wake(sw.g, ctx.gid, Some(cu));
-            ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: core.id, closed: false }, Some(cu));
+            ctx.wake_and_emit([sw.g], EventKind::ChRecv { ch: core.id, closed: false }, cu);
             return Some(Some(v));
         }
         if st.closed {
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: core.id, closed: true }, Some(cu));
+            ctx.emit(EventKind::ChRecv { ch: core.id, closed: true }, cu);
             return Some(None);
         }
         None
@@ -304,13 +304,9 @@ impl<T: Send + 'static> Chan<T> {
             woken.push(sw.g);
         }
         drop(st);
-        if !woken.is_empty() {
-            let mut s = ctx.rt.state.lock();
-            for g in woken {
-                s.wake(g, ctx.gid, Some(cu));
-            }
-        }
-        ctx.rt.tb.push(ctx.gid, EventKind::ChClose { ch: self.core.id }, Some(cu));
+        // The released goroutines' `GoUnblock`s and the `ChClose` are
+        // recorded in one scheduler critical section.
+        ctx.wake_and_emit(woken, EventKind::ChClose { ch: self.core.id }, cu);
     }
 
     /// Iterate over values until the channel closes (Go's
@@ -347,6 +343,8 @@ impl<T: Send + 'static> Chan<T> {
         self.core.id
     }
 
+    /// The channel's shared state, on which select cases register and
+    /// to which timers deliver.
     pub(crate) fn core(&self) -> &Arc<ChanCore<T>> {
         &self.core
     }
@@ -354,19 +352,21 @@ impl<T: Send + 'static> Chan<T> {
 
 impl<T: Send + 'static> ChanCore<T> {
     /// After taking a value out of a full buffer, move a blocked sender's
-    /// value in (preserving FIFO order) and wake it.
-    fn refill_from_sender(&self, ctx: &Ctx, st: &mut ChanSt<T>, cu: &goat_model::Cu) {
-        if st.buf.len() < self.cap {
-            if let Some(mut sw) = st.pop_valid_sender() {
-                let v = sw.val.take().expect("blocked sender always holds a value");
-                st.buf.push_back(v);
-                sw.slot.put(SendOutcome::Sent);
-                let mut s = ctx.rt.state.lock();
-                s.wake(sw.g, ctx.gid, Some(*cu));
-            }
+    /// value in (preserving FIFO order); returns the sender, for the
+    /// caller to wake once it released the channel lock.
+    fn refill_from_sender(&self, st: &mut ChanSt<T>) -> Option<Gid> {
+        if st.buf.len() >= self.cap {
+            return None;
         }
+        let mut sw = st.pop_valid_sender()?;
+        let v = sw.val.take().expect("blocked sender always holds a value");
+        st.buf.push_back(v);
+        sw.slot.put(SendOutcome::Sent);
+        Some(sw.g)
     }
 
+    /// Send `v`, blocking until a receiver takes it or the channel
+    /// closes, which is a Go panic.
     pub(crate) fn send_impl(self: &Arc<Self>, ctx: &Ctx, v: T, cu: goat_model::Cu) {
         let mut st = self.st.lock();
         if st.closed {
@@ -376,17 +376,17 @@ impl<T: Send + 'static> ChanCore<T> {
         if let Some(rw) = st.pop_valid_recver() {
             rw.slot.put(RecvOutcome::Val(v));
             drop(st);
-            ctx.rt.state.lock().wake(rw.g, ctx.gid, Some(cu));
-            ctx.rt.tb.push(ctx.gid, EventKind::ChSend { ch: self.id }, Some(cu));
+            ctx.wake_and_emit([rw.g], EventKind::ChSend { ch: self.id }, cu);
             return;
         }
         if st.buf.len() < self.cap {
             st.buf.push_back(v);
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::ChSend { ch: self.id }, Some(cu));
+            ctx.emit(EventKind::ChSend { ch: self.id }, cu);
             return;
         }
-        // Block until a receiver takes the value (or the channel closes).
+        // Block until a receiver takes the value (or the channel closes);
+        // the `ChSend` is recorded once this goroutine runs again.
         let slot = OpSlot::new();
         st.senders.push_back(SendWaiter {
             g: ctx.gid,
@@ -398,32 +398,32 @@ impl<T: Send + 'static> ChanCore<T> {
         block_current(ctx, BlockReason::Send, None, Some(cu));
         match slot.take() {
             Some(SendOutcome::Sent) => {
-                ctx.rt.tb.push(ctx.gid, EventKind::ChSend { ch: self.id }, Some(cu));
+                ctx.emit(EventKind::ChSend { ch: self.id }, cu);
             }
             Some(SendOutcome::Closed) => gopanic("send on closed channel"),
             None => unreachable!("blocked sender woken without outcome"),
         }
     }
 
+    /// Receive, blocking until a value arrives or the channel closes.
     pub(crate) fn recv_impl(self: &Arc<Self>, ctx: &Ctx, cu: goat_model::Cu) -> Option<T> {
         let mut st = self.st.lock();
         if let Some(v) = st.buf.pop_front() {
-            self.refill_from_sender(ctx, &mut st, &cu);
+            let woken = self.refill_from_sender(&mut st);
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: self.id, closed: false }, Some(cu));
+            ctx.wake_and_emit(woken, EventKind::ChRecv { ch: self.id, closed: false }, cu);
             return Some(v);
         }
         if let Some(mut sw) = st.pop_valid_sender() {
             let v = sw.val.take().expect("blocked sender always holds a value");
             sw.slot.put(SendOutcome::Sent);
             drop(st);
-            ctx.rt.state.lock().wake(sw.g, ctx.gid, Some(cu));
-            ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: self.id, closed: false }, Some(cu));
+            ctx.wake_and_emit([sw.g], EventKind::ChRecv { ch: self.id, closed: false }, cu);
             return Some(v);
         }
         if st.closed {
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: self.id, closed: true }, Some(cu));
+            ctx.emit(EventKind::ChRecv { ch: self.id, closed: true }, cu);
             return None;
         }
         let slot = OpSlot::new();
@@ -432,11 +432,11 @@ impl<T: Send + 'static> ChanCore<T> {
         block_current(ctx, BlockReason::Recv, None, Some(cu));
         match slot.take() {
             Some(RecvOutcome::Val(v)) => {
-                ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: self.id, closed: false }, Some(cu));
+                ctx.emit(EventKind::ChRecv { ch: self.id, closed: false }, cu);
                 Some(v)
             }
             Some(RecvOutcome::Closed) => {
-                ctx.rt.tb.push(ctx.gid, EventKind::ChRecv { ch: self.id, closed: true }, Some(cu));
+                ctx.emit(EventKind::ChRecv { ch: self.id, closed: true }, cu);
                 None
             }
             None => unreachable!("blocked receiver woken without outcome"),

@@ -51,6 +51,7 @@ pub mod context;
 mod coro;
 /// Deterministic fault injection (`GOAT_FAULT`) for supervision tests.
 pub mod faultpoint;
+mod iter_fault;
 mod monitor;
 /// Shared pool of run host threads (run hosts, statistics surface).
 pub mod pool;

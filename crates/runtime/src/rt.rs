@@ -30,7 +30,6 @@ use crate::config::{
     AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, TimeoutPhase,
 };
 use crate::coro::{self, Coroutine, Resume};
-use crate::faultpoint::{self, SeedFault};
 use crate::monitor::Monitor;
 use crate::pool::AbandonHook;
 use crate::strategy::{Strategy, YieldChoice, YieldCtx};
@@ -149,7 +148,7 @@ struct GSlot {
     coro: Coro,
 }
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
+pub(crate) type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A goroutine's coroutine handle, owned by its slot except while the
 /// host thread runs it.
@@ -241,10 +240,8 @@ pub(crate) struct Sched {
     timers: BinaryHeap<Reverse<TimerEntry>>,
     timer_seq: u64,
     next_rid: u64,
-    /// The run's trace sink, shared with [`RtShared`]: internally
-    /// synchronized, so the token holder appends without this lock. The
-    /// scheduler publishes its virtual clock into it on every tick.
-    tb: Arc<TraceBuf>,
+    /// The run's ECT, appended only through [`Sched::emit`].
+    tb: TraceBuf,
     outcome: Option<RunOutcome>,
     /// The goroutine [`Sched::schedule_next`] granted the token, until
     /// the host's run loop (or the granted goroutine itself, when it
@@ -293,7 +290,8 @@ pub(crate) struct Sched {
 }
 
 impl Sched {
-    fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>, tb: Arc<TraceBuf>) -> Self {
+    fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>) -> Self {
+        let tb = TraceBuf::new(cfg.trace, cfg.max_trace_events);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         // Building native/random consumes no RNG draws, preserving
         // byte-identity with the pre-strategy scheduler.
@@ -337,11 +335,11 @@ impl Sched {
         &mut self.slots[(g.0 - 1) as usize]
     }
 
-    /// Append an ECT event from scheduler context (timer fires,
-    /// bootstrap, wakes). Gate functions holding the token append
-    /// through [`RtShared::tb`] directly, without this lock.
+    /// Append an ECT event at the current virtual time. Every event of
+    /// a run passes here, under the run's one lock, so the trace is in
+    /// the order the scheduler's critical sections ran.
     pub(crate) fn emit(&mut self, g: Gid, kind: EventKind, cu: Option<Cu>) {
-        self.tb.push(g, kind, cu);
+        self.tb.push(VTime(self.clock), g, kind, cu);
     }
 
     /// Allocate a fresh traced-resource id.
@@ -497,7 +495,6 @@ impl Sched {
     pub(crate) fn tick(&mut self) -> bool {
         self.steps += 1;
         self.clock += TIME_STEP_NS;
-        self.tb.set_clock(self.clock);
         // Synthetic GC cadence: the Go tracer interleaves GC events with
         // application events; emit a cycle every few thousand steps so
         // traces carry the GC/Mem category with realistic placement.
@@ -586,7 +583,6 @@ impl Sched {
             }
             if let Some(Reverse(t)) = self.timers.peek() {
                 self.clock = t.deadline;
-                self.tb.set_clock(self.clock);
                 continue;
             }
             // Nothing runnable, no timers: the built-in detector's
@@ -659,15 +655,11 @@ impl Sched {
 
 /// Shared state of one runtime instance.
 pub(crate) struct RtShared {
+    /// The run's one lock: its host takes it at every scheduler gate,
+    /// and the supervisor touches the run only through it.
     pub(crate) state: Mutex<Sched>,
-    /// The run's trace sink. Internally synchronized and append-only;
-    /// the token holder pushes its own events here **without** taking
-    /// [`RtShared::state`]. Total order is preserved because exactly one
-    /// goroutine holds the run token, and within any `Sched` critical
-    /// section every emission happens before the token grant.
-    pub(crate) tb: Arc<TraceBuf>,
-    /// The attached monitor, reachable without the scheduler lock so
-    /// gate functions can consult it on lock-free paths.
+    /// The attached monitor, reachable without the scheduler lock: gate
+    /// functions call its hooks outside their critical section.
     pub(crate) monitor: Option<Arc<dyn Monitor>>,
     /// Wakes an abandoned host that woke up while the supervisor was
     /// still handing its run's result over.
@@ -682,13 +674,12 @@ impl RtShared {
     /// grants main the token first thing.
     fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>, main: Job) -> Arc<RtShared> {
         let pooled = cfg.pool;
-        let tb = Arc::new(TraceBuf::new(cfg.trace, cfg.max_trace_events));
-        let mut s = Sched::new(cfg, monitor.clone(), Arc::clone(&tb));
+        let mut s = Sched::new(cfg, monitor.clone());
         s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
         s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
         let gid = s.new_goroutine(Istr::new("main"), false, main);
         debug_assert_eq!(gid, Gid::MAIN);
-        Arc::new(RtShared { state: Mutex::new(s), tb, monitor, done_cv: Condvar::new(), pooled })
+        Arc::new(RtShared { state: Mutex::new(s), monitor, done_cv: Condvar::new(), pooled })
     }
 }
 
@@ -697,6 +688,29 @@ impl RtShared {
 pub(crate) struct Ctx {
     pub rt: Arc<RtShared>,
     pub gid: Gid,
+}
+
+impl Ctx {
+    /// Record an event of this goroutine's operation at `cu`.
+    pub(crate) fn emit(&self, kind: EventKind, cu: Cu) {
+        self.rt.state.lock().emit(self.gid, kind, Some(cu));
+    }
+
+    /// Make the goroutines this operation released runnable and record
+    /// the operation's event after their `GoUnblock`s, in one critical
+    /// section.
+    pub(crate) fn wake_and_emit(
+        &self,
+        woken: impl IntoIterator<Item = Gid>,
+        kind: EventKind,
+        cu: Cu,
+    ) {
+        let mut s = self.rt.state.lock();
+        for g in woken {
+            s.wake(g, self.gid, Some(cu));
+        }
+        s.emit(self.gid, kind, Some(cu));
+    }
 }
 
 thread_local! {
@@ -735,14 +749,9 @@ pub(crate) fn block_current(
     holder: Option<(Gid, Option<Cu>)>,
     cu: Option<Cu>,
 ) {
-    // Out-of-lock append: this goroutine still holds the run token, so
-    // nothing else can emit until `schedule_next` grants it away below.
-    let (holder_g, holder_cu) = match holder {
-        Some((g, c)) => (Some(g), c),
-        None => (None, None),
-    };
-    ctx.rt.tb.push(ctx.gid, EventKind::GoBlock { reason, holder_cu, holder: holder_g }, cu);
+    let (holder_g, holder_cu) = holder.map_or((None, None), |(g, c)| (Some(g), c));
     let mut s = ctx.rt.state.lock();
+    s.emit(ctx.gid, EventKind::GoBlock { reason, holder_cu, holder: holder_g }, cu);
     s.slot_mut(ctx.gid).state = GState::Blocked(reason);
     s.counters.blocks += 1;
     if !s.tick() {
@@ -752,15 +761,18 @@ pub(crate) fn block_current(
     hand_off(ctx, s);
 }
 
-/// Yield the processor: requeue at the back of the run queue.
-/// `preempt` distinguishes injected perturbation yields (`GoPreempt`)
-/// from program-requested `gosched()` yields.
-pub(crate) fn yield_current(ctx: &Ctx, preempt: bool, cu: Option<Cu>) {
+/// Yield the processor under the scheduler guard `s`: requeue at the
+/// back of the run queue. `preempt` distinguishes injected perturbation
+/// yields (`GoPreempt`) from program-requested `gosched()` yields.
+fn yield_current(
+    ctx: &Ctx,
+    mut s: parking_lot::MutexGuard<'_, Sched>,
+    preempt: bool,
+    cu: Option<Cu>,
+) {
     let kind =
         if preempt { EventKind::GoPreempt } else { EventKind::GoSched { trace_stop: false } };
-    // Out-of-lock append: see `block_current`.
-    ctx.rt.tb.push(ctx.gid, kind, cu);
-    let mut s = ctx.rt.state.lock();
+    s.emit(ctx.gid, kind, cu);
     s.slot_mut(ctx.gid).state = GState::Runnable;
     s.runq.push_back(ctx.gid);
     if preempt {
@@ -793,19 +805,16 @@ fn hand_off(ctx: &Ctx, mut s: parking_lot::MutexGuard<'_, Sched>) {
 
 /// Common entry of every traced primitive: accounts a step, enforces the
 /// watchdog and runs the injected yield handler (`goat.handler()` of
-/// §III-B.2) in front of the CU.
+/// §III-B.2) in front of the CU, all under one scheduler guard.
 pub(crate) fn op_enter(ctx: &Ctx, _kind: CuKind, cu: &Cu) {
-    let do_yield = {
-        let mut s = ctx.rt.state.lock();
-        if !s.tick() {
-            s.set_outcome(RunOutcome::StepLimit);
-            drop(s);
-            shutdown_unwind();
-        }
-        s.decide_yield(ctx.gid)
-    };
-    if do_yield {
-        yield_current(ctx, true, Some(*cu));
+    let mut s = ctx.rt.state.lock();
+    if !s.tick() {
+        s.set_outcome(RunOutcome::StepLimit);
+        drop(s);
+        shutdown_unwind();
+    }
+    if s.decide_yield(ctx.gid) {
+        yield_current(ctx, s, true, Some(*cu));
     }
 }
 
@@ -841,47 +850,39 @@ fn panic_forensics(payload: Box<dyn std::any::Any + Send>) -> (String, Option<St
 }
 
 /// The body of every goroutine's coroutine. It starts holding the run
-/// token (the host resumes a coroutine only once it is granted), and its
-/// exit decides who runs next.
+/// token (the host resumes a coroutine only once it is granted, and
+/// records its `GoStart` when it creates it), and its exit decides who
+/// runs next.
 fn goroutine_main(rt: Arc<RtShared>, gid: Gid, body: Job) {
-    // The granter emitted its last event before the grant, so this
-    // lock-free append lands in total order.
-    rt.tb.push(gid, EventKind::GoStart, None);
-    match panic::catch_unwind(AssertUnwindSafe(body)) {
-        Ok(()) => {
-            if gid == Gid::MAIN {
-                // Successful main exit: the trace-stopping yield of
-                // §III-E.1, then a grace drain of runnable goroutines
-                // (schedule_next declares completion and runs the
-                // goleak observation point once the queue is empty).
-                rt.tb.push(gid, EventKind::GoSched { trace_stop: true }, None);
-                let mut s = rt.state.lock();
-                s.slot_mut(gid).state = GState::Done;
-                s.main_exited = true;
-                s.schedule_next();
-            } else {
-                rt.tb.push(gid, EventKind::GoEnd, None);
-                let mut s = rt.state.lock();
-                s.slot_mut(gid).state = GState::Done;
-                if !s.tick() {
-                    s.set_outcome(RunOutcome::StepLimit);
-                }
-                s.schedule_next();
+    let exit = panic::catch_unwind(AssertUnwindSafe(body))
+        .map_err(|payload| (!payload.is::<ShutdownSignal>()).then(|| panic_forensics(payload)));
+    let mut s = rt.state.lock();
+    s.slot_mut(gid).state = GState::Done;
+    match exit {
+        // Unwound by the teardown: nothing to record.
+        Err(None) => {}
+        Err(Some((msg, detail))) => {
+            s.emit(gid, EventKind::GoStop, None);
+            if s.outcome.is_none() {
+                s.panic_detail = detail;
             }
+            s.set_outcome(RunOutcome::Panicked { g: gid, msg });
         }
-        Err(payload) => {
-            if payload.is::<ShutdownSignal>() {
-                rt.state.lock().slot_mut(gid).state = GState::Done;
-            } else {
-                let (msg, detail) = panic_forensics(payload);
-                rt.tb.push(gid, EventKind::GoStop, None);
-                let mut s = rt.state.lock();
-                s.slot_mut(gid).state = GState::Done;
-                if s.outcome.is_none() {
-                    s.panic_detail = detail;
-                }
-                s.set_outcome(RunOutcome::Panicked { g: gid, msg });
+        Ok(()) if gid == Gid::MAIN => {
+            // Successful main exit: the trace-stopping yield of
+            // §III-E.1, then a grace drain of runnable goroutines
+            // (schedule_next declares completion and runs the goleak
+            // observation point once the queue is empty).
+            s.emit(gid, EventKind::GoSched { trace_stop: true }, None);
+            s.main_exited = true;
+            s.schedule_next();
+        }
+        Ok(()) => {
+            s.emit(gid, EventKind::GoEnd, None);
+            if !s.tick() {
+                s.set_outcome(RunOutcome::StepLimit);
             }
+            s.schedule_next();
         }
     }
 }
@@ -936,7 +937,10 @@ fn host_run(rt: Arc<RtShared>) {
             Coro::Unstarted(body) => {
                 let rt2 = Arc::clone(&rt);
                 match Coroutine::new(Box::new(move || goroutine_main(rt2, g, body)), rt.pooled) {
-                    Ok(co) => co,
+                    Ok(co) => {
+                        s.emit(g, EventKind::GoStart, None);
+                        co
+                    }
                     Err(e) => {
                         let reason = format!("failed to map a goroutine stack: {e}");
                         s.set_outcome(RunOutcome::InfraFailure { reason });
@@ -1010,11 +1014,9 @@ fn go_impl(
         op_enter(&ctx, CuKind::Go, &cu);
     }
     let name = Istr::new(name);
-    let gid = ctx.rt.state.lock().new_goroutine(name, internal, body);
-    // The child is runnable but cannot be granted the token until this
-    // goroutine reaches a scheduler gate, so the creation event lands
-    // before any child event.
-    ctx.rt.tb.push(ctx.gid, EventKind::GoCreate { new_g: gid, name, internal }, Some(cu));
+    let mut s = ctx.rt.state.lock();
+    let gid = s.new_goroutine(name, internal, body);
+    s.emit(ctx.gid, EventKind::GoCreate { new_g: gid, name, internal }, Some(cu));
     gid
 }
 
@@ -1022,34 +1024,12 @@ fn go_impl(
 #[track_caller]
 pub fn gosched() {
     let ctx = current();
-    yield_current(&ctx, false, None);
+    yield_current(&ctx, ctx.rt.state.lock(), false, None);
 }
 
 // ---------------------------------------------------------------------
 // Driver
 // ---------------------------------------------------------------------
-
-/// The body a seed-keyed `iter` fault substitutes for the program's
-/// main, exercising each watchdog escalation path deterministically.
-/// `tests/snapshots/etcd6708_s11_crash.json` records the `iter:panic`
-/// call site's line: moving it means re-blessing that golden.
-fn iter_fault_body(seed: u64) -> Option<Job> {
-    let body: Job = match faultpoint::seed_fault("iter", seed)? {
-        // Stall outside every runtime primitive: no scheduler gate is
-        // ever reached, so only the supervisor deciding the run wedged
-        // once the watchdog's grace ran out (and the teardown
-        // abandonment path) can reclaim this run.
-        SeedFault::Wedge => Box::new(|| std::thread::sleep(Duration::from_secs(3600))),
-        // Yield forever: every gosched passes the scheduler gate, so
-        // the soft deadline aborts cooperatively (or the step limit
-        // fires first when no watchdog is configured).
-        SeedFault::Spin => Box::new(|| loop {
-            gosched();
-        }),
-        SeedFault::Panic => Box::new(|| gopanic("injected fault: iter:panic")),
-    };
-    Some(body)
-}
 
 /// The GoAT runtime: executes a program under a configuration and
 /// returns its outcome, trace and statistics.
@@ -1089,7 +1069,7 @@ impl Runtime {
     ) -> RunResult {
         install_panic_hook();
         let (pooled, iter_timeout_ms) = (cfg.pool, cfg.iter_timeout_ms);
-        let main = iter_fault_body(cfg.seed).unwrap_or_else(|| Box::new(f));
+        let main = crate::iter_fault::body(cfg.seed).unwrap_or_else(|| Box::new(f));
         let rt = RtShared::new(cfg, monitor, main);
         let host_rt = Arc::clone(&rt);
         let hosted = crate::pool::with_host(pooled, move |on_abandon| {
@@ -1133,6 +1113,9 @@ pub(crate) enum Due {
     Finished,
     /// Look again at this instant.
     Again(Instant),
+    /// The cooperative abort was requested just now; look again at this
+    /// instant.
+    Requested(Instant),
     /// The teardown deadline passed with the host still busy: the host
     /// thread is written off, and the supervisor finishes the run.
     Abandoned,
@@ -1146,15 +1129,18 @@ impl RtShared {
     /// `grace` has passed since that request it decides the run itself
     /// — the only way out when every goroutine is stuck outside runtime
     /// primitives. A supervisor that wakes late still gives the
-    /// cooperative abort its whole grace. Once the outcome is decided
-    /// the teardown has `teardown`; a goroutine wedged outside runtime
-    /// primitives holds the host thread forever, so at that deadline the
-    /// host is abandoned.
+    /// cooperative abort its whole grace, and a host the supervisor saw
+    /// merely `descheduled` gets one more grace at a time, until
+    /// `teardown` has passed since the request. Once the outcome is
+    /// decided the teardown has `teardown`; a goroutine wedged outside
+    /// runtime primitives holds the host thread forever, so at that
+    /// deadline the host is abandoned.
     pub(crate) fn on_deadline(
         &self,
         now: Instant,
         watchdog: Option<(Instant, Duration)>,
         teardown: Duration,
+        descheduled: bool,
     ) -> Due {
         let mut s = self.state.lock();
         if s.host != Host::Running {
@@ -1178,10 +1164,16 @@ impl RtShared {
         match s.timeout_requested {
             None if now < soft => Due::Again(soft),
             None => {
-                s.timeout_requested = Some(now);
-                Due::Again(now + grace)
+                // Stamped with the lock held: waiting for it (the host in
+                // a long critical section) does not eat into the grace.
+                let requested = now.max(Instant::now());
+                s.timeout_requested = Some(requested);
+                Due::Requested(requested + grace)
             }
             Some(requested) if now < requested + grace => Due::Again(requested + grace),
+            Some(requested) if descheduled && now < requested + teardown => {
+                Due::Again((now + grace).min(requested + teardown))
+            }
             Some(_) => {
                 let elapsed_ms = s.started.elapsed().as_millis() as u64;
                 s.set_outcome(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, elapsed_ms });
@@ -1209,8 +1201,8 @@ struct Abandoned;
 /// the ECT wholesale (no per-event re-push) and the campaign merge loop
 /// recycles it.
 pub(crate) fn collect(rt: &RtShared) -> RunResult {
-    let (trace, fingerprint) = rt.tb.take();
     let mut s = rt.state.lock();
+    let (trace, fingerprint) = s.tb.take();
     let outcome = s.outcome.clone().expect("outcome set before teardown");
     let ect = trace.map(Ect::from_events);
     let alive_at_end: Vec<AliveGoroutine> =
@@ -1550,13 +1542,16 @@ mod tests {
     #[test]
     fn a_late_supervisor_still_gives_the_cooperative_abort_its_grace() {
         let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
-        let soft = rt.state.lock().started + Duration::from_millis(50);
+        let soft = rt.state.lock().started + Duration::from_secs(5);
         let grace = Duration::from_micros(12_500);
         let teardown = Duration::from_secs(5);
         // The supervisor's first look comes past the hard deadline
         // (soft + grace), so the soft phase never ran.
         let late = soft + grace + Duration::from_millis(20);
-        assert_eq!(rt.on_deadline(late, Some((soft, grace)), teardown), Due::Again(late + grace));
+        assert_eq!(
+            rt.on_deadline(late, Some((soft, grace)), teardown, false),
+            Due::Requested(late + grace)
+        );
         {
             let s = rt.state.lock();
             assert_eq!(s.timeout_requested, Some(late));
@@ -1564,7 +1559,7 @@ mod tests {
         }
         let after = late + grace;
         assert_eq!(
-            rt.on_deadline(after, Some((soft, grace)), teardown),
+            rt.on_deadline(after, Some((soft, grace)), teardown, false),
             Due::Again(after + teardown)
         );
         let outcome = rt.state.lock().outcome.clone();
@@ -1572,6 +1567,74 @@ mod tests {
             matches!(outcome, Some(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, .. })),
             "{outcome:?}"
         );
+    }
+
+    // The soft deadlines below lie seconds ahead, so the instant the
+    // supervisor passes in, not the wall clock, stamps each request.
+    fn wedged(rt: &RtShared) -> bool {
+        matches!(
+            rt.state.lock().outcome,
+            Some(RunOutcome::TimedOut { phase: TimeoutPhase::Wedged, .. })
+        )
+    }
+
+    #[test]
+    fn a_descheduled_host_gets_more_grace_until_the_teardown_deadline() {
+        let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
+        let soft = rt.state.lock().started + Duration::from_secs(5);
+        let grace = Duration::from_micros(12_500);
+        let teardown = Duration::from_millis(100);
+        let wd = Some((soft, grace));
+        assert_eq!(rt.on_deadline(soft, wd, teardown, false), Due::Requested(soft + grace));
+        let t1 = soft + grace;
+        assert_eq!(rt.on_deadline(t1, wd, teardown, true), Due::Again(t1 + grace));
+        assert!(rt.state.lock().outcome.is_none());
+        // The extensions stop at the teardown deadline since the request.
+        let t2 = soft + Duration::from_millis(95);
+        assert_eq!(rt.on_deadline(t2, wd, teardown, true), Due::Again(soft + teardown));
+        assert!(rt.state.lock().outcome.is_none());
+        let t3 = soft + teardown;
+        assert_eq!(rt.on_deadline(t3, wd, teardown, true), Due::Again(t3 + teardown));
+        assert!(wedged(&rt));
+    }
+
+    #[test]
+    fn a_host_not_seen_descheduled_is_wedged_when_the_grace_runs_out() {
+        let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
+        let soft = rt.state.lock().started + Duration::from_secs(5);
+        let grace = Duration::from_micros(12_500);
+        let teardown = Duration::from_secs(5);
+        let wd = Some((soft, grace));
+        assert_eq!(rt.on_deadline(soft, wd, teardown, true), Due::Requested(soft + grace));
+        let t1 = soft + grace;
+        assert_eq!(rt.on_deadline(t1, wd, teardown, false), Due::Again(t1 + teardown));
+        assert!(wedged(&rt));
+    }
+
+    #[test]
+    fn traced_run_across_the_gc_cadence_with_timers_is_well_formed() {
+        let r = Runtime::run(Config::new(3), || {
+            let ticker = crate::time::Ticker::new(Duration::from_micros(200));
+            for i in 0..5_000u32 {
+                if i % 1_000 == 0 {
+                    crate::time::sleep(Duration::from_micros(50));
+                    let _ = ticker.chan().try_recv();
+                }
+                gosched();
+            }
+            ticker.stop();
+        });
+        assert!(r.outcome.is_completed(), "{:?}", r.outcome);
+        assert!(r.steps > 4096, "{} steps cross no GC cycle", r.steps);
+        let ect = r.ect.expect("traced");
+        assert!(ect.well_formed().is_ok(), "{:?}", ect.well_formed());
+        let kinds: Vec<&EventKind> = ect.iter().map(|e| &e.kind).collect();
+        assert!(kinds.windows(3).any(|w| matches!(
+            w,
+            [EventKind::GcStart, EventKind::HeapAlloc { .. }, EventKind::GcDone]
+        )));
+        assert!(kinds.iter().any(|k| matches!(k, EventKind::TimerFire { .. })));
+        assert_eq!(r.fingerprint, goat_trace::schedule_fingerprint(ect.iter()));
     }
 
     #[test]

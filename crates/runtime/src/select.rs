@@ -213,10 +213,9 @@ impl<'a, R: 'a> Select<'a, R> {
         {
             let descs: Vec<(SelCaseFlavor, Option<RId>)> =
                 self.cases.iter().map(|c| (c.flavor(), Some(c.ch_id()))).collect();
-            ctx.rt.tb.push(
-                ctx.gid,
+            ctx.emit(
                 EventKind::SelectBegin { cases: descs, has_default: self.default_case.is_some() },
-                Some(cu),
+                cu,
             );
         }
         loop {
@@ -229,22 +228,14 @@ impl<'a, R: 'a> Select<'a, R> {
                 };
                 let idx = ready[pick];
                 if let Some(r) = self.cases[idx].execute(&ctx, &cu) {
-                    self.emit_end(&ctx, idx);
+                    self.emit_end(&ctx, Some(idx));
                     return r;
                 }
                 // Raced with a timer delivery; re-poll.
                 continue;
             }
             if let Some(d) = self.default_case.take() {
-                ctx.rt.tb.push(
-                    ctx.gid,
-                    EventKind::SelectEnd {
-                        chosen: usize::MAX,
-                        flavor: SelCaseFlavor::Default,
-                        ch: None,
-                    },
-                    Some(cu),
-                );
+                self.emit_end(&ctx, None);
                 return d();
             }
             // Block on all cases at once.
@@ -260,21 +251,19 @@ impl<'a, R: 'a> Select<'a, R> {
                 }
             }
             let r = self.cases[winner].complete(&ctx);
-            self.emit_end(&ctx, winner);
+            self.emit_end(&ctx, Some(winner));
             return r;
         }
     }
 
-    fn emit_end(&self, ctx: &Ctx, idx: usize) {
-        ctx.rt.tb.push(
-            ctx.gid,
-            EventKind::SelectEnd {
-                chosen: idx,
-                flavor: self.cases[idx].flavor(),
-                ch: Some(self.cases[idx].ch_id()),
-            },
-            Some(self.cu),
-        );
+    /// Record the select's end: the case `chosen`, or the default case.
+    fn emit_end(&self, ctx: &Ctx, chosen: Option<usize>) {
+        let (flavor, ch) = match chosen {
+            Some(i) => (self.cases[i].flavor(), Some(self.cases[i].ch_id())),
+            None => (SelCaseFlavor::Default, None),
+        };
+        let chosen = chosen.unwrap_or(usize::MAX);
+        ctx.emit(EventKind::SelectEnd { chosen, flavor, ch }, self.cu);
     }
 }
 

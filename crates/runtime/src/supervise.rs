@@ -36,6 +36,91 @@ struct Watch {
     watchdog: Option<(Instant, Duration)>,
     /// Where the result goes if the host is abandoned.
     on_abandon: AbandonHook,
+    /// The run's host thread, if its state and CPU clock can be read.
+    host: Option<HostThread>,
+    /// The host's CPU time right after the cooperative abort was
+    /// requested.
+    host_cpu_at_request: Option<Duration>,
+}
+
+impl Watch {
+    /// Whether the host is only descheduled: runnable, yet given less
+    /// than half a grace of CPU since the abort request. `false` where
+    /// `/proc` or the thread's CPU clock cannot be read. Read before the
+    /// run's lock is taken, since a host waiting for it would look
+    /// asleep.
+    fn host_descheduled(&self) -> bool {
+        let (Some((_, grace)), Some(host), Some(cpu0)) =
+            (self.watchdog, self.host, self.host_cpu_at_request)
+        else {
+            return false;
+        };
+        host.runnable() == Some(true)
+            && host.cpu().is_some_and(|cpu| cpu.saturating_sub(cpu0) < grace / 2)
+    }
+}
+
+/// A run host thread's kernel thread id and CPU-time clock.
+#[derive(Clone, Copy)]
+struct HostThread {
+    tid: i32,
+    cpu_clock: i32,
+}
+
+thread_local! {
+    /// The calling thread's identity, looked up once per host thread.
+    static THIS_HOST: Option<HostThread> = HostThread::lookup();
+}
+
+impl HostThread {
+    #[cfg(target_os = "linux")]
+    fn lookup() -> Option<HostThread> {
+        let mut cpu_clock = 0;
+        // SAFETY: calls about the calling thread, with a valid out-pointer.
+        let (tid, rc) = unsafe {
+            (sys::gettid(), sys::pthread_getcpuclockid(sys::pthread_self(), &mut cpu_clock))
+        };
+        (rc == 0).then_some(HostThread { tid, cpu_clock })
+    }
+
+    #[cfg(not(target_os = "linux"))]
+    fn lookup() -> Option<HostThread> {
+        None
+    }
+
+    /// Whether the thread is running or waiting for a CPU (`R` in its
+    /// `/proc` stat); `None` when that cannot be read.
+    fn runnable(self) -> Option<bool> {
+        let stat = std::fs::read_to_string(format!("/proc/self/task/{}/stat", self.tid)).ok()?;
+        // `tid (comm) state …`: comm may hold spaces and parentheses.
+        let state = stat.rsplit_once(')')?.1.trim_start().chars().next()?;
+        Some(state == 'R')
+    }
+
+    /// CPU time the thread has consumed, read from any thread of this
+    /// process while the host lives.
+    fn cpu(self) -> Option<Duration> {
+        let mut ts = [0i64; 2];
+        // SAFETY: a valid out-pointer, and the clock of a live thread of
+        // this process (a host is read only while it hosts a run).
+        let rc = unsafe { sys::clock_gettime(self.cpu_clock, &mut ts) };
+        (rc == 0).then(|| Duration::new(ts[0] as u64, ts[1] as u32))
+    }
+}
+
+/// Raw bindings for the host-thread probe (no crates), as `coro.rs`
+/// binds `mmap`.
+mod sys {
+    extern "C" {
+        #[cfg(target_os = "linux")]
+        pub fn gettid() -> i32;
+        #[cfg(target_os = "linux")]
+        pub fn pthread_self() -> usize;
+        #[cfg(target_os = "linux")]
+        pub fn pthread_getcpuclockid(thread: usize, clock_id: *mut i32) -> i32;
+        /// `tp` is a `struct timespec`: seconds, then nanoseconds.
+        pub fn clock_gettime(clock_id: i32, tp: *mut [i64; 2]) -> i32;
+    }
 }
 
 struct Registry {
@@ -63,8 +148,8 @@ fn teardown() -> Duration {
     )
 }
 
-/// Register a run that started at `started`; returns the id to
-/// [`unwatch`] it with once its host finished.
+/// Register a run that started at `started`, called on its host thread;
+/// returns the id to [`unwatch`] it with once its host finished.
 pub(crate) fn watch(
     rt: &Arc<RtShared>,
     started: Instant,
@@ -85,7 +170,10 @@ pub(crate) fn watch(
     }
     let id = reg.next_id;
     reg.next_id += 1;
-    reg.watches.push(Watch { id, rt: Arc::clone(rt), due, watchdog, on_abandon });
+    let host = THIS_HOST.with(|h| *h);
+    let host_cpu_at_request = None;
+    let w = Watch { id, rt: Arc::clone(rt), due, watchdog, on_abandon, host, host_cpu_at_request };
+    reg.watches.push(w);
     if reg.wake_at.is_none_or(|w| due < w) {
         reg.wake_at = Some(due);
         WAKE.notify_one();
@@ -130,8 +218,15 @@ fn supervise() {
         let teardown = teardown();
         let mut again = Vec::new();
         for mut w in due {
-            match w.rt.on_deadline(now, w.watchdog, teardown) {
+            match w.rt.on_deadline(now, w.watchdog, teardown, w.host_descheduled()) {
                 Due::Finished => {}
+                Due::Requested(at) => {
+                    // Read once the host can see the request, so time it
+                    // spent holding the run's lock is not counted.
+                    w.host_cpu_at_request = w.host.and_then(HostThread::cpu);
+                    w.due = at;
+                    again.push(w);
+                }
                 Due::Again(at) => {
                     w.due = at;
                     again.push(w);
@@ -153,4 +248,37 @@ fn abandon(w: Watch) {
         eprintln!("goat: the abandon hook of a wedged run host panicked");
     }
     w.rt.abandoned();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[cfg(target_os = "linux")]
+    fn the_probe_tells_a_running_thread_from_a_sleeping_one() {
+        let me = THIS_HOST.with(|h| *h).expect("a Linux thread can be probed");
+        assert_eq!(me.runnable(), Some(true), "the probing thread is running");
+        let cpu0 = me.cpu().expect("the thread's CPU clock");
+        let spin = Instant::now();
+        while spin.elapsed() < Duration::from_millis(20) {
+            std::hint::spin_loop();
+        }
+        assert!(me.cpu().expect("the thread's CPU clock") > cpu0);
+
+        let (probe_tx, probe_rx) = std::sync::mpsc::channel();
+        let (wake_tx, wake_rx) = std::sync::mpsc::channel::<()>();
+        let sleeper = std::thread::spawn(move || {
+            probe_tx.send(THIS_HOST.with(|h| *h)).expect("probe sent");
+            let _ = wake_rx.recv();
+        });
+        let other = probe_rx.recv().expect("probe received").expect("probe");
+        let since = Instant::now();
+        while other.runnable() != Some(false) {
+            assert!(since.elapsed() < Duration::from_secs(5), "the sleeper never looked asleep");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(wake_tx);
+        sleeper.join().expect("sleeper");
+    }
 }

@@ -105,32 +105,24 @@ impl Mutex {
     }
 
     fn lock_impl(&self, ctx: &Ctx, cu: Cu) {
-        // The token holder appends trace events and drives monitor hooks
-        // without the scheduler lock (see `RtShared::tb`); only a wake
-        // needs `Sched`.
+        // Monitor hooks run outside the scheduler lock; each trace event
+        // is recorded under it, together with any wake.
         if let Some(m) = &ctx.rt.monitor {
             m.on_lock_attempt(ctx.gid, self.core.id, &cu);
         }
         let mut st = self.core.st.lock();
-        if st.owner.is_none() {
+        if let Some(owner) = st.owner {
+            let holder = (owner, st.owner_cu);
+            st.waiters.push_back(MuWaiter { g: ctx.gid, cu });
+            drop(st);
+            // The unlocker transfers ownership to us before waking us.
+            block_current(ctx, BlockReason::Sync, Some(holder), Some(cu));
+        } else {
             st.owner = Some(ctx.gid);
             st.owner_cu = Some(cu);
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::MuLock { mu: self.core.id }, Some(cu));
-            if let Some(m) = &ctx.rt.monitor {
-                m.on_lock_acquired(ctx.gid, self.core.id, &cu);
-            }
-            return;
         }
-        let holder = (st.owner.expect("checked"), st.owner_cu);
-        st.waiters.push_back(MuWaiter { g: ctx.gid, cu });
-        drop(st);
-        block_current(ctx, BlockReason::Sync, Some(holder), Some(cu));
-        // Ownership was transferred to us by the unlocker.
-        ctx.rt.tb.push(ctx.gid, EventKind::MuLock { mu: self.core.id }, Some(cu));
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_lock_acquired(ctx.gid, self.core.id, &cu);
-        }
+        acquired(ctx, self.core.id, cu);
     }
 
     /// Try to acquire without blocking.
@@ -146,10 +138,7 @@ impl Mutex {
         st.owner = Some(ctx.gid);
         st.owner_cu = Some(cu);
         drop(st);
-        ctx.rt.tb.push(ctx.gid, EventKind::MuLock { mu: self.core.id }, Some(cu));
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_lock_acquired(ctx.gid, self.core.id, &cu);
-        }
+        acquired(&ctx, self.core.id, cu);
         true
     }
 
@@ -182,15 +171,19 @@ impl Mutex {
             None
         };
         drop(st);
-        if let Some(g) = woken {
-            // The only scheduler-lock acquisition on this path; the
-            // uncontended unlock never touches `Sched` at all.
-            ctx.rt.state.lock().wake(g, ctx.gid, Some(cu));
-        }
-        ctx.rt.tb.push(ctx.gid, EventKind::MuUnlock { mu: self.core.id }, Some(cu));
+        ctx.wake_and_emit(woken, EventKind::MuUnlock { mu: self.core.id }, cu);
         if let Some(m) = &ctx.rt.monitor {
             m.on_unlock(ctx.gid, self.core.id);
         }
+    }
+}
+
+/// The lock `mu` is now held by `ctx`'s goroutine: record its
+/// acquisition and tell the monitor.
+fn acquired(ctx: &Ctx, mu: RId, cu: Cu) {
+    ctx.emit(EventKind::MuLock { mu }, cu);
+    if let Some(m) = &ctx.rt.monitor {
+        m.on_lock_acquired(ctx.gid, mu, &cu);
     }
 }
 
@@ -267,23 +260,16 @@ impl RwLock {
         if st.writer.is_none() && st.readers.is_empty() {
             st.writer = Some((ctx.gid, cu));
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::MuLock { mu: self.core.id }, Some(cu));
-            if let Some(m) = &ctx.rt.monitor {
-                m.on_lock_acquired(ctx.gid, self.core.id, &cu);
-            }
-            return;
+        } else {
+            let holder = st
+                .writer
+                .map(|(g, c)| (g, Some(c)))
+                .or_else(|| st.readers.first().map(|(g, c)| (*g, Some(*c))));
+            st.wait_writers.push_back(MuWaiter { g: ctx.gid, cu });
+            drop(st);
+            block_current(&ctx, BlockReason::Sync, holder, Some(cu));
         }
-        let holder = st
-            .writer
-            .map(|(g, c)| (g, Some(c)))
-            .or_else(|| st.readers.first().map(|(g, c)| (*g, Some(*c))));
-        st.wait_writers.push_back(MuWaiter { g: ctx.gid, cu });
-        drop(st);
-        block_current(&ctx, BlockReason::Sync, holder, Some(cu));
-        ctx.rt.tb.push(ctx.gid, EventKind::MuLock { mu: self.core.id }, Some(cu));
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_lock_acquired(ctx.gid, self.core.id, &cu);
-        }
+        acquired(&ctx, self.core.id, cu);
     }
 
     /// Release the write lock.
@@ -304,13 +290,7 @@ impl RwLock {
         let mut woken: Vec<Gid> = Vec::new();
         self.grant(&mut st, &mut woken);
         drop(st);
-        if !woken.is_empty() {
-            let mut s = ctx.rt.state.lock();
-            for g in woken {
-                s.wake(g, ctx.gid, Some(cu));
-            }
-        }
-        ctx.rt.tb.push(ctx.gid, EventKind::MuUnlock { mu: self.core.id }, Some(cu));
+        ctx.wake_and_emit(woken, EventKind::MuUnlock { mu: self.core.id }, cu);
         if let Some(m) = &ctx.rt.monitor {
             m.on_unlock(ctx.gid, self.core.id);
         }
@@ -327,17 +307,16 @@ impl RwLock {
         if st.writer.is_none() && st.wait_writers.is_empty() {
             st.readers.push((ctx.gid, cu));
             drop(st);
-            ctx.rt.tb.push(ctx.gid, EventKind::RwRLock { mu: self.core.id }, Some(cu));
-            return;
+        } else {
+            let holder = st
+                .writer
+                .map(|(g, c)| (g, Some(c)))
+                .or_else(|| st.wait_writers.front().map(|w| (w.g, Some(w.cu))));
+            st.wait_readers.push_back(MuWaiter { g: ctx.gid, cu });
+            drop(st);
+            block_current(&ctx, BlockReason::Sync, holder, Some(cu));
         }
-        let holder = st
-            .writer
-            .map(|(g, c)| (g, Some(c)))
-            .or_else(|| st.wait_writers.front().map(|w| (w.g, Some(w.cu))));
-        st.wait_readers.push_back(MuWaiter { g: ctx.gid, cu });
-        drop(st);
-        block_current(&ctx, BlockReason::Sync, holder, Some(cu));
-        ctx.rt.tb.push(ctx.gid, EventKind::RwRLock { mu: self.core.id }, Some(cu));
+        ctx.emit(EventKind::RwRLock { mu: self.core.id }, cu);
     }
 
     /// Release a read lock.
@@ -358,13 +337,7 @@ impl RwLock {
         let mut woken: Vec<Gid> = Vec::new();
         self.grant(&mut st, &mut woken);
         drop(st);
-        if !woken.is_empty() {
-            let mut s = ctx.rt.state.lock();
-            for g in woken {
-                s.wake(g, ctx.gid, Some(cu));
-            }
-        }
-        ctx.rt.tb.push(ctx.gid, EventKind::RwRUnlock { mu: self.core.id }, Some(cu));
+        ctx.wake_and_emit(woken, EventKind::RwRUnlock { mu: self.core.id }, cu);
     }
 
     /// Grant the lock to waiters after a release: the next writer when
@@ -488,18 +461,12 @@ impl WaitGroup {
         }
         let woken: Vec<Gid> = if count == 0 { st.waiters.drain(..).collect() } else { Vec::new() };
         drop(st);
-        if !woken.is_empty() {
-            let mut s = ctx.rt.state.lock();
-            for g in &woken {
-                s.wake(*g, ctx.gid, Some(cu));
-            }
-        }
         let ev = if is_done {
             EventKind::WgDone { wg: self.core.id, count }
         } else {
             EventKind::WgAdd { wg: self.core.id, delta, count }
         };
-        ctx.rt.tb.push(ctx.gid, ev, Some(cu));
+        ctx.wake_and_emit(woken, ev, cu);
     }
 
     /// Block until the counter is zero.
@@ -516,7 +483,7 @@ impl WaitGroup {
         } else {
             drop(st);
         }
-        ctx.rt.tb.push(ctx.gid, EventKind::WgWait { wg: self.core.id }, Some(cu));
+        ctx.emit(EventKind::WgWait { wg: self.core.id }, cu);
     }
 
     /// The current counter value (for tests and reports).
@@ -582,7 +549,7 @@ impl Cond {
         self.core.mu.unlock_impl(&ctx, cu);
         block_current(&ctx, BlockReason::Cond, None, Some(cu));
         self.core.mu.lock_impl(&ctx, cu);
-        ctx.rt.tb.push(ctx.gid, EventKind::CondWait { cv: self.core.id }, Some(cu));
+        ctx.emit(EventKind::CondWait { cv: self.core.id }, cu);
     }
 
     /// Wake one waiter (no-op when none is waiting — the missed-signal
@@ -593,10 +560,7 @@ impl Cond {
         let ctx = current();
         op_enter(&ctx, CuKind::Signal, &cu);
         let woken = self.core.st.lock().waiters.pop_front();
-        if let Some(g) = woken {
-            ctx.rt.state.lock().wake(g, ctx.gid, Some(cu));
-        }
-        ctx.rt.tb.push(ctx.gid, EventKind::CondSignal { cv: self.core.id }, Some(cu));
+        ctx.wake_and_emit(woken, EventKind::CondSignal { cv: self.core.id }, cu);
     }
 
     /// Wake all waiters.
@@ -606,13 +570,7 @@ impl Cond {
         let ctx = current();
         op_enter(&ctx, CuKind::Broadcast, &cu);
         let woken: Vec<Gid> = self.core.st.lock().waiters.drain(..).collect();
-        if !woken.is_empty() {
-            let mut s = ctx.rt.state.lock();
-            for g in woken {
-                s.wake(g, ctx.gid, Some(cu));
-            }
-        }
-        ctx.rt.tb.push(ctx.gid, EventKind::CondBroadcast { cv: self.core.id }, Some(cu));
+        ctx.wake_and_emit(woken, EventKind::CondBroadcast { cv: self.core.id }, cu);
     }
 }
 

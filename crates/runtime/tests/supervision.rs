@@ -10,7 +10,7 @@
 use goat_runtime::faultpoint::{self};
 use goat_runtime::{gosched, pool, Config, RunOutcome, Runtime, TimeoutPhase};
 use std::sync::{mpsc, Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// A plan that can never fire (no test uses this seed): serialization
 /// without injection.
@@ -66,6 +66,28 @@ fn wedged_timeout_fires_for_natively_stalled_program() {
         RunOutcome::TimedOut { phase, elapsed_ms } => {
             assert_eq!(phase, TimeoutPhase::Wedged);
             assert!(elapsed_ms >= 40, "elapsed {elapsed_ms} ms");
+        }
+        other => panic!("expected wedged timeout, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_host_busy_outside_every_primitive_is_still_wedged() {
+    let _g = faultpoint::scoped(INERT);
+    // The default teardown deadline caps a descheduled host's extra
+    // graces far past the loop's end, so only the host's CPU time since
+    // the abort request can decide this run wedged while main spins.
+    std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", "5000");
+    let r = Runtime::run(Config::new(1).with_iter_timeout_ms(Some(50)), || {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(1) {
+            std::hint::spin_loop();
+        }
+    });
+    match r.outcome {
+        RunOutcome::TimedOut { phase, elapsed_ms } => {
+            assert_eq!(phase, TimeoutPhase::Wedged);
+            assert!(elapsed_ms < 1_000, "decided after main's loop ended: {elapsed_ms} ms");
         }
         other => panic!("expected wedged timeout, got {other:?}"),
     }

@@ -1,15 +1,10 @@
-//! Per-run trace buffer with out-of-lock append and an online schedule
-//! fingerprint.
+//! Per-run trace buffer with an online schedule fingerprint.
 //!
-//! Historically every ECT event was appended while holding the global
-//! scheduler lock, so trace recording inflated the scheduler's critical
-//! sections. Under the single-token discipline that lock is unnecessary
-//! for ordering: only the current token holder emits user events, and
-//! every handoff releases the token *after* the holder's emissions, so
-//! appends from successive holders are already totally ordered. The
-//! [`TraceBuf`] exploits this — the token holder appends directly,
-//! drawing the dense sequence number from an atomic counter, and the
-//! scheduler lock shrinks to scheduler state only.
+//! A run's [`TraceBuf`] is plain state of its scheduler: every event is
+//! appended inside the scheduler's one critical section, so appends are
+//! totally ordered by that lock alone. The sequence number is the
+//! event's index in the buffer, and the caller stamps it with the
+//! scheduler's virtual clock.
 //!
 //! While appending, the buffer also folds each event's
 //! `(goroutine, kind, CU)` triple into an FNV-1a *schedule fingerprint*.
@@ -22,8 +17,6 @@
 use crate::event::{Event, EventKind, Gid, VTime};
 use crate::recycle;
 use goat_model::Cu;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// FNV-1a 64-bit offset basis: the empty-schedule fingerprint.
 pub const FP_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -128,9 +121,10 @@ pub fn schedule_fingerprint<'a, I: IntoIterator<Item = &'a Event>>(events: I) ->
     events.into_iter().fold(FP_SEED, |h, ev| fold_event(h, ev.g, &ev.kind, &ev.cu))
 }
 
-/// Interior state: the event vector and the derived flags that must
-/// change atomically with it.
-struct TraceState {
+/// One run's trace sink, owned by its scheduler.
+pub struct TraceBuf {
+    enabled: bool,
+    max_events: usize,
     events: Vec<Event>,
     /// Online schedule fingerprint over the recorded prefix.
     fp: u64,
@@ -143,98 +137,36 @@ struct TraceState {
     closed: bool,
 }
 
-/// One run's trace sink: lock-free with respect to the scheduler lock.
-///
-/// Thread safety relies on the runtime's token discipline only for
-/// *ordering*; the buffer itself is internally synchronized (a private
-/// mutex never held across any other lock acquisition), so stray late
-/// appends can never corrupt it.
-pub struct TraceBuf {
-    enabled: bool,
-    max_events: usize,
-    /// Virtual clock mirror, published by the scheduler's tick so
-    /// appends can timestamp events without the scheduler lock.
-    clock: AtomicU64,
-    /// Dense total-order sequence counter.
-    seq: AtomicU64,
-    st: Mutex<TraceState>,
-}
-
 impl TraceBuf {
     /// A buffer for one run. When tracing is enabled the event vector is
     /// checked out of the process-wide recycle pool.
     pub fn new(enabled: bool, max_events: usize) -> TraceBuf {
         let events = if enabled { recycle::take_buffer() } else { Vec::new() };
-        TraceBuf {
-            enabled,
-            max_events,
-            clock: AtomicU64::new(0),
-            seq: AtomicU64::new(0),
-            st: Mutex::new(TraceState { events, fp: FP_SEED, full: false, closed: false }),
-        }
+        TraceBuf { enabled, max_events, events, fp: FP_SEED, full: false, closed: false }
     }
 
-    /// Poison-tolerant lock: a panicking goroutine thread must not make
-    /// the trace (the evidence!) unreadable.
-    fn lock(&self) -> std::sync::MutexGuard<'_, TraceState> {
-        self.st.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Publish the scheduler's virtual clock (called from `tick`).
-    pub fn set_clock(&self, ns: u64) {
-        self.clock.store(ns, Ordering::Release);
-    }
-
-    /// The current virtual clock, nanoseconds.
-    pub fn clock(&self) -> u64 {
-        self.clock.load(Ordering::Acquire)
-    }
-
-    /// Append one event, stamping it with the next dense sequence number
-    /// and the current virtual time. No-op when tracing is disabled,
-    /// the event cap was reached, or the buffer was already collected.
-    pub fn push(&self, g: Gid, kind: EventKind, cu: Option<Cu>) {
-        if !self.enabled {
+    /// Append one event at virtual time `ts`, numbering it with its
+    /// index in the buffer. No-op when tracing is disabled, the event
+    /// cap was reached, or the buffer was already collected.
+    pub fn push(&mut self, ts: VTime, g: Gid, kind: EventKind, cu: Option<Cu>) {
+        if !self.enabled || self.closed || self.full {
             return;
         }
-        let mut st = self.lock();
-        if st.closed || st.full {
+        if self.events.len() >= self.max_events {
+            self.full = true;
             return;
         }
-        if st.events.len() >= self.max_events {
-            st.full = true;
-            return;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        debug_assert_eq!(seq as usize, st.events.len(), "seq counter tracks the event vector");
-        st.fp = fold_event(st.fp, g, &kind, &cu);
-        let ts = VTime(self.clock.load(Ordering::Acquire));
-        st.events.push(Event { seq, ts, g, kind, cu });
+        self.fp = fold_event(self.fp, g, &kind, &cu);
+        let seq = self.events.len() as u64;
+        self.events.push(Event { seq, ts, g, kind, cu });
     }
 
     /// Collect the run's events and fingerprint, closing the buffer.
     /// Returns `(None, fp)` when tracing was disabled.
-    pub fn take(&self) -> (Option<Vec<Event>>, u64) {
-        let mut st = self.lock();
-        st.closed = true;
-        let fp = st.fp;
-        if self.enabled {
-            (Some(std::mem::take(&mut st.events)), fp)
-        } else {
-            (None, fp)
-        }
-    }
-}
-
-impl std::fmt::Debug for TraceBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.lock();
-        f.debug_struct("TraceBuf")
-            .field("enabled", &self.enabled)
-            .field("len", &st.events.len())
-            .field("full", &st.full)
-            .field("closed", &st.closed)
-            .finish()
+    pub fn take(&mut self) -> (Option<Vec<Event>>, u64) {
+        self.closed = true;
+        let events = std::mem::take(&mut self.events);
+        (self.enabled.then_some(events), self.fp)
     }
 }
 
@@ -243,37 +175,39 @@ mod tests {
     use super::*;
     use crate::event::RId;
 
+    const T0: VTime = VTime(0);
+
     #[test]
     fn online_fingerprint_matches_offline() {
-        let tb = TraceBuf::new(true, 100);
-        tb.push(Gid::MAIN, EventKind::GoStart, None);
-        tb.set_clock(10);
-        tb.push(Gid::MAIN, EventKind::ChSend { ch: RId(1) }, None);
-        tb.push(Gid(2), EventKind::ChRecv { ch: RId(1), closed: false }, None);
+        let mut tb = TraceBuf::new(true, 100);
+        tb.push(T0, Gid::MAIN, EventKind::GoStart, None);
+        tb.push(VTime(10), Gid::MAIN, EventKind::ChSend { ch: RId(1) }, None);
+        tb.push(VTime(10), Gid(2), EventKind::ChRecv { ch: RId(1), closed: false }, None);
         let (events, fp) = tb.take();
         let events = events.expect("enabled");
         assert_eq!(fp, schedule_fingerprint(events.iter()));
         assert_ne!(fp, FP_SEED);
         assert_eq!(events[1].ts, VTime(10));
-        assert_eq!(events.last().unwrap().seq, 2);
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [0, 1, 2], "seq is the index in the buffer");
     }
 
     #[test]
     fn distinct_schedules_fingerprint_differently() {
-        let a = TraceBuf::new(true, 100);
-        a.push(Gid(1), EventKind::ChSend { ch: RId(1) }, None);
-        a.push(Gid(2), EventKind::ChRecv { ch: RId(1), closed: false }, None);
-        let b = TraceBuf::new(true, 100);
-        b.push(Gid(2), EventKind::ChRecv { ch: RId(1), closed: false }, None);
-        b.push(Gid(1), EventKind::ChSend { ch: RId(1) }, None);
+        let mut a = TraceBuf::new(true, 100);
+        a.push(T0, Gid(1), EventKind::ChSend { ch: RId(1) }, None);
+        a.push(T0, Gid(2), EventKind::ChRecv { ch: RId(1), closed: false }, None);
+        let mut b = TraceBuf::new(true, 100);
+        b.push(T0, Gid(2), EventKind::ChRecv { ch: RId(1), closed: false }, None);
+        b.push(T0, Gid(1), EventKind::ChSend { ch: RId(1) }, None);
         assert_ne!(a.take().1, b.take().1);
     }
 
     #[test]
     fn cap_stops_recording_and_folding() {
-        let tb = TraceBuf::new(true, 1);
-        tb.push(Gid(1), EventKind::GoStart, None);
-        tb.push(Gid(1), EventKind::GoEnd, None);
+        let mut tb = TraceBuf::new(true, 1);
+        tb.push(T0, Gid(1), EventKind::GoStart, None);
+        tb.push(T0, Gid(1), EventKind::GoEnd, None);
         let (events, fp) = tb.take();
         let events = events.expect("enabled");
         assert_eq!(events.len(), 1);
@@ -282,8 +216,8 @@ mod tests {
 
     #[test]
     fn disabled_buffer_records_nothing() {
-        let tb = TraceBuf::new(false, 100);
-        tb.push(Gid(1), EventKind::GoStart, None);
+        let mut tb = TraceBuf::new(false, 100);
+        tb.push(T0, Gid(1), EventKind::GoStart, None);
         let (events, fp) = tb.take();
         assert!(events.is_none());
         assert_eq!(fp, FP_SEED);
@@ -291,11 +225,12 @@ mod tests {
 
     #[test]
     fn closed_buffer_drops_late_pushes() {
-        let tb = TraceBuf::new(true, 100);
-        tb.push(Gid(1), EventKind::GoStart, None);
-        let _ = tb.take();
-        tb.push(Gid(1), EventKind::GoEnd, None);
-        let (events, _) = tb.take();
+        let mut tb = TraceBuf::new(true, 100);
+        tb.push(T0, Gid(1), EventKind::GoStart, None);
+        let (_, fp) = tb.take();
+        tb.push(T0, Gid(1), EventKind::GoEnd, None);
+        let (events, late_fp) = tb.take();
         assert_eq!(events.expect("enabled").len(), 0, "collected buffer stays collected");
+        assert_eq!(late_fp, fp, "a late push is not folded either");
     }
 }
