@@ -8,22 +8,21 @@
 //! persistent **worker subprocesses** — one `goat --worker` child per
 //! parallel lane — over the binary frame protocol of [`crate::wire`] on
 //! stdin/stdout. Every frame is `[u32 LE payload length][tag][fields…]`:
-//! a per-checkout `Init` frame carries the campaign-constant [`Config`]
-//! base once, each `Run` frame carries only the per-run delta (seed,
-//! delay bound, yield probability, strategy), and result traces travel
-//! through the varint-delta event codec of [`goat_trace::wire`].
+//! each `Run` frame carries its program name and the run's whole
+//! [`Config`], so a worker keeps no state between frames, and result
+//! traces travel through the varint-delta event codec of
+//! [`goat_trace::wire`].
 //!
 //! ```text
-//!   campaign thread                    worker serve loop (a run host)
-//!        | ---- spawn `goat --worker` --> |   (rlimit jail applied)
-//!        | <--------- Ready ------------- |   handshake
-//!        | ---- Init{program, base} ----> |   (once per checkout, and
-//!        |                                |    again when the base changes)
-//!        | ---- Run{iter, delta} ×batch > |   one write per claimed batch
-//!        | <--------- Ack{iter} --------- |   the worker reached the run
-//!        | <-------- Heartbeat{iter} ---- |   every 100 ms while a run
-//!        |                                |    is in flight
-//!        | <----- Result{iter, result} -- |   one per Run, in order
+//!   campaign thread                     worker serve loop (a run host)
+//!        | ----- spawn `goat --worker` ---> |   (rlimit jail applied)
+//!        | <------------ Ready ------------ |   handshake
+//!        | --- Run{iter, program, cfg} ---> |   ×batch: one write per
+//!        |                                  |    claimed batch
+//!        | <----------- Ack{iter} --------- |   the worker reached the run
+//!        | <-------- Heartbeat{iter} ------ |   every 100 ms while a run
+//!        |                                  |    is in flight
+//!        | <----- Result{iter, result} ---- |   one per Run, in order
 //! ```
 //!
 //! There is one thread wake per direction and batch. The campaign
@@ -35,7 +34,7 @@
 //! engine's claim: 8 runs at one job, 4 at two or more (see
 //! `suite::claim_shape`).
 //!
-//! Every knob travels from the orchestrator (in `Init` + `Run`), so a
+//! Every run knob travels from the orchestrator in the `Run` frame, so a
 //! worker cannot skew a run through its own environment: for
 //! non-crashing runs the [`RunResult`] coming back is **byte-identical**
 //! to an in-process run of the same seed at any batch size (proven in
@@ -47,8 +46,9 @@
 //! means the worker is wedged and it is SIGKILLed. A run that wedges
 //! inside the runtime is caught earlier, by the worker's own supervisor:
 //! it answers the run as `TimedOut { phase: Wedged }` and starts a
-//! replacement serve loop on the same pipes, so the worker lives on. A worker that dies — by signal, abort, rlimit kill, or
-//! missed heartbeats — is autopsied into [`CrashForensics`] (exit
+//! replacement serve loop on the same pipes, so the worker lives on.
+//! A worker that dies — by signal, abort, rlimit kill, or missed
+//! heartbeats — is autopsied into [`CrashForensics`] (exit
 //! status or signal, stderr tail, last acknowledged iteration) and the
 //! run is recorded as [`RunOutcome::Crashed`]; the campaign replaces
 //! the worker and carries on. Corrupt frames (a length prefix over the
@@ -76,7 +76,7 @@ use std::time::{Duration, Instant};
 use crate::program::Program;
 use crate::wire::{self, WireFrame};
 use goat_runtime::faultpoint::{self, WorkerFault};
-use goat_runtime::{Config, CrashForensics, RunOutcome, RunResult, SchedCounters, StrategyKind};
+use goat_runtime::{env_knob, Config, CrashForensics, RunOutcome, RunResult, SchedCounters};
 
 /// Environment variable selecting the isolation mode (`off` | `proc`).
 pub const ISOLATE_ENV: &str = "GOAT_ISOLATE";
@@ -145,8 +145,19 @@ impl std::fmt::Display for IsolateMode {
     }
 }
 
-fn grace_ms() -> u64 {
-    std::env::var(GRACE_MS_ENV).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(5000).max(1)
+/// The `GOAT_WORKER_GRACE_MS` window (default 5000 ms), read once per
+/// process; a set but unparseable value is an error naming the
+/// variable.
+pub(crate) fn worker_grace() -> Result<Duration, String> {
+    static GRACE: OnceLock<Result<Duration, String>> = OnceLock::new();
+    GRACE
+        .get_or_init(|| {
+            let ms = env_knob(GRACE_MS_ENV, "an integer >= 1", |v| {
+                v.parse::<u64>().ok().filter(|&ms| ms >= 1)
+            })?;
+            Ok(Duration::from_millis(ms.unwrap_or(5000)))
+        })
+        .clone()
 }
 
 /// Resource jail, fault raising and pipe waits via raw libc calls (no
@@ -380,16 +391,10 @@ fn worker_fault_flow(
     }
 }
 
-/// The program and base config of the last `Init` frame.
-struct Held {
-    name: String,
-    program: Option<Arc<dyn Program>>,
-    base: Config,
-}
-
-/// Everything a serve loop works with. A loop whose run the supervisor
-/// abandoned hands a clone to its replacement, which carries on with
-/// the same pipes, the same `Init` state and the same exit channel.
+/// Everything a serve loop works with: pipes and liveness state, no
+/// run state. A loop whose run the supervisor abandoned hands a clone
+/// to its replacement, which carries on with the same pipes and the
+/// same exit channel.
 #[derive(Clone)]
 struct Serve<R> {
     resolve: R,
@@ -404,7 +409,6 @@ struct Serve<R> {
     /// Set when an injected fault must silence the liveness beacon so
     /// the orchestrator's no-heartbeat watchdog can be exercised.
     muted: Arc<AtomicBool>,
-    held: Arc<Mutex<Option<Held>>>,
     /// The first loop to end sends the process exit code here.
     exit: mpsc::Sender<i32>,
 }
@@ -468,50 +472,25 @@ where
                 }
                 Err(ReadFail::Eof | ReadFail::Silent) => return 0,
             };
-            match frame {
-                WireFrame::Init { program, base } => {
-                    let resolved = (self.resolve)(&program);
-                    *self.held.lock().expect("worker init state") =
-                        Some(Held { name: program, program: resolved, base: *base });
-                }
-                WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
-                    let Some((name, program, mut cfg)) = self
-                        .held
-                        .lock()
-                        .expect("worker init state")
-                        .as_ref()
-                        .map(|h| (h.name.clone(), h.program.clone(), h.base.clone()))
-                    else {
-                        eprintln!("goat-worker: Run frame before Init");
-                        return 1;
-                    };
-                    match worker_fault_flow(&self.stdout, &self.muted, iter, seed) {
-                        FaultFlow::Exit(code) => return code,
-                        FaultFlow::SkipRun => continue,
-                        FaultFlow::Proceed => {}
-                    }
-                    self.current_iter.store(iter, Ordering::Relaxed);
-                    if write_frame_locked(&self.stdout, &WireFrame::Ack { iter }).is_err() {
-                        return 1;
-                    }
-                    cfg.seed = seed;
-                    cfg.delay_bound = delay_bound;
-                    cfg.yield_prob = yield_prob;
-                    cfg.strategy = strategy;
-                    let result = match program {
-                        Some(p) => {
-                            goat_runtime::Runtime::run(cfg, crate::instrument::instrumented(p))
-                        }
-                        None => infra(format!("worker: unknown program {name:?}")),
-                    };
-                    if self.answer(result).is_err() {
-                        return 1;
-                    }
-                }
-                other => {
-                    eprintln!("goat-worker: unexpected frame {other:?} (expected Init/Run)");
-                    return 1;
-                }
+            let WireFrame::Run { iter, program, cfg } = frame else {
+                eprintln!("goat-worker: unexpected frame {frame:?} (expected Run)");
+                return 1;
+            };
+            match worker_fault_flow(&self.stdout, &self.muted, iter, cfg.seed) {
+                FaultFlow::Exit(code) => return code,
+                FaultFlow::SkipRun => continue,
+                FaultFlow::Proceed => {}
+            }
+            self.current_iter.store(iter, Ordering::Relaxed);
+            if write_frame_locked(&self.stdout, &WireFrame::Ack { iter }).is_err() {
+                return 1;
+            }
+            let result = match (self.resolve)(&program) {
+                Some(p) => goat_runtime::Runtime::run(*cfg, crate::instrument::instrumented(p)),
+                None => infra(format!("worker: unknown program {program:?}")),
+            };
+            if self.answer(result).is_err() {
+                return 1;
             }
         }
     }
@@ -520,7 +499,7 @@ where
 /// Serve the worker side of the protocol on stdin/stdout until the
 /// orchestrator closes the pipe; returns the process exit code.
 ///
-/// `resolve` maps the program name from an `Init` frame to the program
+/// `resolve` maps the program name of each `Run` frame to the program
 /// to execute (the CLI passes the goker kernel registry). The worker
 /// jails itself with `setrlimit` before answering `Ready`, streams
 /// `Heartbeat` frames from a side thread while a run is in flight, and
@@ -546,7 +525,6 @@ where
         stdout,
         current_iter: Arc::new(AtomicU64::new(0)),
         muted: Arc::new(AtomicBool::new(false)),
-        held: Arc::new(Mutex::new(None)),
         exit,
     };
     {
@@ -714,11 +692,6 @@ struct Worker {
     stderr_drain: Option<JoinHandle<()>>,
     /// Runs served so far (reuse accounting).
     runs: u64,
-    /// Hash of the `Init` state (program, base config, fault plan) the
-    /// worker currently holds; `None` until the first `Init` is sent. A
-    /// mismatch forces a fresh `Init`, so stale worker state can never
-    /// leak across campaigns.
-    init_hash: Option<u64>,
 }
 
 impl Worker {
@@ -817,8 +790,7 @@ fn spawn_worker(cmd: &str) -> Result<Worker, String> {
             })
             .ok()
     };
-    let mut worker =
-        Worker { child, stdin, stdout, stderr_tail, stderr_drain, runs: 0, init_hash: None };
+    let mut worker = Worker { child, stdin, stdout, stderr_tail, stderr_drain, runs: 0 };
     match worker.next_frame(SPAWN_GRACE) {
         Ok(WireFrame::Ready) => {}
         other => {
@@ -924,8 +896,8 @@ fn checkin(cmd: &str, worker: Worker) {
 ///
 /// Campaign teardown: a lone `-target <kernel>` invocation drains on
 /// exit so no sandbox subprocesses outlive the run, while the suite
-/// orchestrator keeps the pool warm across kernels (checkouts re-`Init`
-/// per campaign, so cross-kernel reuse — counted in
+/// orchestrator keeps the pool warm across kernels (every `Run` frame
+/// carries its program and config, so cross-kernel reuse — counted in
 /// `isolate.workers_reused` — is always sound) and drains exactly once
 /// at suite end. In-flight (checked-out) workers are untouched: they
 /// return via [`checkin`] and are collected by the next drain.
@@ -946,69 +918,15 @@ pub fn drain_idle_workers() -> usize {
     drained
 }
 
-/// The campaign-constant part of a run's [`Config`]: everything the
-/// per-run `Run` delta does not override, with the delta fields zeroed
-/// so equal bases hash equal regardless of which run they came from.
-fn canonical_base(cfg: &Config) -> Config {
-    let mut base = cfg.clone();
-    base.seed = 0;
-    base.delay_bound = 0;
-    base.yield_prob = 0.0;
-    base.strategy = StrategyKind::Native;
-    base
-}
-
-/// Hash the full `Init` state for a run: program, canonical base config
-/// and active fault plan. A checked-out worker whose cached hash
-/// differs gets a fresh `Init` frame before the next `Run`, so
-/// configuration can never leak across campaigns.
-fn init_hash(program: &str, base_bytes: &[u8]) -> u64 {
-    let mut key = Vec::with_capacity(base_bytes.len() + program.len() + 64);
-    key.extend_from_slice(program.as_bytes());
-    key.push(0x1f);
-    key.extend_from_slice(base_bytes);
-    key.push(0x1f);
-    if let Some(spec) = faultpoint::current_spec() {
-        key.extend_from_slice(spec.as_bytes());
-    }
-    wire::fnv1a64(&key)
-}
-
-/// Encode the full batch into one write buffer, prepending `Init` when
-/// the worker's cached state (`held`) is stale. Returns the buffer and
-/// the init hash the worker will hold after the write lands.
-fn encode_batch(
-    mut held: Option<u64>,
-    program: &str,
-    runs: &[(u64, Config)],
-) -> io::Result<(Vec<u8>, Option<u64>)> {
+/// Encode the batch's `Run` frames into one write buffer.
+fn encode_batch(program: &str, runs: &[(u64, Config)]) -> io::Result<Vec<u8>> {
     let mut buf = Vec::new();
     for (iter, cfg) in runs {
         let encode_started = Instant::now();
-        let base = canonical_base(cfg);
-        let mut base_bytes = Vec::with_capacity(64);
-        wire::encode_config(&base, &mut base_bytes);
-        let h = init_hash(program, &base_bytes);
-        if held != Some(h) {
-            held = Some(h);
-            wire::encode_frame_into(
-                &WireFrame::Init { program: program.to_string(), base: Box::new(base) },
-                &mut buf,
-            )?;
-        }
-        wire::encode_frame_into(
-            &WireFrame::Run {
-                iter: *iter,
-                seed: cfg.seed,
-                delay_bound: cfg.delay_bound,
-                yield_prob: cfg.yield_prob,
-                strategy: cfg.strategy,
-            },
-            &mut buf,
-        )?;
+        wire::encode_run_into(*iter, program, cfg, &mut buf)?;
         ipc_metrics().ser_ns.record(encode_started.elapsed().as_nanos() as u64);
     }
-    Ok((buf, held))
+    Ok(buf)
 }
 
 /// Execute a batch of iterations inside one sandboxed worker, returning
@@ -1032,9 +950,10 @@ pub(crate) fn run_batch(
         None => std::env::current_exe().ok()?.to_str()?.to_string(),
     };
     let ipc = ipc_metrics();
+    let grace = worker_grace().unwrap_or_else(|e| panic!("{e}"));
     let mut worker = checkout(&cmd)?;
-    let (mut buf, mut held) = match encode_batch(worker.init_hash, program, runs) {
-        Ok(v) => v,
+    let buf = match encode_batch(program, runs) {
+        Ok(buf) => buf,
         Err(e) => {
             checkin(&cmd, worker);
             return Some(vec![infra(format!("encode run frame: {e}")); runs.len()]);
@@ -1044,6 +963,7 @@ pub(crate) fn run_batch(
     if worker.stdin.write_all(&buf).and_then(|()| worker.stdin.flush()).is_err() {
         // A pooled worker can die between checkout and the first write;
         // one fresh respawn distinguishes that from a broken command.
+        // Every frame stands alone, so the same bytes serve it.
         kill_worker(&mut worker);
         worker = match spawn_worker(&cmd) {
             Ok(w) => w,
@@ -1052,24 +972,14 @@ pub(crate) fn run_batch(
                 return None;
             }
         };
-        // Fresh worker, no cached state: re-encode so it gets `Init`.
-        (buf, held) = match encode_batch(None, program, runs) {
-            Ok(v) => v,
-            Err(e) => {
-                checkin(&cmd, worker);
-                return Some(vec![infra(format!("encode run frame: {e}")); runs.len()]);
-            }
-        };
         mark = Instant::now();
         if worker.stdin.write_all(&buf).and_then(|()| worker.stdin.flush()).is_err() {
             kill_worker(&mut worker);
             return Some(vec![infra("worker rejected the run frames twice"); runs.len()]);
         }
     }
-    worker.init_hash = held;
     ipc.bytes_tx.add(buf.len() as u64);
     drop(buf);
-    let grace = Duration::from_millis(grace_ms());
     let mut out: Vec<RunResult> = Vec::with_capacity(runs.len());
     let mut last_ack = None;
     // Fill every not-yet-started run after a mid-batch failure; the
@@ -1335,47 +1245,5 @@ mod tests {
         assert_ne!(pool_key("goat"), plain);
         drop(g);
         assert_eq!(pool_key("goat"), plain);
-    }
-
-    #[test]
-    fn init_hash_tracks_fault_plan_and_base() {
-        let base_a = {
-            let mut b = Vec::new();
-            wire::encode_config(&canonical_base(&Config::new(1)), &mut b);
-            b
-        };
-        let base_b = {
-            let mut b = Vec::new();
-            wire::encode_config(&canonical_base(&Config::new(2).with_max_steps(7)), &mut b);
-            b
-        };
-        // Seeds are canonicalized away; real base changes are not.
-        assert_eq!(base_a, {
-            let mut b = Vec::new();
-            wire::encode_config(&canonical_base(&Config::new(99)), &mut b);
-            b
-        });
-        assert_ne!(base_a, base_b);
-        let h_plain = init_hash("etcd6708", &base_a);
-        assert_ne!(init_hash("etcd6708", &base_b), h_plain);
-        assert_ne!(init_hash("moby28462", &base_a), h_plain);
-        // Fault-plan changes alter the hash even for an identical base.
-        let g = faultpoint::scoped("worker:kill:9@seed=5");
-        assert_ne!(init_hash("etcd6708", &base_a), h_plain);
-        drop(g);
-    }
-
-    #[test]
-    fn canonical_base_zeroes_exactly_the_run_delta() {
-        let cfg = Config::new(77).with_delay_bound(4).with_yield_prob(0.9).with_max_steps(1234);
-        let base = canonical_base(&cfg);
-        assert_eq!(base.seed, 0);
-        assert_eq!(base.delay_bound, 0);
-        assert_eq!(base.yield_prob, 0.0);
-        assert_eq!(base.strategy, StrategyKind::Native);
-        // Everything else survives.
-        assert_eq!(base.max_steps, 1234);
-        assert_eq!(base.trace, cfg.trace);
-        assert_eq!(base.pool, cfg.pool);
     }
 }

@@ -201,10 +201,14 @@ impl GoatConfig {
     /// `GOAT_PARALLELISM`, `GOAT_CHECKPOINT`, `GOAT_CHECKPOINT_EVERY`,
     /// `GOAT_ISOLATE` and `GOAT_WORKER_CMD` here, and `GOAT_STRATEGY` and
     /// `GOAT_ITER_TIMEOUT_MS` through [`Config::from_env`], whose run
-    /// knobs this config mirrors. A set but unparseable value is an
-    /// error naming the variable and its expected form.
+    /// knobs this config mirrors. `GOAT_POOL_MAX_IDLE` and
+    /// `GOAT_WORKER_GRACE_MS` set process-wide state, not a field, and
+    /// are only checked here. A set but unparseable value is an error
+    /// naming the variable and its expected form.
     pub fn from_env() -> Result<Self, String> {
         let run = Config::from_env()?;
+        goat_runtime::pool::max_idle()?;
+        crate::isolate::worker_grace()?;
         Ok(GoatConfig {
             delay_bound: 0,
             iterations: 100,
@@ -362,7 +366,9 @@ impl GoatConfig {
     /// Runtime config for iteration `iter`; a guided campaign overlays
     /// the selected arm's (strategy, yield_prob, delay_bound) on top of
     /// the base knobs. `arm = None` reproduces the historical unguided
-    /// config exactly.
+    /// config exactly. This is the one place that decides a run's
+    /// config: in-process runs execute it, and under process isolation
+    /// the `Run` frame carries it whole.
     fn runtime_config(&self, iter: usize, arm: Option<&Arm>) -> Config {
         let mut cfg = Config::new(self.seed0 + iter as u64)
             .with_delay_bound(self.delay_bound)

@@ -44,11 +44,11 @@
 //!   ([`EctBuffers`]) from finished campaigns into later ones (scratch
 //!   contents never affect results — it is cleared per pass) and, under
 //!   `GOAT_ISOLATE=proc`, keeps sandboxed workers pooled across kernels
-//!   instead of draining per campaign (checkouts re-`Init` per
-//!   campaign, so reuse is sound); [`run_suite`] drains them once at
-//!   suite end. The analysis *memo* is deliberately **not** shared: its
-//!   keys are schedule fingerprints, which only identify a run within
-//!   one kernel.
+//!   instead of draining per campaign (every `Run` frame carries its
+//!   program and whole config, so reuse is sound); [`run_suite`]
+//!   drains them once at suite end. The analysis *memo* is deliberately
+//!   **not** shared: its keys are schedule fingerprints, which only
+//!   identify a run within one kernel.
 //! * **Resume** — every campaign resumes from its own checkpoint
 //!   sidecar before any worker runs. A suite derives one sidecar per
 //!   kernel (see [`per_kernel_checkpoint`]) plus a suite-level manifest

@@ -5,11 +5,9 @@
 //!
 //! * framing is `[u32 LE payload length][payload]`, and a payload is
 //!   `[u8 frame tag][varint fields…]`;
-//! * an `Init` frame carries the program name and the campaign-constant
-//!   [`Config`] base **once per worker checkout**, so every `Run` frame
-//!   is a handful of bytes: the iteration, plus exactly the per-run
-//!   delta the campaign runner varies (seed, delay bound, yield
-//!   probability, strategy);
+//! * a `Run` frame is self-contained: the iteration, the program name
+//!   and the run's whole [`Config`], so a worker holds no state between
+//!   frames and any serve loop can take any frame;
 //! * `Result` payloads embed the trace through the varint-delta event
 //!   codec of [`goat_trace::wire`].
 //!
@@ -35,38 +33,22 @@ fn err(msg: impl std::fmt::Display) -> io::Error {
 
 /// One message on the worker wire.
 ///
-/// The orchestrator sends `Init` and `Run`; the worker sends `Ready`
-/// once, then `Ack` + `Result` per `Run` and `Heartbeat`s in between.
-/// `Init`/`Run` split a run's [`Config`] into a per-checkout base and
-/// a per-run delta.
+/// The orchestrator sends `Run`; the worker sends `Ready` once, then
+/// `Ack` + `Result` per `Run` and `Heartbeat`s in between.
 #[derive(Debug, Clone)]
 pub enum WireFrame {
     /// Worker → orchestrator: startup handshake (after the rlimit jail).
     Ready,
-    /// Orchestrator → worker: campaign-constant state for all following
-    /// `Run` frames, sent when the worker is first used by a campaign
-    /// (and again whenever the base or fault plan changes).
-    Init {
-        /// Program name, resolved by the worker's registry.
-        program: String,
-        /// The base [`Config`]: every field a `Run` delta does not
-        /// override.
-        base: Box<Config>,
-    },
-    /// Orchestrator → worker: execute one iteration. Carries only the
-    /// fields [`crate::GoatConfig`] varies per run; everything else
-    /// comes from the checked-in `Init` base.
+    /// Orchestrator → worker: execute one iteration of `program` under
+    /// exactly `cfg`. The orchestrator writes it with [`encode_run_into`]
+    /// from borrowed values.
     Run {
         /// 1-based campaign iteration.
         iter: u64,
-        /// Per-run RNG seed.
-        seed: u64,
-        /// Per-run perturbation bound `D` (bandit arms vary it).
-        delay_bound: u32,
-        /// Per-run yield probability (bandit arms vary it).
-        yield_prob: f64,
-        /// Per-run scheduling strategy (bandit arms vary it).
-        strategy: StrategyKind,
+        /// Program name, resolved by the worker's registry.
+        program: String,
+        /// The run's whole [`Config`], as the campaign runner built it.
+        cfg: Box<Config>,
     },
     /// Worker → orchestrator: the `Run` frame was received.
     Ack {
@@ -88,11 +70,10 @@ pub enum WireFrame {
 }
 
 const F_READY: u8 = 0;
-const F_INIT: u8 = 1;
-const F_RUN: u8 = 2;
-const F_ACK: u8 = 3;
-const F_HEARTBEAT: u8 = 4;
-const F_RESULT: u8 = 5;
+const F_RUN: u8 = 1;
+const F_ACK: u8 = 2;
+const F_HEARTBEAT: u8 = 3;
+const F_RESULT: u8 = 4;
 
 fn put_strategy(buf: &mut Vec<u8>, s: &StrategyKind) {
     match s {
@@ -202,8 +183,7 @@ fn get_opt_i32(r: &mut Reader<'_>) -> io::Result<Option<i32>> {
 }
 
 /// Append the full [`Config`] in wire form (every field but the no-op
-/// `spin`, in declaration order). Used for the `Init` base and for
-/// init-hash computation.
+/// `spin`, in declaration order), as a `Run` frame carries it.
 pub fn encode_config(cfg: &Config, buf: &mut Vec<u8>) {
     put_uvarint(buf, cfg.seed);
     put_f64(buf, cfg.native_preempt_prob);
@@ -440,23 +420,9 @@ pub fn decode_result(r: &mut Reader<'_>) -> io::Result<RunResult> {
 /// Append one frame in wire form — `[u32 LE payload length][tag][…]` —
 /// to `buf` (batching concatenates frames into one write).
 pub fn encode_frame_into(frame: &WireFrame, buf: &mut Vec<u8>) -> io::Result<()> {
-    let start = buf.len();
-    buf.extend_from_slice(&[0u8; 4]);
-    match frame {
+    framed(buf, |buf| match frame {
         WireFrame::Ready => buf.push(F_READY),
-        WireFrame::Init { program, base } => {
-            buf.push(F_INIT);
-            put_str(buf, program);
-            encode_config(base, buf);
-        }
-        WireFrame::Run { iter, seed, delay_bound, yield_prob, strategy } => {
-            buf.push(F_RUN);
-            put_uvarint(buf, *iter);
-            put_uvarint(buf, *seed);
-            put_uvarint(buf, u64::from(*delay_bound));
-            put_f64(buf, *yield_prob);
-            put_strategy(buf, strategy);
-        }
+        WireFrame::Run { iter, program, cfg } => put_run(buf, *iter, program, cfg),
         WireFrame::Ack { iter } => {
             buf.push(F_ACK);
             put_uvarint(buf, *iter);
@@ -470,7 +436,33 @@ pub fn encode_frame_into(frame: &WireFrame, buf: &mut Vec<u8>) -> io::Result<()>
             put_uvarint(buf, *iter);
             encode_result(result, buf);
         }
-    }
+    })
+}
+
+/// Append the `Run` frame of iteration `iter` — the bytes
+/// [`encode_frame_into`] writes for [`WireFrame::Run`] — straight from
+/// the borrowed program name and config.
+pub fn encode_run_into(
+    iter: u64,
+    program: &str,
+    cfg: &Config,
+    buf: &mut Vec<u8>,
+) -> io::Result<()> {
+    framed(buf, |buf| put_run(buf, iter, program, cfg))
+}
+
+fn put_run(buf: &mut Vec<u8>, iter: u64, program: &str, cfg: &Config) {
+    buf.push(F_RUN);
+    put_uvarint(buf, iter);
+    put_str(buf, program);
+    encode_config(cfg, buf);
+}
+
+/// Append the payload `body` writes behind its `u32` length prefix.
+fn framed(buf: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+    let start = buf.len();
+    buf.extend_from_slice(&[0u8; 4]);
+    body(buf);
     let payload_len = buf.len() - start - 4;
     let Ok(len32) = u32::try_from(payload_len) else {
         buf.truncate(start);
@@ -485,16 +477,10 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
     let mut r = Reader::new(payload);
     let frame = match r.u8()? {
         F_READY => WireFrame::Ready,
-        F_INIT => WireFrame::Init {
-            program: r.str()?.to_string(),
-            base: Box::new(decode_config(&mut r)?),
-        },
         F_RUN => WireFrame::Run {
             iter: r.uvarint()?,
-            seed: r.uvarint()?,
-            delay_bound: r.uvarint()? as u32,
-            yield_prob: r.f64()?,
-            strategy: get_strategy(&mut r)?,
+            program: r.str()?.to_string(),
+            cfg: Box::new(decode_config(&mut r)?),
         },
         F_ACK => WireFrame::Ack { iter: r.uvarint()? },
         F_HEARTBEAT => WireFrame::Heartbeat { iter: r.uvarint()? },
@@ -508,19 +494,6 @@ pub fn decode_frame(payload: &[u8]) -> io::Result<WireFrame> {
         return Err(err(format_args!("{} trailing bytes after frame", r.remaining())));
     }
     Ok(frame)
-}
-
-/// FNV-1a over a byte string — the init-hash primitive: the
-/// orchestrator hashes (program, encoded base config, fault-plan spec)
-/// to decide whether a checked-out worker's cached `Init` state is
-/// still valid.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -537,18 +510,9 @@ mod tests {
 
     #[test]
     fn small_frames_roundtrip() {
-        for frame in [
-            WireFrame::Ready,
-            WireFrame::Ack { iter: 7 },
-            WireFrame::Heartbeat { iter: 0 },
-            WireFrame::Run {
-                iter: 41,
-                seed: u64::MAX,
-                delay_bound: 3,
-                yield_prob: 0.25,
-                strategy: StrategyKind::Pct { depth: 4, length: 256 },
-            },
-        ] {
+        for frame in
+            [WireFrame::Ready, WireFrame::Ack { iter: 7 }, WireFrame::Heartbeat { iter: 0 }]
+        {
             // No PartialEq on RunResult/Config-bearing frames; Debug
             // renders every field, so equal strings mean equal frames.
             assert_eq!(format!("{:?}", roundtrip(&frame)), format!("{frame:?}"));
@@ -556,31 +520,12 @@ mod tests {
     }
 
     #[test]
-    fn run_frames_are_small() {
-        let mut buf = Vec::new();
-        encode_frame_into(
-            &WireFrame::Run {
-                iter: 1000,
-                seed: 123_456_789,
-                delay_bound: 3,
-                yield_prob: 0.5,
-                strategy: StrategyKind::Native,
-            },
-            &mut buf,
-        )
-        .unwrap();
-        // The whole point of Init/Run splitting: a Run frame is tens of
-        // bytes, not a JSON-rendered Config.
-        assert!(buf.len() < 32, "run frame is {} bytes", buf.len());
-    }
-
-    #[test]
-    fn init_frame_roundtrips_the_full_config() {
-        let base = Config {
-            seed: 0,
+    fn run_frame_roundtrips_the_full_config() {
+        let cfg = Config {
+            seed: u64::MAX,
             native_preempt_prob: 0.02,
-            delay_bound: 0,
-            yield_prob: 0.0,
+            delay_bound: 3,
+            yield_prob: 0.25,
             max_steps: 123_456,
             trace: true,
             max_trace_events: 1_000_000,
@@ -591,18 +536,24 @@ mod tests {
                     Decision::YieldAt(true),
                 ],
             }),
-            strategy: StrategyKind::Random,
+            strategy: StrategyKind::Pct { depth: 4, length: 256 },
             pool: false,
             iter_timeout_ms: Some(2000),
             spin: 0,
         };
-        let frame = WireFrame::Init { program: "etcd6708".into(), base: Box::new(base.clone()) };
-        let WireFrame::Init { program, base: back } = roundtrip(&frame) else {
+        let frame = WireFrame::Run { iter: 41, program: "etcd6708".into(), cfg: Box::new(cfg) };
+        // The borrowed-value encoder writes the same bytes.
+        let (mut framed, mut direct) = (Vec::new(), Vec::new());
+        encode_frame_into(&frame, &mut framed).unwrap();
+        let WireFrame::Run { program, cfg, .. } = &frame else { unreachable!() };
+        encode_run_into(41, program, cfg, &mut direct).unwrap();
+        assert_eq!(framed, direct);
+        let WireFrame::Run { iter, program, cfg: back } = roundtrip(&frame) else {
             panic!("wrong frame")
         };
-        assert_eq!(program, "etcd6708");
+        assert_eq!((iter, program.as_str()), (41, "etcd6708"));
         // Config has no PartialEq; compare through the JSON codec.
-        assert_eq!(serde_json::to_string(&*back).unwrap(), serde_json::to_string(&base).unwrap());
+        assert_eq!(serde_json::to_string(&*back).unwrap(), serde_json::to_string(&**cfg).unwrap());
     }
 
     #[test]
@@ -661,11 +612,11 @@ mod tests {
     fn corrupt_payloads_are_invalid_data_not_panics() {
         for payload in [
             &[][..],
-            &[99][..],              // bad frame tag
-            &[F_RUN, 0x80][..],     // truncated varint
-            &[F_RESULT, 1, 7][..],  // truncated result
-            &[F_ACK, 1, 1][..],     // trailing bytes
-            &[F_INIT, 2, b'x'][..], // truncated string
+            &[99][..],                // bad frame tag
+            &[F_RUN, 0x80][..],       // truncated varint
+            &[F_RESULT, 1, 7][..],    // truncated result
+            &[F_ACK, 1, 1][..],       // trailing bytes
+            &[F_RUN, 1, 2, b'x'][..], // truncated string
         ] {
             let e = decode_frame(payload).expect_err("must reject");
             assert_eq!(e.kind(), ErrorKind::InvalidData, "payload {payload:?}");
@@ -716,16 +667,5 @@ mod tests {
         let e = decode_frame(&payload).expect_err("must reject");
         assert_eq!(e.kind(), ErrorKind::InvalidData);
         assert!(e.to_string().contains("dense"));
-    }
-
-    #[test]
-    fn fnv_is_stable_and_discriminating() {
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        let mut buf_a = Vec::new();
-        let mut buf_b = Vec::new();
-        encode_config(&Config::new(0), &mut buf_a);
-        encode_config(&Config::new(0).with_delay_bound(1), &mut buf_b);
-        assert_ne!(fnv1a64(&buf_a), fnv1a64(&buf_b));
     }
 }

@@ -4,28 +4,16 @@
 //! a short retry loop so goroutines that are *about to* finish do not
 //! count) and reports every remaining application goroutine as a leak.
 //! The runtime's grace-drain semantics model the retry loop: only
-//! goroutines that are genuinely blocked remain alive by the time the
-//! [`goat_runtime::Monitor::on_main_end`] hook fires.
+//! goroutines that are genuinely blocked remain alive by the time a run
+//! is decided [`RunOutcome::Completed`], and its
+//! [`goat_runtime::RunResult::alive_at_end`] lists them.
 //!
 //! goleak cannot run at all when `main` itself never finishes — a global
 //! deadlock shows up as a hang/timeout, not a goleak report, which is why
 //! its Table IV column mixes `PDL` with `TO/GDL` entries.
 
 use crate::verdict::{Detector, ProgramFn, Symptom, ToolVerdict};
-use goat_runtime::{AliveGoroutine, Config, Monitor, RunOutcome, Runtime};
-use parking_lot::Mutex;
-use std::sync::Arc;
-
-#[derive(Default)]
-struct GoleakMonitor {
-    leaks: Mutex<Option<Vec<AliveGoroutine>>>,
-}
-
-impl Monitor for GoleakMonitor {
-    fn on_main_end(&self, alive: &[AliveGoroutine]) {
-        *self.leaks.lock() = Some(alive.to_vec());
-    }
-}
+use goat_runtime::{AliveGoroutine, Config, RunOutcome, Runtime};
 
 /// The goleak baseline detector.
 #[derive(Debug, Clone, Copy, Default)]
@@ -44,10 +32,8 @@ impl GoleakDetector {
         cfg: Config,
         program: ProgramFn,
     ) -> (ToolVerdict, Option<Vec<AliveGoroutine>>) {
-        let cfg = cfg.with_trace(false);
-        let monitor = Arc::new(GoleakMonitor::default());
-        let result = Runtime::run_monitored(cfg, Some(monitor.clone() as _), move || program());
-        let leaks = monitor.leaks.lock().clone();
+        let result = Runtime::run(cfg.with_trace(false), move || program());
+        let leaks = result.outcome.is_completed().then_some(result.alive_at_end);
         let verdict = match result.outcome {
             RunOutcome::Completed => match &leaks {
                 Some(l) if !l.is_empty() => ToolVerdict {
@@ -155,7 +141,7 @@ mod tests {
                 ch.recv(); // main blocks forever
             }),
         );
-        assert!(leaks.is_none(), "on_main_end never fired");
+        assert!(leaks.is_none(), "the end-of-main check never ran");
         assert!(v.detected);
         assert_eq!(v.symptom, Symptom::GlobalDeadlock);
     }

@@ -45,8 +45,8 @@ pub(crate) enum Resume {
     Shutdown,
 }
 
-#[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-compile_error!("goat-runtime coroutines support only x86_64 and aarch64");
+#[cfg(not(target_arch = "x86_64"))]
+compile_error!("goat-runtime coroutines support only x86_64");
 
 #[cfg(not(any(target_os = "linux", target_os = "macos")))]
 compile_error!("goat-runtime coroutine stacks support only Linux and macOS");
@@ -390,90 +390,6 @@ mod arch {
             0,                // rbp: ends frame-pointer walks
             trampoline as *const () as usize,
         ];
-        sp.cast::<[usize; FRAME / 8]>().write(frame);
-        sp.cast()
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod arch {
-    use std::arch::naked_asm;
-
-    /// Bytes `switch` leaves on a suspended stack: x19-x30 and d8-d15.
-    const FRAME: usize = 160;
-
-    /// Save the callee-saved state on the current stack, store the stack
-    /// pointer in `*save`, load `to` and return into the context saved
-    /// there, handing it `arg` as its return value.
-    ///
-    /// # Safety
-    /// `save` must be writable and `to` must be a context saved by
-    /// `switch` or laid out by `init` on this thread, on a live stack.
-    #[unsafe(naked)]
-    pub(super) unsafe extern "C" fn switch(save: *mut *mut u8, to: *mut u8, arg: usize) -> usize {
-        naked_asm!(
-            "sub sp, sp, #160",
-            "stp x19, x20, [sp, #0]",
-            "stp x21, x22, [sp, #16]",
-            "stp x23, x24, [sp, #32]",
-            "stp x25, x26, [sp, #48]",
-            "stp x27, x28, [sp, #64]",
-            "stp x29, x30, [sp, #80]",
-            "stp d8, d9, [sp, #96]",
-            "stp d10, d11, [sp, #112]",
-            "stp d12, d13, [sp, #128]",
-            "stp d14, d15, [sp, #144]",
-            "mov x9, sp",
-            "str x9, [x0]",
-            "mov sp, x1",
-            "ldp x19, x20, [sp, #0]",
-            "ldp x21, x22, [sp, #16]",
-            "ldp x23, x24, [sp, #32]",
-            "ldp x25, x26, [sp, #48]",
-            "ldp x27, x28, [sp, #64]",
-            "ldp x29, x30, [sp, #80]",
-            "ldp d8, d9, [sp, #96]",
-            "ldp d10, d11, [sp, #112]",
-            "ldp d12, d13, [sp, #128]",
-            "ldp d14, d15, [sp, #144]",
-            "add sp, sp, #160",
-            "mov x0, x2",
-            "ret",
-        )
-    }
-
-    /// First code of a coroutine: `entry(data)` with `entry` in x19 and
-    /// `data` in x20. Its return address is undefined to the unwinder,
-    /// which ends every backtrace here.
-    #[unsafe(naked)]
-    unsafe extern "C" fn trampoline() -> ! {
-        naked_asm!(
-            ".cfi_startproc",
-            ".cfi_undefined x30",
-            "mov x0, x20",
-            "blr x19",
-            "brk #1",
-            ".cfi_endproc",
-        )
-    }
-
-    /// Lay out a frame below `top` that `switch` returns into as the
-    /// trampoline; returns the stack pointer to switch to.
-    ///
-    /// # Safety
-    /// `top` must be the 16-byte aligned high end of a writable stack
-    /// with room for the frame.
-    pub(super) unsafe fn init(
-        top: *mut u8,
-        entry: extern "C" fn(*mut u8) -> !,
-        data: *mut u8,
-    ) -> *mut u8 {
-        let sp = ((top as usize & !15) - 16 - FRAME) as *mut usize;
-        let mut frame = [0usize; FRAME / 8];
-        frame[0] = entry as usize; // x19
-        frame[1] = data as usize; // x20
-        frame[10] = 0; // x29: ends frame-pointer walks
-        frame[11] = trampoline as *const () as usize; // x30
         sp.cast::<[usize; FRAME / 8]>().write(frame);
         sp.cast()
     }

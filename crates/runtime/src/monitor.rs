@@ -1,12 +1,12 @@
 //! Monitor hooks: how baseline detectors observe an execution.
 //!
 //! The paper compares GoAT against tools that *intercept* primitive
-//! operations (LockDL wraps every mutex op; goleak inspects the stack at
-//! the end of main). The runtime exposes the same observation points as a
-//! trait so each baseline can be implemented faithfully without touching
-//! the scheduler.
+//! operations (LockDL wraps every mutex op). The runtime exposes those
+//! observation points as a trait so each baseline can be implemented
+//! faithfully without touching the scheduler. goleak needs no hook: its
+//! end-of-main view is [`crate::RunResult::alive_at_end`] of a completed
+//! run.
 
-use crate::config::AliveGoroutine;
 use goat_model::Cu;
 use goat_trace::{Gid, RId};
 
@@ -24,8 +24,4 @@ pub trait Monitor: Send + Sync {
 
     /// A goroutine released `mu`.
     fn on_unlock(&self, g: Gid, mu: RId) {}
-
-    /// The main goroutine returned; `alive` lists the application
-    /// goroutines that had not finished at that point (goleak's view).
-    fn on_main_end(&self, alive: &[AliveGoroutine]) {}
 }

@@ -40,6 +40,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 
+use crate::config::env_knob;
+
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Receives the result of a run whose host the supervisor abandoned
@@ -69,15 +71,23 @@ pub(crate) struct WorkerPool {
 
 static POOL: OnceLock<WorkerPool> = OnceLock::new();
 
-/// The global pool (created on first use).
+/// The global pool (created on first use); panics on a malformed
+/// `GOAT_POOL_MAX_IDLE`.
 pub(crate) fn global() -> &'static WorkerPool {
-    POOL.get_or_init(|| {
-        let max_idle = std::env::var("GOAT_POOL_MAX_IDLE")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .unwrap_or(256);
-        WorkerPool::new(max_idle)
-    })
+    POOL.get_or_init(|| WorkerPool::new(max_idle().unwrap_or_else(|e| panic!("{e}"))))
+}
+
+/// The `GOAT_POOL_MAX_IDLE` idle-retention cap (default 256), read once
+/// per process; a set but unparseable value is an error naming the
+/// variable.
+pub fn max_idle() -> Result<usize, String> {
+    static MAX_IDLE: OnceLock<Result<usize, String>> = OnceLock::new();
+    MAX_IDLE
+        .get_or_init(|| {
+            let n = env_knob("GOAT_POOL_MAX_IDLE", "a non-negative integer", |v| v.parse().ok())?;
+            Ok(n.unwrap_or(256))
+        })
+        .clone()
 }
 
 /// Account one run abandoned at a runtime teardown deadline: its host

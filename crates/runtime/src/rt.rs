@@ -253,7 +253,6 @@ pub(crate) struct Sched {
     /// Whether the host finished the teardown, or was abandoned first.
     host: Host,
     yields_injected: u32,
-    monitor: Option<Arc<dyn Monitor>>,
     /// Alive-goroutine snapshot taken at the moment the outcome was
     /// decided (before shutdown unwinding marks everything done).
     alive_snapshot: Option<Vec<AliveGoroutine>>,
@@ -290,7 +289,7 @@ pub(crate) struct Sched {
 }
 
 impl Sched {
-    fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>) -> Self {
+    fn new(cfg: Config) -> Self {
         let tb = TraceBuf::new(cfg.trace, cfg.max_trace_events);
         let mut rng = SmallRng::seed_from_u64(cfg.seed);
         // Building native/random consumes no RNG draws, preserving
@@ -312,7 +311,6 @@ impl Sched {
             shutdown: false,
             host: Host::Running,
             yields_injected: 0,
-            monitor,
             alive_snapshot: None,
             panic_detail: None,
             main_exited: false,
@@ -572,12 +570,8 @@ impl Sched {
             if self.main_exited {
                 // Main returned and every still-runnable goroutine got a
                 // grace drain: the program is over. Whatever is blocked
-                // now is what goleak's end-of-main check would see.
-                let alive: Vec<AliveGoroutine> =
-                    self.alive_app().into_iter().filter(|a| !a.internal).collect();
-                if let Some(m) = &self.monitor {
-                    m.on_main_end(&alive);
-                }
+                // now is what goleak's end-of-main check would see, and
+                // the outcome's alive snapshot records it.
                 self.set_outcome(RunOutcome::Completed);
                 return;
             }
@@ -674,7 +668,7 @@ impl RtShared {
     /// grants main the token first thing.
     fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>, main: Job) -> Arc<RtShared> {
         let pooled = cfg.pool;
-        let mut s = Sched::new(cfg, monitor.clone());
+        let mut s = Sched::new(cfg);
         s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
         s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
         let gid = s.new_goroutine(Istr::new("main"), false, main);

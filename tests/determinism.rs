@@ -611,17 +611,18 @@ fn sigkilled_suite_resumes_byte_identically() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-// Regression guard for stale per-checkout Init caching: a pooled worker
-// Init'ed with one base config must be re-Init'ed (not silently reused)
-// when a later campaign changes a base field that does not travel in the
-// per-run Run delta. `max_steps` is such a field — a stale 200k-step
-// Init would never report the tiny budget's hangs.
+// A pooled worker serves each campaign under that campaign's own config:
+// a worker that ran one campaign at the default step budget, reused by
+// a later campaign with an 8-step budget, must run the tiny budget (and
+// report its hangs) because every `Run` frame carries its whole config.
+// A worker that kept any config from an earlier frame would run the
+// stale 200k-step budget and diverge from the in-process summary.
 #[test]
-fn pooled_workers_reinit_when_the_base_config_changes() {
+fn pooled_workers_run_each_campaigns_config() {
     let _faults = faultpoint::scoped(NO_FAULTS);
     let kernel = goat::goker::by_name("etcd6708").expect("kernel");
 
-    // Prime the pool with workers Init'ed at the default step budget.
+    // Prime the pool with workers that ran the default step budget.
     let prime = GoatConfig::default()
         .with_delay_bound(1)
         .with_iterations(6)
@@ -631,10 +632,9 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
     let _ = Goat::new(prime).test(Arc::new(KernelProgram(kernel)));
 
-    // Same pool key, different base config: an 8-step budget every
-    // run exhausts. The checked-in worker is eligible for reuse, so only
-    // an Init-hash mismatch stands between it and running with the stale
-    // 200k budget.
+    // Same pool key, different config: an 8-step budget every run
+    // exhausts. The checked-in worker is reused, so only the config its
+    // `Run` frames carry stands between it and the stale 200k budget.
     let tiny_budget_summary = |isolate: IsolateMode| {
         let mut cfg = GoatConfig::default()
             .with_delay_bound(1)
@@ -652,13 +652,10 @@ fn pooled_workers_reinit_when_the_base_config_changes() {
 
     let off = tiny_budget_summary(IsolateMode::Off);
     // The tiny budget must actually change behavior, or this test proves
-    // nothing about Init invalidation.
+    // nothing about which config a reused worker runs.
     let default_budget_off = isolated_summary_json(kernel, 1, 11, 6, false, IsolateMode::Off);
     assert_ne!(off, default_budget_off, "an 8-step budget must bite on this kernel");
 
     let proc_ = tiny_budget_summary(IsolateMode::Proc);
-    assert_eq!(
-        off, proc_,
-        "reused workers must refresh their cached Init when the base config changes"
-    );
+    assert_eq!(off, proc_, "reused workers must run the config each Run frame carries");
 }

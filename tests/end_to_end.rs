@@ -277,6 +277,19 @@ fn malformed_env_knobs_are_usage_errors() {
     let (code, stderr) = goat_with_env(("GOAT_PARALLELISM", "0"));
     assert_eq!(code, Some(64), "{stderr}");
     assert!(stderr.contains("GOAT_PARALLELISM: expected an integer >= 1, got \"0\""), "{stderr}");
+    // Process-wide knobs with no config field are checked up front too.
+    let (code, stderr) = goat_with_env(("GOAT_WORKER_GRACE_MS", "5s"));
+    assert_eq!(code, Some(64), "{stderr}");
+    assert!(
+        stderr.contains("GOAT_WORKER_GRACE_MS: expected an integer >= 1, got \"5s\""),
+        "{stderr}"
+    );
+    let (code, stderr) = goat_with_env(("GOAT_POOL_MAX_IDLE", "-1"));
+    assert_eq!(code, Some(64), "{stderr}");
+    assert!(
+        stderr.contains("GOAT_POOL_MAX_IDLE: expected a non-negative integer, got \"-1\""),
+        "{stderr}"
+    );
     // An empty value means unset, as the CI matrix's blank cells rely on.
     let (code, stderr) = goat_with_env(("GOAT_ISOLATE", ""));
     assert_eq!(code, Some(1), "{stderr}");

@@ -2,11 +2,11 @@
 //!
 //! The codecs in `goat::core::wire` / `goat::trace::wire` carry every run
 //! between a worker and the orchestrator, so they must be lossless: these
-//! tests synthesize arbitrary well-formed trace buffers and `RunResult`s
-//! covering every `RunOutcome` variant (including
-//! `Crashed { CrashForensics }` and `TimedOut`) and assert the binary
-//! round-trip is indistinguishable from the original under the serde JSON
-//! serializer — the exact equivalence the byte-identity guarantee of
+//! tests synthesize arbitrary `Run` frames (program name plus a whole
+//! `Config`), well-formed trace buffers and `RunResult`s covering every
+//! `RunOutcome` variant (including `Crashed { CrashForensics }` and
+//! `TimedOut`) and assert the binary round-trip is indistinguishable from
+//! the original — the exact equivalence the byte-identity guarantee of
 //! process isolation rests on. The decoders also face hostile input from
 //! another process: arbitrary bytes and every truncation of a valid frame
 //! must come back as `InvalidData`, never as a panic.
@@ -177,6 +177,70 @@ fn build_outcome(&(pick, a, b, flag): &OutcomeSpec) -> RunOutcome {
     }
 }
 
+/// Raw draws for a whole `Config`: seed, the two probabilities' bit
+/// patterns, delay bound, step and event caps, flags, strategy pick,
+/// PCT knobs, watchdog and replay-log shape.
+type ConfigSpec = ((u64, u64, u64, u32), (u64, usize, u8, u8), (u32, u32, u64, u64));
+
+fn config_spec() -> impl Strategy<Value = ConfigSpec> {
+    (
+        (any::<u64>(), any::<u64>(), any::<u64>(), any::<u32>()),
+        (any::<u64>(), any::<usize>(), any::<u8>(), any::<u8>()),
+        (any::<u32>(), any::<u32>(), any::<u64>(), any::<u64>()),
+    )
+}
+
+/// Build a `Config` from raw draws. The probabilities are arbitrary bit
+/// patterns — NaNs, infinities and subnormals included — because the
+/// wire must carry them bit for bit, not merely as equal values. `spin`
+/// stays 0: it has no effect and does not travel.
+fn build_config(spec: &ConfigSpec) -> Config {
+    let (
+        (seed, preempt_bits, yield_bits, delay_bound),
+        (max_steps, max_events, flags, pick),
+        (depth, length, timeout, log),
+    ) = *spec;
+    let strategy = match pick % 3 {
+        0 => StrategyKind::Native,
+        1 => StrategyKind::Random,
+        _ => StrategyKind::Pct { depth, length },
+    };
+    Config {
+        seed,
+        native_preempt_prob: f64::from_bits(preempt_bits),
+        delay_bound,
+        yield_prob: f64::from_bits(yield_bits),
+        max_steps,
+        trace: flags & 1 != 0,
+        max_trace_events: max_events,
+        replay: (flags & 2 != 0).then(|| ReplayLog {
+            decisions: (0..log % 9)
+                .map(|i| match (log >> (8 + 2 * i)) % 3 {
+                    0 => Decision::Pick(Gid(log.rotate_left(i as u32))),
+                    1 => Decision::SelectChoice((log >> i) as usize % 5),
+                    _ => Decision::YieldAt((log >> i) & 1 != 0),
+                })
+                .collect(),
+        }),
+        strategy,
+        pool: flags & 4 != 0,
+        iter_timeout_ms: (flags & 8 != 0).then_some(timeout),
+        spin: 0,
+    }
+}
+
+/// Program names a `Run` frame may carry: every registered kernel, plus
+/// the empty, non-ASCII and long names a hostile registry could hold.
+fn program_name(pick: u64) -> String {
+    let kernels = goat::goker::all_kernels();
+    match (pick % (kernels.len() as u64 + 3)) as usize {
+        i if i < kernels.len() => kernels[i].name.to_string(),
+        i if i == kernels.len() => String::new(),
+        i if i == kernels.len() + 1 => "κέρνελ/ü\u{1f}".to_string(),
+        _ => "x".repeat(300),
+    }
+}
+
 /// Assemble a `RunResult` exercising every field the wire must carry.
 fn build_result(outcome: RunOutcome, events: Vec<Event>, a: u64, b: u64, flag: bool) -> RunResult {
     let ect: Option<Ect> = (!events.is_empty()).then(|| events.into_iter().collect());
@@ -291,6 +355,40 @@ proptest! {
         }
     }
 
+    /// A `Run` frame carries its program name and a whole `Config`
+    /// exactly: both probabilities bit for bit, replay logs, PCT
+    /// strategies and the watchdog. The borrowed-value encoder the
+    /// orchestrator uses writes the same bytes as the frame encoder.
+    #[test]
+    fn run_frames_roundtrip_arbitrary_configs(
+        spec in config_spec(),
+        iter in any::<u64>(),
+        name in any::<u64>(),
+    ) {
+        let cfg = build_config(&spec);
+        let program = program_name(name);
+        let mut direct = Vec::new();
+        wire::encode_run_into(iter, &program, &cfg, &mut direct).expect("encode run");
+        let frame = WireFrame::Run { iter, program: program.clone(), cfg: Box::new(cfg.clone()) };
+        let mut framed = Vec::new();
+        wire::encode_frame_into(&frame, &mut framed).expect("encode frame");
+        prop_assert_eq!(&direct, &framed);
+        let len = u32::from_le_bytes(framed[..4].try_into().unwrap()) as usize;
+        prop_assert_eq!(len, framed.len() - 4);
+
+        match wire::decode_frame(&framed[4..]).expect("decode frame") {
+            WireFrame::Run { iter: got_iter, program: got_program, cfg: got } => {
+                prop_assert_eq!(got_iter, iter);
+                prop_assert_eq!(got_program, program);
+                prop_assert_eq!(got.native_preempt_prob.to_bits(), cfg.native_preempt_prob.to_bits());
+                prop_assert_eq!(got.yield_prob.to_bits(), cfg.yield_prob.to_bits());
+                // Config has no PartialEq; Debug renders every field.
+                prop_assert_eq!(format!("{got:?}"), format!("{cfg:?}"));
+            }
+            other => prop_assert!(false, "decoded wrong frame: {other:?}"),
+        }
+    }
+
     /// Hostile-input totality: any payload — raw bytes, or bytes behind a
     /// valid frame tag so the field decoders are reached — decodes to a
     /// frame or fails with `InvalidData`; it never panics.
@@ -312,26 +410,23 @@ proptest! {
 }
 
 /// One frame of every kind the wire carries, each with non-trivial
-/// fields (an `Init` base with a replay log, a `Result` with a trace
-/// and crash forensics).
+/// fields (a `Run` config with a replay log, a PCT strategy and a
+/// watchdog, a `Result` with a trace and crash forensics).
 fn one_frame_of_each_kind() -> Vec<WireFrame> {
     let specs: Vec<EvSpec> =
         (0..12u8).map(|i| (i * 5 % 29, i as u64 * 3 + 1, i as u64 * 7 + 2, i % 3 == 0)).collect();
-    let mut base = Config::new(0).with_max_steps(123_456);
-    base.replay = Some(ReplayLog {
+    let mut cfg = Config::new(u64::MAX)
+        .with_delay_bound(2)
+        .with_yield_prob(0.5)
+        .with_max_steps(123_456)
+        .with_strategy(StrategyKind::Pct { depth: 3, length: 512 })
+        .with_iter_timeout_ms(Some(2000));
+    cfg.replay = Some(ReplayLog {
         decisions: vec![Decision::Pick(Gid(3)), Decision::SelectChoice(1), Decision::YieldAt(true)],
     });
-    base.iter_timeout_ms = Some(2000);
     vec![
         WireFrame::Ready,
-        WireFrame::Init { program: "etcd6708".into(), base: Box::new(base) },
-        WireFrame::Run {
-            iter: 300,
-            seed: u64::MAX,
-            delay_bound: 2,
-            yield_prob: 0.5,
-            strategy: StrategyKind::Pct { depth: 3, length: 512 },
-        },
+        WireFrame::Run { iter: 300, program: "etcd6708".into(), cfg: Box::new(cfg) },
         WireFrame::Ack { iter: 300 },
         WireFrame::Heartbeat { iter: 300 },
         WireFrame::Result {
