@@ -53,7 +53,11 @@ pub const CHECKPOINT_EVERY_ENV: &str = "GOAT_CHECKPOINT_EVERY";
 /// `qinfra=`, `qcrash=`) and the active fault plan (`fault=`): each
 /// changes which iterations record infra failures or crashes, or where
 /// the campaign is quarantined.
-pub const CHECKPOINT_VERSION: u32 = 4;
+///
+/// v5: the serialized `bug_ect` changed shape: a lock `GoBlock` carries
+/// one `lock` (lock, holder, holder CU, read flag) in place of
+/// `holder_cu`/`holder`, and `MuLock` carries `tried`.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The campaign parameters that determine per-iteration behaviour,
 /// folded into a string. Two campaigns with equal fingerprints run the
@@ -326,7 +330,7 @@ mod tests {
         let _no_faults = goat_runtime::faultpoint::scoped("");
         assert_eq!(
             fingerprint("demo", &pinned()),
-            "v4:demo:seed0=7:d=2:stop=true:cov=4056800000000000:eps=3f947ae147ae147b:\
+            "v5:demo:seed0=7:d=2:stop=true:cov=4056800000000000:eps=3f947ae147ae147b:\
              steps=200000:wd=500:strat=pct:3:512:guided=false:sat=off:iso=off:retries=2:\
              qinfra=3:qcrash=0:fault=off"
         );
@@ -391,6 +395,35 @@ mod tests {
             assert!(err.contains("different campaign"), "{err}");
         }
         assert!(CampaignCheckpoint::load(&path, &fingerprint("demo", &base)).is_ok());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn v4_sidecar_is_rejected() {
+        // v4 sidecars recorded lock waits in the older `GoBlock` shape;
+        // their version alone keeps them from resuming a campaign.
+        use goat_trace::{BlockReason, Event, EventKind, Gid, LockWait, RId, VTime};
+        let cfg = GoatConfig::default();
+        let dir = std::env::temp_dir().join("goat-checkpoint-test-v4");
+        std::fs::create_dir_all(&dir).expect("tmpdir");
+        let path = dir.join("cp.json");
+        let cu = goat_model::Cu::new("k.rs", 3, goat_model::CuKind::Lock);
+        let lock = LockWait { mu: RId(1), holder: Gid(1), holder_cu: cu, read: false };
+        let block = Event {
+            seq: 0,
+            ts: VTime(0),
+            g: Gid(2),
+            kind: EventKind::GoBlock { reason: BlockReason::Sync, lock: Some(lock) },
+            cu: Some(cu),
+        };
+        let mut cp = sample(&cfg);
+        cp.bug_ect = Some(std::iter::once(block).collect());
+        cp.store(&path).expect("store");
+        assert!(CampaignCheckpoint::load(&path, &cp.fingerprint).is_ok(), "v5 resumes");
+        cp.version = 4;
+        cp.store(&path).expect("store");
+        let err = CampaignCheckpoint::load(&path, &cp.fingerprint).expect_err("v4 is rejected");
+        assert!(err.contains("version 4"), "{err}");
         let _ = std::fs::remove_file(&path);
     }
 

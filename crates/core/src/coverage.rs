@@ -138,11 +138,11 @@ pub mod reference {
                     }
                     pending_unblocks.remove(&g);
                 }
-                EventKind::GoBlock { reason, holder_cu, holder } => {
+                EventKind::GoBlock { reason, lock } => {
                     // Req3 "blocking": credit the holder's acquisition site.
-                    if let Some(hcu) = holder_cu {
-                        let id = universe.discover_cu(*hcu);
-                        cov.cover(holder.unwrap_or(g), ReqKey::op(id, ReqValue::Blocking));
+                    if let Some(w) = lock {
+                        let id = universe.discover_cu(w.holder_cu);
+                        cov.cover(w.holder, ReqKey::op(id, ReqValue::Blocking));
                     }
                     if let Some(cu) = &ev.cu {
                         last_block.insert(g, *cu);

@@ -227,13 +227,13 @@ impl EctBuffers {
                     }
                     scratch(slots, touched, g).pending_unblocks.clear();
                 }
-                EventKind::GoBlock { reason, holder_cu, holder } => {
+                EventKind::GoBlock { reason, lock } => {
                     // Req3 "blocking": credit the holder's acquisition site.
-                    if let Some(hcu) = holder_cu {
-                        let id = cu_id(cu_ids, universe, hcu);
+                    if let Some(w) = lock {
+                        let id = cu_id(cu_ids, universe, &w.holder_cu);
                         let rid = universe.op_req_id(id, ReqValue::Blocking);
                         covered.cover_id(rid);
-                        per_set(slots, touched, free_sets, holder.unwrap_or(g)).cover_id(rid);
+                        per_set(slots, touched, free_sets, w.holder).cover_id(rid);
                     }
                     if let Some(cu) = &ev.cu {
                         // Discover the blocked op's CU and cover its

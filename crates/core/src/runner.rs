@@ -201,13 +201,15 @@ impl GoatConfig {
     /// `GOAT_PARALLELISM`, `GOAT_CHECKPOINT`, `GOAT_CHECKPOINT_EVERY`,
     /// `GOAT_ISOLATE` and `GOAT_WORKER_CMD` here, and `GOAT_STRATEGY` and
     /// `GOAT_ITER_TIMEOUT_MS` through [`Config::from_env`], whose run
-    /// knobs this config mirrors. `GOAT_POOL_MAX_IDLE` and
-    /// `GOAT_WORKER_GRACE_MS` set process-wide state, not a field, and
-    /// are only checked here. A set but unparseable value is an error
-    /// naming the variable and its expected form.
+    /// knobs this config mirrors. `GOAT_POOL_MAX_IDLE`,
+    /// `GOAT_TEARDOWN_TIMEOUT_MS` and `GOAT_WORKER_GRACE_MS` set
+    /// process-wide state, not a field, and are only checked here. A set
+    /// but unparseable value is an error naming the variable and its
+    /// expected form.
     pub fn from_env() -> Result<Self, String> {
         let run = Config::from_env()?;
         goat_runtime::pool::max_idle()?;
+        goat_runtime::teardown_timeout()?;
         crate::isolate::worker_grace()?;
         Ok(GoatConfig {
             delay_bound: 0,

@@ -6,10 +6,11 @@
 //! * [`BuiltinDetector`] — Go's runtime deadlock check: "all goroutines
 //!   are asleep" while main has not finished. Detects **global**
 //!   deadlocks only; goroutine leaks go unnoticed.
-//! * [`LockdlDetector`] — the lock-set tool (sasha-s/go-deadlock): wraps
-//!   every mutex operation, warns on double-locking and on cycles in the
-//!   accumulated lock-order graph, and carries a 30 s watchdog timeout.
-//!   Channel-caused deadlocks are invisible to it except via the timeout.
+//! * [`LockdlDetector`] — the lock-set tool (sasha-s/go-deadlock): replays
+//!   its mutex wrappers over the run's recorded trace, warns on
+//!   double-locking and on cycles in the accumulated lock-order graph,
+//!   and carries a 30 s watchdog timeout. Channel-caused deadlocks are
+//!   invisible to it except via the timeout.
 //! * [`GoleakDetector`] — Uber's goleak: at the end of `main`, report
 //!   application goroutines that are still alive (leaked).
 //!

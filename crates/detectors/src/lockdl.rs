@@ -1,9 +1,11 @@
 //! LockDL: a lock-set / lock-order-graph deadlock detector.
 //!
 //! Re-implements the detection principle of sasha-s/go-deadlock, the
-//! "LockDL" baseline of §IV-A: every mutex lock/unlock is intercepted to
-//! maintain each goroutine's *lock set* and a global *lock-order graph*.
-//! The tool warns when
+//! "LockDL" baseline of §IV-A: go-deadlock wraps every mutex lock and
+//! unlock to maintain each goroutine's *lock set* and a global
+//! *lock-order graph*. Here those wrappers are replayed, in order, over
+//! the run's recorded ECT, so the baseline reads the same trace as every
+//! other analysis. The tool warns when
 //!
 //! 1. a goroutine locks a mutex it already holds (double-lock), or
 //! 2. acquiring `b` while holding `a` creates a cycle in the lock-order
@@ -18,11 +20,9 @@
 
 use crate::verdict::{Detector, ProgramFn, Symptom, ToolVerdict};
 use goat_model::Cu;
-use goat_runtime::{Config, Monitor, RunOutcome, Runtime};
-use goat_trace::{Gid, RId};
-use parking_lot::Mutex;
+use goat_runtime::{Config, RunOutcome, Runtime};
+use goat_trace::{Ect, EventKind, Gid, RId};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// A directed lock-order graph: edge `a → b` means some goroutine
 /// acquired `b` while holding `a`.
@@ -75,7 +75,7 @@ impl LockGraph {
     }
 }
 
-/// A warning recorded by the LockDL monitor.
+/// A warning go-deadlock would print.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LockdlReport {
     /// A goroutine locked a mutex it already held.
@@ -100,58 +100,51 @@ pub enum LockdlReport {
     },
 }
 
+/// go-deadlock's lock sets and lock-order graph, replayed over one run.
 #[derive(Default)]
 struct LockdlState {
-    /// Held-lock stacks indexed densely by goroutine id (gids are
-    /// runtime-assigned and small, so a flat table beats a tree and the
-    /// slot borrow replaces the per-attempt clone the map forced).
+    /// Write locks each goroutine holds, in acquisition order, indexed
+    /// densely by gid (gids are runtime-assigned and small).
     held: Vec<Vec<RId>>,
+    /// Goroutines whose current lock wait was checked at its `GoBlock`,
+    /// so the `MuLock` that ends the wait only acquires.
+    waited: BTreeSet<Gid>,
     graph: LockGraph,
     reports: Vec<LockdlReport>,
 }
 
-struct LockdlMonitor {
-    st: Mutex<LockdlState>,
-}
-
-impl Monitor for LockdlMonitor {
-    fn on_lock_attempt(&self, g: Gid, mu: RId, cu: &Cu) {
-        let mut guard = self.st.lock();
-        let st = &mut *guard;
-        let held = st.held.get(g.0 as usize).map(Vec::as_slice).unwrap_or(&[]);
+impl LockdlState {
+    /// go-deadlock's `preLock`: warn on a double lock or on an order
+    /// cycle, and record the order edges of this attempt.
+    fn attempt(&mut self, g: Gid, mu: RId, at: Cu) {
+        let held = self.held.get(g.0 as usize).map_or(&[][..], Vec::as_slice);
         if held.contains(&mu) {
-            st.reports.push(LockdlReport::DoubleLock { g, mu, at: *cu });
+            self.reports.push(LockdlReport::DoubleLock { g, mu, at });
             return;
         }
         for &h in held {
-            if st.graph.would_cycle(h, mu) {
-                st.reports.push(LockdlReport::OrderCycle { g, held: h, acquiring: mu, at: *cu });
+            if self.graph.would_cycle(h, mu) {
+                self.reports.push(LockdlReport::OrderCycle { g, held: h, acquiring: mu, at });
             }
-            st.graph.add_edge(h, mu);
+            self.graph.add_edge(h, mu);
         }
     }
 
-    fn on_lock_acquired(&self, g: Gid, mu: RId, _cu: &Cu) {
-        let mut st = self.st.lock();
+    fn acquire(&mut self, g: Gid, mu: RId) {
         let i = g.0 as usize;
-        if i >= st.held.len() {
-            st.held.resize_with(i + 1, Vec::new);
+        if i >= self.held.len() {
+            self.held.resize_with(i + 1, Vec::new);
         }
-        st.held[i].push(mu);
+        self.held[i].push(mu);
     }
 
-    fn on_unlock(&self, g: Gid, mu: RId) {
-        let mut st = self.st.lock();
-        // Go allows cross-goroutine unlock; release from whoever holds it.
-        if let Some(v) = st.held.get_mut(g.0 as usize) {
-            if let Some(pos) = v.iter().rposition(|&m| m == mu) {
-                v.remove(pos);
-                return;
-            }
-        }
-        for v in st.held.iter_mut() {
-            if let Some(pos) = v.iter().rposition(|&m| m == mu) {
-                v.remove(pos);
+    /// An unlock releases `mu` from `g`, else — Go allows cross-goroutine
+    /// unlock — from whichever goroutine holds it.
+    fn release(&mut self, g: Gid, mu: RId) {
+        for i in std::iter::once(g.0 as usize).chain(0..self.held.len()) {
+            let Some(held) = self.held.get_mut(i) else { continue };
+            if let Some(pos) = held.iter().rposition(|&m| m == mu) {
+                held.remove(pos);
                 return;
             }
         }
@@ -168,16 +161,49 @@ impl LockdlDetector {
         LockdlDetector
     }
 
+    /// The warnings go-deadlock would print for the run that recorded
+    /// `ect`, in the order it would print them.
+    ///
+    /// Its wrappers act at points the trace records: a write-lock
+    /// attempt (`preLock`) is checked at the `GoBlock` of a contended
+    /// wait, else at the uncontended `MuLock`; the `MuLock` adds the lock
+    /// to the goroutine's set (`postLock`) and `MuUnlock` removes it. A
+    /// successful `try_lock` (`tried`) acquires without an attempt, as
+    /// go-deadlock's `TryLock` does, and read locks are not tracked.
+    fn reports(ect: &Ect) -> Vec<LockdlReport> {
+        let mut st = LockdlState::default();
+        for ev in ect.iter() {
+            let (g, Some(at)) = (ev.g, ev.cu) else { continue };
+            match ev.kind {
+                EventKind::GoBlock { lock: Some(w), .. } if !w.read => {
+                    st.attempt(g, w.mu, at);
+                    st.waited.insert(g);
+                }
+                EventKind::MuLock { mu, tried } => {
+                    if !tried && !st.waited.remove(&g) {
+                        st.attempt(g, mu, at);
+                    }
+                    st.acquire(g, mu);
+                }
+                EventKind::MuUnlock { mu } => st.release(g, mu),
+                _ => {}
+            }
+        }
+        st.reports
+    }
+
     /// Run once, returning both the verdict and the raw warnings.
     pub fn run_once_with_reports(
         &self,
         cfg: Config,
         program: ProgramFn,
     ) -> (ToolVerdict, Vec<LockdlReport>) {
-        let cfg = cfg.with_trace(false);
-        let monitor = Arc::new(LockdlMonitor { st: Mutex::new(LockdlState::default()) });
-        let result = Runtime::run_monitored(cfg, Some(monitor.clone() as _), move || program());
-        let reports = monitor.st.lock().reports.clone();
+        let mut result = Runtime::run(cfg.with_trace(true), move || program());
+        let reports = result.ect.take().map_or_else(Vec::new, |ect| {
+            let reports = Self::reports(&ect);
+            goat_trace::recycle_buffer(ect.into_events());
+            reports
+        });
         let verdict = match result.outcome {
             _ if !reports.is_empty() => ToolVerdict {
                 detected: true,
@@ -231,8 +257,130 @@ impl Detector for LockdlDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use goat_model::CuKind;
     use goat_runtime::{go_named, gosched, Chan, Mutex as GoMutex};
+    use goat_trace::{BlockReason, Event, LockWait, VTime};
     use std::sync::Arc;
+
+    /// The CU of a hand-built trace's event `i`: line `i`.
+    fn at(i: u32) -> Cu {
+        Cu::new("k.rs", i, CuKind::Lock)
+    }
+
+    /// A hand-built trace, one `(goroutine, kind)` per event.
+    fn ect(events: Vec<(u64, EventKind)>) -> Ect {
+        let ev = |(i, (g, kind))| Event {
+            seq: i as u64,
+            ts: VTime(i as u64),
+            g: Gid(g),
+            kind,
+            cu: Some(at(i as u32)),
+        };
+        events.into_iter().enumerate().map(ev).collect()
+    }
+
+    fn lock(mu: u64) -> EventKind {
+        EventKind::MuLock { mu: RId(mu), tried: false }
+    }
+
+    fn try_lock(mu: u64) -> EventKind {
+        EventKind::MuLock { mu: RId(mu), tried: true }
+    }
+
+    fn unlock(mu: u64) -> EventKind {
+        EventKind::MuUnlock { mu: RId(mu) }
+    }
+
+    /// A wait for `mu`, held by `holder`.
+    fn wait(mu: u64, holder: u64, read: bool) -> EventKind {
+        let lock = LockWait { mu: RId(mu), holder: Gid(holder), holder_cu: at(0), read };
+        EventKind::GoBlock { reason: BlockReason::Sync, lock: Some(lock) }
+    }
+
+    #[test]
+    fn trace_double_lock_warns_at_the_blocking_attempt() {
+        let reports = LockdlDetector::reports(&ect(vec![(1, lock(1)), (1, wait(1, 1, false))]));
+        assert_eq!(reports, vec![LockdlReport::DoubleLock { g: Gid(1), mu: RId(1), at: at(1) }]);
+    }
+
+    #[test]
+    fn trace_ab_ba_cycle_warns_once_per_attempt() {
+        let reports = LockdlDetector::reports(&ect(vec![
+            (2, lock(1)),
+            (2, lock(2)),
+            (2, unlock(2)),
+            (2, lock(3)), // a third lock, so the graph holds more than the cycle
+            (2, unlock(3)),
+            (1, lock(2)),
+            (1, lock(1)), // uncontended: checked at its MuLock
+            (1, unlock(1)),
+            (2, unlock(1)),
+            (2, lock(1)),
+            (1, wait(1, 2, false)), // contended: checked at its GoBlock ...
+            (2, unlock(1)),
+            (1, lock(1)), // ... and not again when the wait ends
+        ]));
+        let cycle =
+            |i| LockdlReport::OrderCycle { g: Gid(1), held: RId(2), acquiring: RId(1), at: at(i) };
+        assert_eq!(reports, vec![cycle(6), cycle(10)]);
+    }
+
+    #[test]
+    fn trace_blocked_attempt_that_never_acquires_still_warns() {
+        // A materialised AB-BA deadlock: both goroutines stay blocked.
+        let reports = LockdlDetector::reports(&ect(vec![
+            (2, lock(1)),
+            (1, lock(2)),
+            (2, wait(2, 1, false)),
+            (1, wait(1, 2, false)),
+        ]));
+        let want =
+            LockdlReport::OrderCycle { g: Gid(1), held: RId(2), acquiring: RId(1), at: at(3) };
+        assert_eq!(reports, vec![want]);
+    }
+
+    #[test]
+    fn trace_rlock_blocked_behind_a_writer_is_not_an_attempt() {
+        let trace = |read| {
+            ect(vec![
+                (2, lock(2)),
+                (1, lock(1)),
+                (2, wait(1, 1, read)), // G2, holding r2, waits for r1
+                (1, wait(2, 2, false)),
+            ])
+        };
+        assert!(LockdlDetector::reports(&trace(true)).is_empty());
+        assert_eq!(LockdlDetector::reports(&trace(false)).len(), 1, "a write wait is");
+    }
+
+    #[test]
+    fn trace_try_lock_adds_no_order_edge() {
+        let trace = |second| {
+            ect(vec![
+                (1, lock(2)),
+                (1, second), // r1 while holding r2
+                (1, unlock(1)),
+                (1, unlock(2)),
+                (1, lock(1)),
+                (1, lock(2)),
+            ])
+        };
+        assert!(LockdlDetector::reports(&trace(try_lock(1))).is_empty());
+        assert_eq!(LockdlDetector::reports(&trace(lock(1))).len(), 1, "a lock does");
+    }
+
+    #[test]
+    fn trace_cross_goroutine_unlock_releases_from_the_holder() {
+        let reports = LockdlDetector::reports(&ect(vec![
+            (1, lock(1)),
+            (2, unlock(1)),
+            (1, lock(1)), // no double lock: G2's unlock released G1's hold
+            (1, unlock(1)),
+            (1, lock(2)),
+            (1, lock(1)), // no edge r1 → r2 was left behind either
+        ]));
+        assert!(reports.is_empty(), "{reports:?}");
+    }
 
     #[test]
     fn graph_cycle_detection() {

@@ -52,7 +52,6 @@ mod coro;
 /// Deterministic fault injection (`GOAT_FAULT`) for supervision tests.
 pub mod faultpoint;
 mod iter_fault;
-mod monitor;
 /// Shared pool of run host threads (run hosts, statistics surface).
 pub mod pool;
 mod rt;
@@ -69,10 +68,10 @@ pub use config::{
     env_knob, parse_knob, AliveGoroutine, Config, CrashForensics, Decision, ReplayLog, RunOutcome,
     RunResult, SchedCounters, TimeoutPhase, STRATEGY_FORM,
 };
-pub use monitor::Monitor;
 pub use rt::{gid, go, go_internal, go_named, gosched, Runtime};
 pub use select::Select;
 pub use strategy::StrategyKind;
+pub use supervise::teardown_timeout;
 pub use sync::{Cond, Mutex, Once, RwLock, WaitGroup};
 
 #[cfg(test)]

@@ -30,11 +30,10 @@ use crate::config::{
     AliveGoroutine, Config, Decision, ReplayLog, RunOutcome, RunResult, SchedCounters, TimeoutPhase,
 };
 use crate::coro::{self, Coroutine, Resume};
-use crate::monitor::Monitor;
 use crate::pool::AbandonHook;
 use crate::strategy::{Strategy, YieldChoice, YieldCtx};
 use goat_model::{Cu, CuKind, Istr};
-use goat_trace::{BlockReason, Ect, EventKind, Gid, RId, TraceBuf, VTime};
+use goat_trace::{BlockReason, Ect, EventKind, Gid, LockWait, RId, TraceBuf, VTime};
 use parking_lot::{Condvar, Mutex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -652,9 +651,6 @@ pub(crate) struct RtShared {
     /// The run's one lock: its host takes it at every scheduler gate,
     /// and the supervisor touches the run only through it.
     pub(crate) state: Mutex<Sched>,
-    /// The attached monitor, reachable without the scheduler lock: gate
-    /// functions call its hooks outside their critical section.
-    pub(crate) monitor: Option<Arc<dyn Monitor>>,
     /// Wakes an abandoned host that woke up while the supervisor was
     /// still handing its run's result over.
     done_cv: Condvar,
@@ -666,14 +662,14 @@ pub(crate) struct RtShared {
 impl RtShared {
     /// A run of `cfg` whose main goroutine executes `main`; its host
     /// grants main the token first thing.
-    fn new(cfg: Config, monitor: Option<Arc<dyn Monitor>>, main: Job) -> Arc<RtShared> {
+    fn new(cfg: Config, main: Job) -> Arc<RtShared> {
         let pooled = cfg.pool;
         let mut s = Sched::new(cfg);
         s.emit(Gid::RUNTIME, EventKind::Gomaxprocs { n: 1 }, None);
         s.emit(Gid::RUNTIME, EventKind::ProcStart, None);
         let gid = s.new_goroutine(Istr::new("main"), false, main);
         debug_assert_eq!(gid, Gid::MAIN);
-        Arc::new(RtShared { state: Mutex::new(s), monitor, done_cv: Condvar::new(), pooled })
+        Arc::new(RtShared { state: Mutex::new(s), done_cv: Condvar::new(), pooled })
     }
 }
 
@@ -735,17 +731,16 @@ pub fn gid() -> Gid {
 // ---------------------------------------------------------------------
 
 /// Block the current goroutine for `reason`; returns when rescheduled.
-/// `holder` attributes lock contention (Req3 *blocking*) to the holder's
-/// acquisition site.
+/// `lock` names the contended lock and its holder, which attributes the
+/// contention (Req3 *blocking*) to the holder's acquisition site.
 pub(crate) fn block_current(
     ctx: &Ctx,
     reason: BlockReason,
-    holder: Option<(Gid, Option<Cu>)>,
+    lock: Option<LockWait>,
     cu: Option<Cu>,
 ) {
-    let (holder_g, holder_cu) = holder.map_or((None, None), |(g, c)| (Some(g), c));
     let mut s = ctx.rt.state.lock();
-    s.emit(ctx.gid, EventKind::GoBlock { reason, holder_cu, holder: holder_g }, cu);
+    s.emit(ctx.gid, EventKind::GoBlock { reason, lock }, cu);
     s.slot_mut(ctx.gid).state = GState::Blocked(reason);
     s.counters.blocks += 1;
     if !s.tick() {
@@ -1033,6 +1028,13 @@ pub struct Runtime;
 impl Runtime {
     /// Run `f` as the main goroutine.
     ///
+    /// The run executes inline when the caller is an idle run host
+    /// ([`crate::pool::spawn_host`]) and the pool is on. Any other
+    /// caller — a plain thread, a goroutine of another run, or a
+    /// `Config::pool = false` run — borrows a host thread for the run
+    /// and sleeps until it delivers the result. Either way the process's
+    /// supervisor owns the run's wall-clock deadlines.
+    ///
     /// ```
     /// use goat_runtime::{Runtime, Config, go, Chan};
     /// let result = Runtime::run(Config::new(1), || {
@@ -1044,27 +1046,10 @@ impl Runtime {
     /// assert!(result.outcome.is_completed());
     /// ```
     pub fn run<F: FnOnce() + Send + 'static>(cfg: Config, f: F) -> RunResult {
-        Self::run_monitored(cfg, None, f)
-    }
-
-    /// Run `f` with a [`Monitor`] observing primitive operations (how the
-    /// baseline detectors of §IV-A attach).
-    ///
-    /// The run executes inline when the caller is an idle run host
-    /// ([`crate::pool::spawn_host`]) and the pool is on. Any other
-    /// caller — a plain thread, a goroutine of another run, or a
-    /// `Config::pool = false` run — borrows a host thread for the run
-    /// and sleeps until it delivers the result. Either way the process's
-    /// supervisor owns the run's wall-clock deadlines.
-    pub fn run_monitored<F: FnOnce() + Send + 'static>(
-        cfg: Config,
-        monitor: Option<Arc<dyn Monitor>>,
-        f: F,
-    ) -> RunResult {
         install_panic_hook();
         let (pooled, iter_timeout_ms) = (cfg.pool, cfg.iter_timeout_ms);
         let main = crate::iter_fault::body(cfg.seed).unwrap_or_else(|| Box::new(f));
-        let rt = RtShared::new(cfg, monitor, main);
+        let rt = RtShared::new(cfg, main);
         let host_rt = Arc::clone(&rt);
         let hosted = crate::pool::with_host(pooled, move |on_abandon| {
             run_inline(&host_rt, iter_timeout_ms, on_abandon)
@@ -1535,7 +1520,7 @@ mod tests {
 
     #[test]
     fn a_late_supervisor_still_gives_the_cooperative_abort_its_grace() {
-        let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
+        let rt = RtShared::new(Config::new(0), Box::new(|| {}));
         let soft = rt.state.lock().started + Duration::from_secs(5);
         let grace = Duration::from_micros(12_500);
         let teardown = Duration::from_secs(5);
@@ -1574,7 +1559,7 @@ mod tests {
 
     #[test]
     fn a_descheduled_host_gets_more_grace_until_the_teardown_deadline() {
-        let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
+        let rt = RtShared::new(Config::new(0), Box::new(|| {}));
         let soft = rt.state.lock().started + Duration::from_secs(5);
         let grace = Duration::from_micros(12_500);
         let teardown = Duration::from_millis(100);
@@ -1594,7 +1579,7 @@ mod tests {
 
     #[test]
     fn a_host_not_seen_descheduled_is_wedged_when_the_grace_runs_out() {
-        let rt = RtShared::new(Config::new(0), None, Box::new(|| {}));
+        let rt = RtShared::new(Config::new(0), Box::new(|| {}));
         let soft = rt.state.lock().started + Duration::from_secs(5);
         let grace = Duration::from_micros(12_500);
         let teardown = Duration::from_secs(5);

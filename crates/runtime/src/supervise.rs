@@ -18,11 +18,12 @@
 //! host registered ([`crate::pool::spawn_host`]), or the channel a
 //! borrowing caller waits on ([`crate::pool::with_host`]).
 
+use crate::config::env_knob;
 use crate::pool::AbandonHook;
 use crate::rt::{collect, Due, RtShared};
 use parking_lot::{Condvar, Mutex};
 use std::panic::AssertUnwindSafe;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One live run.
@@ -137,15 +138,25 @@ static REGISTRY: Mutex<Registry> =
     Mutex::new(Registry { watches: Vec::new(), next_id: 0, wake_at: None, running: false });
 static WAKE: Condvar = Condvar::new();
 
-/// `GOAT_TEARDOWN_TIMEOUT_MS`: how long a decided run's teardown may
-/// take before its host thread is abandoned.
+/// `GOAT_TEARDOWN_TIMEOUT_MS` (default 5000): how long a decided run's
+/// teardown may take before its host thread is abandoned. Read once per
+/// process; a set but unparseable value is an error naming the
+/// variable.
+pub fn teardown_timeout() -> Result<Duration, String> {
+    static TEARDOWN: OnceLock<Result<Duration, String>> = OnceLock::new();
+    TEARDOWN
+        .get_or_init(|| {
+            let ms =
+                env_knob("GOAT_TEARDOWN_TIMEOUT_MS", "a non-negative integer", |v| v.parse().ok())?;
+            Ok(Duration::from_millis(ms.unwrap_or(5_000)))
+        })
+        .clone()
+}
+
+/// [`teardown_timeout`]; panics on a malformed value, first in
+/// [`watch`] on the run's host.
 fn teardown() -> Duration {
-    Duration::from_millis(
-        std::env::var("GOAT_TEARDOWN_TIMEOUT_MS")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .unwrap_or(5_000),
-    )
+    teardown_timeout().unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Register a run that started at `started`, called on its host thread;
@@ -159,7 +170,8 @@ pub(crate) fn watch(
     let watchdog = iter_timeout_ms.map(|ms| {
         (started + Duration::from_millis(ms), Duration::from_millis((ms / 4).clamp(10, 1_000)))
     });
-    let due = watchdog.map_or_else(|| started + teardown(), |(soft, _)| soft);
+    let teardown = teardown();
+    let due = watchdog.map_or(started + teardown, |(soft, _)| soft);
     let mut reg = REGISTRY.lock();
     if !reg.running {
         std::thread::Builder::new()

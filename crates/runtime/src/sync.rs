@@ -14,12 +14,14 @@
 //!   re-acquires it after being signalled — a missed signal blocks
 //!   forever.
 //!
-//! Every operation is a traced CU; lock operations also drive the
-//! [`crate::Monitor`] hooks the LockDL baseline relies on.
+//! Every operation is a traced CU. A lock wait records the lock, its
+//! holder and whether it is a read lock, and a `try_lock` acquisition is
+//! marked as such: the LockDL baseline replays go-deadlock over these
+//! events.
 
 use crate::rt::{block_current, cu_here, current, gopanic, op_enter, Ctx};
 use goat_model::{Cu, CuKind};
-use goat_trace::{BlockReason, EventKind, Gid, RId};
+use goat_trace::{BlockReason, EventKind, Gid, LockWait, RId};
 use parking_lot::Mutex as PlMutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -28,15 +30,13 @@ use std::sync::Arc;
 // Mutex
 // ---------------------------------------------------------------------
 
-struct MuWaiter {
-    g: Gid,
-    cu: Cu,
-}
+/// A goroutine and the CU of its lock operation: a lock's holder, or a
+/// goroutine waiting for it.
+type Party = (Gid, Cu);
 
 struct MuSt {
-    owner: Option<Gid>,
-    owner_cu: Option<Cu>,
-    waiters: VecDeque<MuWaiter>,
+    owner: Option<Party>,
+    waiters: VecDeque<Party>,
 }
 
 struct MuCore {
@@ -84,7 +84,7 @@ impl Mutex {
         Mutex {
             core: Arc::new(MuCore {
                 id,
-                st: PlMutex::new(MuSt { owner: None, owner_cu: None, waiters: VecDeque::new() }),
+                st: PlMutex::new(MuSt { owner: None, waiters: VecDeque::new() }),
             }),
         }
     }
@@ -105,24 +105,18 @@ impl Mutex {
     }
 
     fn lock_impl(&self, ctx: &Ctx, cu: Cu) {
-        // Monitor hooks run outside the scheduler lock; each trace event
-        // is recorded under it, together with any wake.
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_lock_attempt(ctx.gid, self.core.id, &cu);
-        }
         let mut st = self.core.st.lock();
-        if let Some(owner) = st.owner {
-            let holder = (owner, st.owner_cu);
-            st.waiters.push_back(MuWaiter { g: ctx.gid, cu });
+        if let Some((holder, holder_cu)) = st.owner {
+            st.waiters.push_back((ctx.gid, cu));
             drop(st);
             // The unlocker transfers ownership to us before waking us.
-            block_current(ctx, BlockReason::Sync, Some(holder), Some(cu));
+            let wait = LockWait { mu: self.core.id, holder, holder_cu, read: false };
+            block_current(ctx, BlockReason::Sync, Some(wait), Some(cu));
         } else {
-            st.owner = Some(ctx.gid);
-            st.owner_cu = Some(cu);
+            st.owner = Some((ctx.gid, cu));
             drop(st);
         }
-        acquired(ctx, self.core.id, cu);
+        ctx.emit(EventKind::MuLock { mu: self.core.id, tried: false }, cu);
     }
 
     /// Try to acquire without blocking.
@@ -135,10 +129,9 @@ impl Mutex {
         if st.owner.is_some() {
             return false;
         }
-        st.owner = Some(ctx.gid);
-        st.owner_cu = Some(cu);
+        st.owner = Some((ctx.gid, cu));
         drop(st);
-        acquired(&ctx, self.core.id, cu);
+        ctx.emit(EventKind::MuLock { mu: self.core.id, tried: true }, cu);
         true
     }
 
@@ -161,29 +154,10 @@ impl Mutex {
             drop(st);
             gopanic("sync: unlock of unlocked mutex");
         }
-        let woken = if let Some(w) = st.waiters.pop_front() {
-            st.owner = Some(w.g);
-            st.owner_cu = Some(w.cu);
-            Some(w.g)
-        } else {
-            st.owner = None;
-            st.owner_cu = None;
-            None
-        };
+        st.owner = st.waiters.pop_front();
+        let woken = st.owner.map(|(g, _)| g);
         drop(st);
         ctx.wake_and_emit(woken, EventKind::MuUnlock { mu: self.core.id }, cu);
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_unlock(ctx.gid, self.core.id);
-        }
-    }
-}
-
-/// The lock `mu` is now held by `ctx`'s goroutine: record its
-/// acquisition and tell the monitor.
-fn acquired(ctx: &Ctx, mu: RId, cu: Cu) {
-    ctx.emit(EventKind::MuLock { mu }, cu);
-    if let Some(m) = &ctx.rt.monitor {
-        m.on_lock_acquired(ctx.gid, mu, &cu);
     }
 }
 
@@ -192,10 +166,10 @@ fn acquired(ctx: &Ctx, mu: RId, cu: Cu) {
 // ---------------------------------------------------------------------
 
 struct RwSt {
-    writer: Option<(Gid, Cu)>,
-    readers: Vec<(Gid, Cu)>,
-    wait_writers: VecDeque<MuWaiter>,
-    wait_readers: VecDeque<MuWaiter>,
+    writer: Option<Party>,
+    readers: Vec<Party>,
+    wait_writers: VecDeque<Party>,
+    wait_readers: VecDeque<Party>,
 }
 
 struct RwCore {
@@ -253,23 +227,20 @@ impl RwLock {
         let cu = cu_here(CuKind::Lock, std::panic::Location::caller());
         let ctx = current();
         op_enter(&ctx, CuKind::Lock, &cu);
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_lock_attempt(ctx.gid, self.core.id, &cu);
-        }
         let mut st = self.core.st.lock();
-        if st.writer.is_none() && st.readers.is_empty() {
-            st.writer = Some((ctx.gid, cu));
-            drop(st);
-        } else {
-            let holder = st
-                .writer
-                .map(|(g, c)| (g, Some(c)))
-                .or_else(|| st.readers.first().map(|(g, c)| (*g, Some(*c))));
-            st.wait_writers.push_back(MuWaiter { g: ctx.gid, cu });
-            drop(st);
-            block_current(&ctx, BlockReason::Sync, holder, Some(cu));
+        match st.writer.or_else(|| st.readers.first().copied()) {
+            None => {
+                st.writer = Some((ctx.gid, cu));
+                drop(st);
+            }
+            Some((holder, holder_cu)) => {
+                st.wait_writers.push_back((ctx.gid, cu));
+                drop(st);
+                let wait = LockWait { mu: self.core.id, holder, holder_cu, read: false };
+                block_current(&ctx, BlockReason::Sync, Some(wait), Some(cu));
+            }
         }
-        acquired(&ctx, self.core.id, cu);
+        ctx.emit(EventKind::MuLock { mu: self.core.id, tried: false }, cu);
     }
 
     /// Release the write lock.
@@ -291,9 +262,6 @@ impl RwLock {
         self.grant(&mut st, &mut woken);
         drop(st);
         ctx.wake_and_emit(woken, EventKind::MuUnlock { mu: self.core.id }, cu);
-        if let Some(m) = &ctx.rt.monitor {
-            m.on_unlock(ctx.gid, self.core.id);
-        }
     }
 
     /// Acquire a read lock. Blocks while a writer holds the lock **or is
@@ -304,17 +272,17 @@ impl RwLock {
         let ctx = current();
         op_enter(&ctx, CuKind::Lock, &cu);
         let mut st = self.core.st.lock();
-        if st.writer.is_none() && st.wait_writers.is_empty() {
-            st.readers.push((ctx.gid, cu));
-            drop(st);
-        } else {
-            let holder = st
-                .writer
-                .map(|(g, c)| (g, Some(c)))
-                .or_else(|| st.wait_writers.front().map(|w| (w.g, Some(w.cu))));
-            st.wait_readers.push_back(MuWaiter { g: ctx.gid, cu });
-            drop(st);
-            block_current(&ctx, BlockReason::Sync, holder, Some(cu));
+        match st.writer.or_else(|| st.wait_writers.front().copied()) {
+            None => {
+                st.readers.push((ctx.gid, cu));
+                drop(st);
+            }
+            Some((holder, holder_cu)) => {
+                st.wait_readers.push_back((ctx.gid, cu));
+                drop(st);
+                let wait = LockWait { mu: self.core.id, holder, holder_cu, read: true };
+                block_current(&ctx, BlockReason::Sync, Some(wait), Some(cu));
+            }
         }
         ctx.emit(EventKind::RwRLock { mu: self.core.id }, cu);
     }
@@ -348,15 +316,15 @@ impl RwLock {
         }
         if st.readers.is_empty() {
             if let Some(w) = st.wait_writers.pop_front() {
-                st.writer = Some((w.g, w.cu));
-                woken.push(w.g);
+                st.writer = Some(w);
+                woken.push(w.0);
                 return;
             }
         }
         if st.wait_writers.is_empty() {
             while let Some(w) = st.wait_readers.pop_front() {
-                st.readers.push((w.g, w.cu));
-                woken.push(w.g);
+                st.readers.push(w);
+                woken.push(w.0);
             }
         }
     }

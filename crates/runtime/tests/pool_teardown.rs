@@ -9,7 +9,7 @@
 //! runs, not goroutines: concurrent runs oversubscribe the idle cap, and
 //! a wedged goroutine wedges (and abandons) its run's host thread.
 
-use goat_runtime::{go, go_named, pool, Chan, Config, Runtime, WaitGroup};
+use goat_runtime::{go, go_named, pool, teardown_timeout, Chan, Config, Runtime, WaitGroup};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -27,11 +27,18 @@ fn settle(cond: impl Fn() -> bool) {
     panic!("pool did not settle");
 }
 
-#[test]
-fn idle_bound_holds_and_wedged_workers_are_abandoned() {
-    // Must precede the first pool checkout anywhere in this process.
+/// Pin both knobs; the runtime reads each once, so this must precede
+/// the first pool checkout anywhere in this process.
+fn pin_knobs() {
     std::env::set_var("GOAT_POOL_MAX_IDLE", MAX_IDLE.to_string());
     std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", TEARDOWN_MS.to_string());
+    assert_eq!(pool::max_idle(), Ok(MAX_IDLE));
+    assert_eq!(teardown_timeout(), Ok(Duration::from_millis(TEARDOWN_MS)));
+}
+
+#[test]
+fn idle_bound_holds_and_wedged_workers_are_abandoned() {
+    pin_knobs();
 
     // -- no idle-thread leak past GOAT_POOL_MAX_IDLE ------------------
     // 12 runs (3× the idle cap) are in flight at once — each main waits

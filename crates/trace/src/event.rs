@@ -115,6 +115,22 @@ impl fmt::Display for BlockReason {
     }
 }
 
+/// The lock a goroutine blocked on (payload of a
+/// [`BlockReason::Sync`] [`EventKind::GoBlock`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub struct LockWait {
+    /// The contended mutex or rw-lock.
+    pub mu: RId,
+    /// A goroutine the wait is behind: the writer holding the lock, else
+    /// its first reader, or — for a read lock held off by write
+    /// preference — the first waiting writer.
+    pub holder: Gid,
+    /// Where `holder` acquired (or is waiting to acquire) the lock.
+    pub holder_cu: Cu,
+    /// True when the blocked operation is a read lock (`rlock`).
+    pub read: bool,
+}
+
 /// Flavour of the select case that fired (payload of `SelectEnd`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SelCaseFlavor {
@@ -220,16 +236,15 @@ pub enum EventKind {
     GoPreempt,
     /// Goroutine went to sleep (virtual time).
     GoSleep,
-    /// Goroutine blocked; the payload says why, and for lock blocking the
-    /// acquisition site of the current holder is recorded so Req3's
-    /// *blocking* requirement can be attributed.
+    /// Goroutine blocked; the payload says why, and a lock wait names
+    /// the lock and its current holder, so Req3's *blocking* requirement
+    /// can be attributed and LockDL can replay the attempt.
     GoBlock {
         /// Why the goroutine blocked.
         reason: BlockReason,
-        /// CU where the current holder acquired the contended resource.
-        holder_cu: Option<Cu>,
-        /// The goroutine currently holding the contended resource.
-        holder: Option<Gid>,
+        /// The contended lock, exactly when `reason` is
+        /// [`BlockReason::Sync`].
+        lock: Option<LockWait>,
     },
     /// The emitting goroutine made `g` runnable again.
     GoUnblock {
@@ -324,6 +339,9 @@ pub enum EventKind {
     MuLock {
         /// Mutex id.
         mu: RId,
+        /// True when a successful `try_lock` took it (no attempt was
+        /// made that could have blocked).
+        tried: bool,
     },
     /// Mutex (or rw-lock write side) released.
     MuUnlock {
@@ -520,7 +538,7 @@ impl fmt::Display for EventKind {
                 write!(f, "SelectEnd(default/{flavor:?})")
             }
             SelectEnd { chosen, flavor, .. } => write!(f, "SelectEnd(case{chosen}/{flavor:?})"),
-            MuLock { mu } => write!(f, "MuLock({mu})"),
+            MuLock { mu, .. } => write!(f, "MuLock({mu})"),
             MuUnlock { mu } => write!(f, "MuUnlock({mu})"),
             other => f.write_str(other.mnemonic()),
         }
@@ -580,7 +598,7 @@ mod tests {
         let kinds: Vec<EventKind> = vec![
             EventKind::GoStart,
             EventKind::GoSched { trace_stop: true },
-            EventKind::GoBlock { reason: BlockReason::Send, holder_cu: None, holder: None },
+            EventKind::GoBlock { reason: BlockReason::Send, lock: None },
             EventKind::SelectEnd { chosen: usize::MAX, flavor: SelCaseFlavor::Default, ch: None },
             EventKind::ChRecv { ch: RId(3), closed: true },
         ];
@@ -631,8 +649,16 @@ mod tests {
     }
 
     #[test]
+    fn event_size_is_pinned() {
+        // Every recorded event is one of these; a lock wait's payload
+        // (lock, holder, holder CU, read flag) sets the size.
+        assert_eq!(std::mem::size_of::<EventKind>(), 56);
+        assert_eq!(std::mem::size_of::<Event>(), 104);
+    }
+
+    #[test]
     fn op_completion_classification() {
-        assert!(EventKind::MuLock { mu: RId(1) }.is_op_completion());
+        assert!(EventKind::MuLock { mu: RId(1), tried: false }.is_op_completion());
         assert!(!EventKind::GoStart.is_op_completion());
         assert!(!EventKind::SelectBegin { cases: vec![], has_default: false }.is_op_completion());
     }

@@ -273,7 +273,7 @@ impl GTreeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{BlockReason, VTime};
+    use crate::event::{BlockReason, LockWait, RId, VTime};
     use goat_model::{Cu, CuKind};
 
     fn ev(seq: u64, g: u64, kind: EventKind) -> Event {
@@ -309,7 +309,15 @@ mod tests {
             ev(
                 4,
                 2,
-                EventKind::GoBlock { reason: BlockReason::Sync, holder_cu: None, holder: None },
+                EventKind::GoBlock {
+                    reason: BlockReason::Sync,
+                    lock: Some(LockWait {
+                        mu: RId(7),
+                        holder: Gid(1),
+                        holder_cu: Cu::new("k.rs", 9, CuKind::Lock),
+                        read: false,
+                    }),
+                },
             ),
             ev(5, 3, EventKind::GoStart),
             ev(6, 3, EventKind::GoEnd),

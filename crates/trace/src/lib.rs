@@ -29,7 +29,9 @@ pub mod tracebuf;
 pub mod wire;
 
 pub use ect::{Ect, WellFormedError};
-pub use event::{BlockReason, Event, EventCategory, EventKind, Gid, RId, SelCaseFlavor, VTime};
+pub use event::{
+    BlockReason, Event, EventCategory, EventKind, Gid, LockWait, RId, SelCaseFlavor, VTime,
+};
 pub use gtree::{GNode, GTree, GTreeBuilder};
 pub use recycle::{recycle_buffer, take_buffer, TracePoolStats};
 pub use stats::{GoroutineProfile, TraceStats};

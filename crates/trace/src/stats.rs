@@ -124,7 +124,7 @@ impl TraceStats {
                 EventKind::GoBlock { reason: BlockReason::Sync, .. } => {
                     last_block.insert(ev.g, true);
                 }
-                EventKind::MuLock { mu } | EventKind::RwRLock { mu } => {
+                EventKind::MuLock { mu, .. } | EventKind::RwRLock { mu } => {
                     if last_block.remove(&ev.g).unwrap_or(false) {
                         *stats.contended_resources.entry(*mu).or_default() += 1;
                     }
@@ -185,7 +185,7 @@ impl fmt::Display for TraceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Event;
+    use crate::event::{Event, LockWait};
 
     fn ev(seq: u64, ts: u64, g: u64, kind: EventKind) -> Event {
         Event { seq, ts: VTime(ts), g: Gid(g), kind, cu: None }
@@ -202,12 +202,16 @@ mod tests {
                 2,
                 EventKind::GoBlock {
                     reason: BlockReason::Sync,
-                    holder_cu: None,
-                    holder: Some(Gid(1)),
+                    lock: Some(LockWait {
+                        mu: RId(9),
+                        holder: Gid(1),
+                        holder_cu: goat_model::Cu::new("k.rs", 3, goat_model::CuKind::Lock),
+                        read: false,
+                    }),
                 },
             ),
             ev(4, 40, 1, EventKind::GoUnblock { g: Gid(2) }),
-            ev(5, 50, 2, EventKind::MuLock { mu: RId(9) }),
+            ev(5, 50, 2, EventKind::MuLock { mu: RId(9), tried: false }),
             ev(6, 60, 2, EventKind::GoEnd),
             ev(7, 70, 1, EventKind::GoSched { trace_stop: true }),
         ]
@@ -252,12 +256,7 @@ mod tests {
             ev(0, 0, 1, EventKind::GoStart),
             ev(1, 10, 1, EventKind::GoCreate { new_g: Gid(2), name: "l".into(), internal: false }),
             ev(2, 20, 2, EventKind::GoStart),
-            ev(
-                3,
-                30,
-                2,
-                EventKind::GoBlock { reason: BlockReason::Recv, holder_cu: None, holder: None },
-            ),
+            ev(3, 30, 2, EventKind::GoBlock { reason: BlockReason::Recv, lock: None }),
             ev(4, 100, 1, EventKind::GoSched { trace_stop: true }),
         ]
         .into_iter()

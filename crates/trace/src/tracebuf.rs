@@ -55,8 +55,8 @@ fn fp_kind(kind: &EventKind) -> u64 {
         EventKind::GoSched { trace_stop } => 15 | (u64::from(*trace_stop) << 8),
         EventKind::GoPreempt => 16,
         EventKind::GoSleep => 17,
-        EventKind::GoBlock { reason, holder, .. } => {
-            18 | ((*reason as u64) << 8) | holder.map_or(0, |g| (g.0 + 1) << 16)
+        EventKind::GoBlock { reason, lock } => {
+            18 | ((*reason as u64) << 8) | lock.map_or(0, |w| (w.holder.0 + 1) << 16)
         }
         EventKind::GoUnblock { g } => 19 | (g.0 << 8),
         EventKind::GoWaiting => 20,
@@ -81,7 +81,8 @@ fn fp_kind(kind: &EventKind) -> u64 {
         EventKind::SelectEnd { chosen, flavor, ch } => {
             37 | ((*flavor as u64) << 8) ^ ((*chosen as u64) << 16) ^ ch.map_or(0, |c| c.0 << 40)
         }
-        EventKind::MuLock { mu } => 38 | (mu.0 << 8),
+        // `tried` is left out: no memoized analysis reads it.
+        EventKind::MuLock { mu, .. } => 38 | (mu.0 << 8),
         EventKind::MuUnlock { mu } => 39 | (mu.0 << 8),
         EventKind::RwRLock { mu } => 40 | (mu.0 << 8),
         EventKind::RwRUnlock { mu } => 41 | (mu.0 << 8),

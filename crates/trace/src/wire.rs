@@ -21,7 +21,7 @@
 //! from the [`crate::recycle`] trace-buffer pool so round-tripped
 //! traces participate in buffer recycling like natively recorded ones.
 
-use crate::event::{BlockReason, Event, EventKind, Gid, RId, SelCaseFlavor, VTime};
+use crate::event::{BlockReason, Event, EventKind, Gid, LockWait, RId, SelCaseFlavor, VTime};
 use goat_model::{Cu, CuKind, Istr};
 use std::collections::HashMap;
 use std::io::{self, ErrorKind};
@@ -386,16 +386,15 @@ fn put_kind(buf: &mut Vec<u8>, table: &mut StrTableEnc, kind: &EventKind) {
         }
         GoPreempt => buf.push(T_GO_PREEMPT),
         GoSleep => buf.push(T_GO_SLEEP),
-        GoBlock { reason, holder_cu, holder } => {
+        GoBlock { reason, lock } => {
             buf.push(T_GO_BLOCK);
             buf.push(block_reason_tag(*reason));
-            put_cu(buf, table, holder_cu.as_ref());
-            match holder {
-                Some(g) => {
-                    buf.push(1);
-                    put_uvarint(buf, g.0);
-                }
-                None => buf.push(0),
+            // The holder's CU doubles as the lock wait's presence marker.
+            put_cu(buf, table, lock.as_ref().map(|w| &w.holder_cu));
+            if let Some(w) = lock {
+                put_uvarint(buf, w.mu.0);
+                put_uvarint(buf, w.holder.0);
+                put_bool(buf, w.read);
             }
         }
         GoUnblock { g } => {
@@ -453,9 +452,10 @@ fn put_kind(buf: &mut Vec<u8>, table: &mut StrTableEnc, kind: &EventKind) {
             buf.push(flavor_tag(*flavor));
             put_opt_rid(buf, *ch);
         }
-        MuLock { mu } => {
+        MuLock { mu, tried } => {
             buf.push(T_MU_LOCK);
             put_uvarint(buf, mu.0);
+            put_bool(buf, *tried);
         }
         MuUnlock { mu } => {
             buf.push(T_MU_UNLOCK);
@@ -521,14 +521,19 @@ fn get_kind(r: &mut Reader<'_>, table: &mut StrTableDec) -> io::Result<EventKind
         T_GO_SCHED => GoSched { trace_stop: r.bool()? },
         T_GO_PREEMPT => GoPreempt,
         T_GO_SLEEP => GoSleep,
-        T_GO_BLOCK => GoBlock {
-            reason: block_reason_from(r.u8()?)?,
-            holder_cu: get_cu(r, table)?,
-            holder: match r.bool()? {
-                true => Some(Gid(r.uvarint()?)),
-                false => None,
-            },
-        },
+        T_GO_BLOCK => {
+            let reason = block_reason_from(r.u8()?)?;
+            let lock = match get_cu(r, table)? {
+                Some(holder_cu) => Some(LockWait {
+                    holder_cu,
+                    mu: RId(r.uvarint()?),
+                    holder: Gid(r.uvarint()?),
+                    read: r.bool()?,
+                }),
+                None => None,
+            };
+            GoBlock { reason, lock }
+        }
         T_GO_UNBLOCK => GoUnblock { g: Gid(r.uvarint()?) },
         T_GO_WAITING => GoWaiting,
         T_GO_BLOCK_NET => GoBlockNet,
@@ -561,7 +566,7 @@ fn get_kind(r: &mut Reader<'_>, table: &mut StrTableDec) -> io::Result<EventKind
             flavor: flavor_from(r.u8()?)?,
             ch: get_opt_rid(r)?,
         },
-        T_MU_LOCK => MuLock { mu: RId(r.uvarint()?) },
+        T_MU_LOCK => MuLock { mu: RId(r.uvarint()?), tried: r.bool()? },
         T_MU_UNLOCK => MuUnlock { mu: RId(r.uvarint()?) },
         T_RW_RLOCK => RwRLock { mu: RId(r.uvarint()?) },
         T_RW_RUNLOCK => RwRUnlock { mu: RId(r.uvarint()?) },

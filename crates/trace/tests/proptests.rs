@@ -66,11 +66,7 @@ fn build_trace(actions: &[Action]) -> (Ect, usize, usize) {
                 let g = alive[g_pick % alive.len()];
                 let kind = match what {
                     0 => EventKind::GoSched { trace_stop: false },
-                    1 => EventKind::GoBlock {
-                        reason: BlockReason::Recv,
-                        holder_cu: None,
-                        holder: None,
-                    },
+                    1 => EventKind::GoBlock { reason: BlockReason::Recv, lock: None },
                     2 => EventKind::ChMake { ch: goat_trace::RId(u64::from(*what)), cap: 1 },
                     3 => EventKind::GoPreempt,
                     _ => EventKind::UserLog { msg: "x".into() },

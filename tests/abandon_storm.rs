@@ -16,9 +16,16 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
+/// Pin a 1 ms teardown deadline before the first run, which is when
+/// the runtime reads it.
+fn pin_teardown() {
+    std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", "1");
+    assert_eq!(goat::runtime::teardown_timeout(), Ok(Duration::from_millis(1)));
+}
+
 #[test]
 fn every_abandoned_worker_is_replaced_and_delivers_nothing() {
-    std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", "1");
+    pin_teardown();
     let program: Arc<dyn Program> = Arc::new(FnProgram::new("slow_teardown", || {
         let ch: Chan<u8> = Chan::new(0);
         go_named("swallower", move || {

@@ -16,7 +16,9 @@ use goat::core::coverage::{extract_sync_pairs, reference};
 use goat::core::{deadlock_check, EctBuffers, Program};
 use goat::model::{Cu, CuKind, Istr, ReqKey, RequirementUniverse};
 use goat::runtime::{Config, Runtime};
-use goat::trace::{BlockReason, Ect, Event, EventKind, GTree, Gid, RId, SelCaseFlavor, VTime};
+use goat::trace::{
+    BlockReason, Ect, Event, EventKind, GTree, Gid, LockWait, RId, SelCaseFlavor, VTime,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -112,12 +114,16 @@ fn synth_trace(seed: u64) -> Ect {
             },
             1 => EventKind::GoBlock {
                 reason: reasons[rng.gen_range(0..reasons.len())],
-                holder_cu: if rng.gen_bool(0.3) {
-                    Some(cus[rng.gen_range(0..cus.len())])
+                lock: if rng.gen_bool(0.3) {
+                    Some(LockWait {
+                        mu: RId(rng.gen_range(0..5u64)),
+                        holder: Gid(rng.gen_range(0..n_g)),
+                        holder_cu: cus[rng.gen_range(0..cus.len())],
+                        read: rng.gen_bool(0.3),
+                    })
                 } else {
                     None
                 },
-                holder: if rng.gen_bool(0.3) { Some(Gid(rng.gen_range(0..n_g))) } else { None },
             },
             2 => EventKind::GoUnblock { g: Gid(rng.gen_range(0..n_g)) },
             3 => EventKind::SelectBegin {
@@ -143,7 +149,7 @@ fn synth_trace(seed: u64) -> Ect {
             5 => EventKind::ChSend { ch: RId(rng.gen_range(0..5u64)) },
             6 => EventKind::ChRecv { ch: RId(rng.gen_range(0..5u64)), closed: rng.gen_bool(0.2) },
             7 => EventKind::ChClose { ch: RId(rng.gen_range(0..5u64)) },
-            8 => EventKind::MuLock { mu: RId(rng.gen_range(0..5u64)) },
+            8 => EventKind::MuLock { mu: RId(rng.gen_range(0..5u64)), tried: rng.gen_bool(0.2) },
             9 => EventKind::MuUnlock { mu: RId(rng.gen_range(0..5u64)) },
             10 => EventKind::WgAdd { wg: RId(rng.gen_range(0..5u64)), delta: 1, count: 1 },
             11 => EventKind::WgDone { wg: RId(rng.gen_range(0..5u64)), count: 0 },

@@ -290,6 +290,12 @@ fn malformed_env_knobs_are_usage_errors() {
         stderr.contains("GOAT_POOL_MAX_IDLE: expected a non-negative integer, got \"-1\""),
         "{stderr}"
     );
+    let (code, stderr) = goat_with_env(("GOAT_TEARDOWN_TIMEOUT_MS", "abc"));
+    assert_eq!(code, Some(64), "{stderr}");
+    assert!(
+        stderr.contains("GOAT_TEARDOWN_TIMEOUT_MS: expected a non-negative integer, got \"abc\""),
+        "{stderr}"
+    );
     // An empty value means unset, as the CI matrix's blank cells rely on.
     let (code, stderr) = goat_with_env(("GOAT_ISOLATE", ""));
     assert_eq!(code, Some(1), "{stderr}");

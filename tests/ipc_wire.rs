@@ -18,7 +18,7 @@ use goat::runtime::{
     SchedCounters, StrategyKind, TimeoutPhase,
 };
 use goat::trace::wire::{decode_events, encode_events, Reader};
-use goat::trace::{BlockReason, Ect, Event, EventKind, Gid, RId, SelCaseFlavor, VTime};
+use goat::trace::{BlockReason, Ect, Event, EventKind, Gid, LockWait, RId, SelCaseFlavor, VTime};
 use proptest::prelude::*;
 use std::io::ErrorKind;
 
@@ -79,8 +79,12 @@ fn build_events(specs: &[EvSpec]) -> Vec<Event> {
                 6 => EventKind::GoSleep,
                 7 => EventKind::GoBlock {
                     reason: REASONS[(a % REASONS.len() as u64) as usize],
-                    holder_cu: flag.then(|| make_cu(b, a)),
-                    holder: (b % 2 == 0).then_some(Gid(b % 5)),
+                    lock: flag.then(|| LockWait {
+                        mu: rid,
+                        holder: Gid(b % 5),
+                        holder_cu: make_cu(b, a),
+                        read: b % 2 == 0,
+                    }),
                 },
                 8 => EventKind::GoUnblock { g: Gid(b % 6) },
                 9 => EventKind::GoWaiting,
@@ -114,7 +118,7 @@ fn build_events(specs: &[EvSpec]) -> Vec<Event> {
                         ch: (fl != SelCaseFlavor::Default).then_some(rid),
                     }
                 }
-                20 => EventKind::MuLock { mu: rid },
+                20 => EventKind::MuLock { mu: rid, tried: flag },
                 21 => EventKind::MuUnlock { mu: rid },
                 22 => EventKind::RwRLock { mu: rid },
                 23 => EventKind::RwRUnlock { mu: rid },

@@ -17,6 +17,7 @@
 use goat::core::{FnProgram, Goat, GoatConfig, GoatVerdict, IsolateMode, Program};
 use goat::runtime::Chan;
 use std::sync::Arc;
+use std::time::Duration;
 
 struct KernelProgram(&'static goat::goker::BugKernel);
 
@@ -46,6 +47,13 @@ fn crashing_program() -> Arc<dyn Program> {
     }))
 }
 
+/// A wedged iteration stalls teardown until this deadline, which the
+/// runtime reads once, at the first run.
+fn pin_teardown() {
+    std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", "150");
+    assert_eq!(goat::runtime::teardown_timeout(), Ok(Duration::from_millis(150)));
+}
+
 #[test]
 fn faulted_campaign_completes_with_correct_accounting() {
     // Must precede the first touch of the metrics crate / faultpoint.
@@ -59,8 +67,7 @@ fn faulted_campaign_completes_with_correct_accounting() {
         goat::runtime::faultpoint::FAULT_ENV,
         "iter:wedge:seed=105,iter:panic:seed=112,sink:err:after=30",
     );
-    // A wedged iteration stalls teardown until this deadline.
-    std::env::set_var("GOAT_TEARDOWN_TIMEOUT_MS", "150");
+    pin_teardown();
 
     // -- one campaign through all three faults ------------------------
     let goat = Goat::new(
