@@ -14,23 +14,28 @@
 //! [`goat_trace::wire`].
 //!
 //! ```text
-//!   campaign thread                     worker serve loop (a run host)
+//!   campaign thread (a lane)            worker serve loop (a run host)
 //!        | ----- spawn `goat --worker` ---> |   (rlimit jail applied)
 //!        | <------------ Ready ------------ |   handshake
-//!        | --- Run{iter, program, cfg} ---> |   ×batch: one write per
-//!        |                                  |    claimed batch
+//!        | == Run{iter, program, cfg} ×k => |   batch k: one write
+//!        | == Run ×batch k+1 =============> |   one write, queued
 //!        | <----------- Ack{iter} --------- |   the worker reached the run
 //!        | <-------- Heartbeat{iter} ------ |   every 100 ms while a run
 //!        |                                  |    is in flight
 //!        | <----- Result{iter, result} ---- |   one per Run, in order
+//!        |  batch k read: merge it, then    |   runs batch k+1
+//!        |  claim and write batch k+2       |
 //! ```
 //!
-//! There is one thread wake per direction and batch. The campaign
-//! thread that claimed a batch writes its `Run` frames and then reads
-//! the worker's stdout itself, decoding each frame as it arrives; no
-//! reader thread sits in between. On the worker side the serve loop is a
-//! run host ([`goat_runtime::pool::spawn_host`]), so each run executes
-//! on the thread that read its `Run` frame. The batch is the campaign
+//! A campaign thread holds one worker across batches (a [`Lane`]) and
+//! keeps [`LANE_DEPTH`] claimed batches written to it, so the worker
+//! has the next batch queued while the thread merges the last. The thread
+//! reads the worker's stdout itself, decoding each frame as it arrives;
+//! no reader thread sits in between. Each run's `Ack` and `Result` are
+//! separate writes, and each wakes the thread if it is blocked in
+//! `poll(2)` for that frame. On the worker side the serve loop is a run
+//! host ([`goat_runtime::pool::spawn_host`]), so each run executes on
+//! the thread that read its `Run` frame. A batch is the campaign
 //! engine's claim: 8 runs at one job, 4 at two or more (see
 //! `suite::claim_shape`).
 //!
@@ -50,8 +55,9 @@
 //! A worker that dies — by signal, abort, rlimit kill, or missed
 //! heartbeats — is autopsied into [`CrashForensics`] (exit
 //! status or signal, stderr tail, last acknowledged iteration) and the
-//! run is recorded as [`RunOutcome::Crashed`]; the campaign replaces
-//! the worker and carries on. Corrupt frames (a length prefix over the
+//! run is recorded as [`RunOutcome::Crashed`]; the lane replaces the
+//! worker, re-sends the batch queued behind the failed one whole, and
+//! carries on. Corrupt frames (a length prefix over the
 //! 64 MiB [`MAX_FRAME`] cap, undecodable payloads) and protocol
 //! violations are retried InfraFailures.
 //!
@@ -664,6 +670,8 @@ struct IpcMetrics {
     transport_ns: Arc<goat_metrics::Histogram>,
     deser_ns: Arc<goat_metrics::Histogram>,
     runs: Arc<goat_metrics::Counter>,
+    batch_writes: Arc<goat_metrics::Counter>,
+    outstanding: Arc<goat_metrics::Gauge>,
 }
 
 fn ipc_metrics() -> &'static IpcMetrics {
@@ -677,6 +685,8 @@ fn ipc_metrics() -> &'static IpcMetrics {
             transport_ns: reg.histogram("isolate.ipc_transport_ns"),
             deser_ns: reg.histogram("isolate.ipc_deser_ns"),
             runs: reg.counter("isolate.runs"),
+            batch_writes: reg.counter("isolate.batch_writes"),
+            outstanding: reg.gauge("isolate.batches_outstanding"),
         }
     })
 }
@@ -929,126 +939,240 @@ fn encode_batch(program: &str, runs: &[(u64, Config)]) -> io::Result<Vec<u8>> {
     Ok(buf)
 }
 
-/// Execute a batch of iterations inside one sandboxed worker, returning
-/// one result per run in order.
+/// Batches a [`Lane`] keeps written to its worker: the one being read
+/// and the one queued behind it, which the worker runs while the
+/// campaign thread merges the first.
+pub(crate) const LANE_DEPTH: usize = 2;
+
+/// One batch sent on a lane.
+struct Batch {
+    /// Iteration numbers of its runs, in order.
+    iters: Vec<u64>,
+    /// Its encoded `Run` frames, kept until its results are read: a
+    /// fresh worker is sent the same bytes.
+    frames: Vec<u8>,
+    /// The frames sit in the current worker's stdin.
+    written: bool,
+    /// The batch cannot be shipped; each run answers with this reason.
+    failed: Option<String>,
+}
+
+/// A worker process held by one campaign thread across batches, with
+/// up to [`LANE_DEPTH`] batches written to it ahead of their reads.
 ///
-/// Returns `None` when isolation is unavailable for this worker command
-/// (spawn or handshake failure) and the caller should run in-process —
-/// a sound fallback because both modes produce byte-identical results.
-/// Otherwise always returns exactly `runs.len()` results: the worker's
-/// own on success; a synthesized [`RunOutcome::Crashed`] for the run in
-/// flight when the worker died; retryable
-/// [`RunOutcome::InfraFailure`]s for runs the worker never reached (or
-/// after stream corruption / protocol violations).
+/// [`Lane::send`] writes a batch's `Run` frames in one write and returns;
+/// [`Lane::recv`] reads the oldest batch's results. A worker that dies,
+/// corrupts its stream or goes silent fails only the batch being read
+/// (`Crashed` for the run it reached, retryable `InfraFailure`s after);
+/// the batches behind it are re-sent whole to a fresh worker, since their
+/// frames died in the old pipe. Dropping the lane returns its worker to
+/// the pool, or kills it while results are still unread.
+pub(crate) struct Lane {
+    cmd: String,
+    worker: Option<Worker>,
+    batches: VecDeque<Batch>,
+}
+
+impl Lane {
+    /// A lane on worker command `cmd` (the current executable when
+    /// `None`); `None` when isolation is unavailable for it.
+    pub(crate) fn open(cmd: Option<&str>) -> Option<Lane> {
+        let cmd = match cmd {
+            Some(c) => c.to_string(),
+            None => std::env::current_exe().ok()?.to_str()?.to_string(),
+        };
+        if pool().lock().expect("worker pool lock").broken.contains(&cmd) {
+            return None;
+        }
+        Some(Lane { cmd, worker: None, batches: VecDeque::new() })
+    }
+
+    /// Queue a batch of runs of `program` and write its `Run` frames to
+    /// the worker in one write.
+    pub(crate) fn send(&mut self, program: &str, runs: &[(u64, Config)]) {
+        let (frames, failed) = match encode_batch(program, runs) {
+            Ok(frames) => (frames, None),
+            Err(e) => (Vec::new(), Some(format!("encode run frame: {e}"))),
+        };
+        let iters = runs.iter().map(|(iter, _)| *iter).collect();
+        self.batches.push_back(Batch { iters, frames, written: false, failed });
+        self.flush();
+    }
+
+    /// Write every queued batch not yet written, in order. `false` when
+    /// no worker can be had: the command is broken.
+    fn flush(&mut self) -> bool {
+        for b in 0..self.batches.len() {
+            if self.batches[b].written || self.batches[b].failed.is_some() {
+                continue;
+            }
+            let behind = self.batches.iter().take(b).any(|a| a.written);
+            // A pooled worker can die between checkout and the first
+            // write; one fresh respawn tells that from a broken command.
+            let mut fresh = false;
+            loop {
+                if self.worker.is_none() {
+                    let worker = if fresh {
+                        spawn_worker(&self.cmd).map_err(|e| mark_broken(&self.cmd, &e)).ok()
+                    } else {
+                        checkout(&self.cmd)
+                    };
+                    let Some(worker) = worker else { return false };
+                    goat_metrics::global().gauge("isolate.workers_out").add(1);
+                    self.worker = Some(worker);
+                }
+                let worker = self.worker.as_mut().expect("a worker was just set");
+                let batch = &mut self.batches[b];
+                if worker.stdin.write_all(&batch.frames).and_then(|()| worker.stdin.flush()).is_ok()
+                {
+                    batch.written = true;
+                    let ipc = ipc_metrics();
+                    ipc.bytes_tx.add(batch.frames.len() as u64);
+                    ipc.batch_writes.inc();
+                    ipc.outstanding.add(1);
+                    break;
+                }
+                // The worker closed its stdin: it is dead. The read of the
+                // batch ahead finds the death and re-sends this one.
+                if behind {
+                    return true;
+                }
+                if let Some(mut dead) = self.take_worker() {
+                    kill_worker(&mut dead);
+                }
+                if fresh {
+                    self.batches[b].failed = Some("worker rejected the run frames twice".into());
+                    break;
+                }
+                fresh = true;
+            }
+        }
+        true
+    }
+
+    /// Take the worker out of the lane; every batch written to it is
+    /// unwritten again.
+    fn take_worker(&mut self) -> Option<Worker> {
+        let worker = self.worker.take()?;
+        goat_metrics::global().gauge("isolate.workers_out").add(-1);
+        for batch in self.batches.iter_mut().filter(|b| b.written) {
+            batch.written = false;
+            ipc_metrics().outstanding.add(-1);
+        }
+        Some(worker)
+    }
+
+    /// The oldest batch's results, one per run in order: the worker's
+    /// own on success; a synthesized [`RunOutcome::Crashed`] for the run
+    /// it reached when the worker died or went silent; retryable
+    /// [`RunOutcome::InfraFailure`]s for the runs after it (or after
+    /// stream corruption or a protocol violation).
+    ///
+    /// `None` when isolation became unavailable (the worker command
+    /// broke) before the batch could be written: the caller runs it
+    /// in-process, a sound fallback because both modes produce
+    /// byte-identical results.
+    pub(crate) fn recv(&mut self) -> Option<Vec<RunResult>> {
+        let shipped = self.flush();
+        let batch = self.batches.pop_front().expect("recv follows a send");
+        let runs = batch.iters.len();
+        if let Some(reason) = batch.failed {
+            return Some(vec![infra(reason); runs]);
+        }
+        if !shipped && !batch.written {
+            return None;
+        }
+        let ipc = ipc_metrics();
+        ipc.outstanding.add(-1);
+        let grace = worker_grace().unwrap_or_else(|e| panic!("{e}"));
+        let worker = self.worker.as_mut().expect("a written batch has a worker");
+        let mut out: Vec<RunResult> = Vec::with_capacity(runs);
+        let mut last_ack = None;
+        let mut mark = Instant::now();
+        // The campaign thread reads the worker's stdout itself: each frame
+        // is decoded where it is consumed, and some frame must arrive
+        // within the grace window.
+        let failure = loop {
+            let Some(&expect) = batch.iters.get(out.len()) else { break None };
+            let violation = match worker.next_frame(grace) {
+                // The worker reached the run: the last-reached iteration a
+                // crash's forensics report.
+                Ok(WireFrame::Ack { iter }) if iter == expect => {
+                    last_ack = Some(iter);
+                    continue;
+                }
+                // Stale acks/heartbeats from a reused worker count as
+                // liveness but carry no other information.
+                Ok(WireFrame::Ack { .. } | WireFrame::Heartbeat { .. }) => continue,
+                Ok(WireFrame::Result { iter, result }) if iter == expect => {
+                    // From the start of this read (first run) or the
+                    // previous result (later runs) to this result's
+                    // arrival: the wait the campaign thread did not
+                    // overlap with merging.
+                    ipc.transport_ns.record(mark.elapsed().as_nanos() as u64);
+                    worker.runs += 1;
+                    ipc.runs.inc();
+                    out.push(*result);
+                    mark = Instant::now();
+                    continue;
+                }
+                Ok(WireFrame::Result { iter, .. }) => {
+                    format!("worker protocol violation: result for iter {iter}, expected {expect}")
+                }
+                Ok(other) => format!("worker protocol violation: unexpected {other:?}"),
+                Err(ReadFail::Corrupt(e)) => format!("worker sent a corrupt frame: {e}"),
+                Err(fail) => {
+                    let no_heartbeat = if fail == ReadFail::Silent {
+                        kill_worker(worker);
+                        Some(grace)
+                    } else {
+                        goat_metrics::global().counter("isolate.workers_died").inc();
+                        None
+                    };
+                    let forensics = autopsy(worker, last_ack, no_heartbeat);
+                    out.push(synth_result(RunOutcome::Crashed { forensics }));
+                    break Some("worker died mid-batch before reaching this run".to_string());
+                }
+            };
+            kill_worker(worker);
+            break Some(violation);
+        };
+        if let Some(reason) = failure {
+            // Fill every not-yet-started run; the supervision layer
+            // retries InfraFailures one by one. The failed worker is
+            // reaped; the batches behind go to a fresh one now, so it
+            // runs them while this batch merges.
+            out.resize_with(runs, || infra(reason.clone()));
+            drop(self.take_worker());
+            self.flush();
+        }
+        Some(out)
+    }
+}
+
+impl Drop for Lane {
+    fn drop(&mut self) {
+        let unread = self.batches.iter().any(|b| b.written);
+        match self.take_worker() {
+            Some(mut worker) if unread => kill_worker(&mut worker),
+            Some(worker) => checkin(&self.cmd, worker),
+            None => {}
+        }
+    }
+}
+
+/// Execute a batch of iterations inside one sandboxed worker, returning
+/// one result per run in order (see [`Lane::recv`]); `None` when
+/// isolation is unavailable for this worker command and the caller
+/// should run in-process.
 pub(crate) fn run_batch(
     cmd: Option<&str>,
     program: &str,
     runs: &[(u64, Config)],
 ) -> Option<Vec<RunResult>> {
-    let cmd = match cmd {
-        Some(c) => c.to_string(),
-        None => std::env::current_exe().ok()?.to_str()?.to_string(),
-    };
-    let ipc = ipc_metrics();
-    let grace = worker_grace().unwrap_or_else(|e| panic!("{e}"));
-    let mut worker = checkout(&cmd)?;
-    let buf = match encode_batch(program, runs) {
-        Ok(buf) => buf,
-        Err(e) => {
-            checkin(&cmd, worker);
-            return Some(vec![infra(format!("encode run frame: {e}")); runs.len()]);
-        }
-    };
-    let mut mark = Instant::now();
-    if worker.stdin.write_all(&buf).and_then(|()| worker.stdin.flush()).is_err() {
-        // A pooled worker can die between checkout and the first write;
-        // one fresh respawn distinguishes that from a broken command.
-        // Every frame stands alone, so the same bytes serve it.
-        kill_worker(&mut worker);
-        worker = match spawn_worker(&cmd) {
-            Ok(w) => w,
-            Err(e) => {
-                mark_broken(&cmd, &e);
-                return None;
-            }
-        };
-        mark = Instant::now();
-        if worker.stdin.write_all(&buf).and_then(|()| worker.stdin.flush()).is_err() {
-            kill_worker(&mut worker);
-            return Some(vec![infra("worker rejected the run frames twice"); runs.len()]);
-        }
-    }
-    ipc.bytes_tx.add(buf.len() as u64);
-    drop(buf);
-    let mut out: Vec<RunResult> = Vec::with_capacity(runs.len());
-    let mut last_ack = None;
-    // Fill every not-yet-started run after a mid-batch failure; the
-    // supervision layer retries InfraFailures one by one.
-    macro_rules! fill_infra {
-        ($out:ident, $reason:expr) => {{
-            let reason = $reason;
-            while $out.len() < runs.len() {
-                $out.push(infra(reason.clone()));
-            }
-            return Some($out);
-        }};
-    }
-    // The campaign thread reads the worker's stdout itself: each frame
-    // is decoded where it is consumed, and some frame must arrive
-    // within the grace window.
-    while out.len() < runs.len() {
-        let expect = runs[out.len()].0;
-        match worker.next_frame(grace) {
-            // The worker reached the run: the last-reached iteration a
-            // crash's forensics report.
-            Ok(WireFrame::Ack { iter }) if iter == expect => last_ack = Some(iter),
-            // Stale acks/heartbeats from a reused worker count as
-            // liveness but carry no other information.
-            Ok(WireFrame::Ack { .. } | WireFrame::Heartbeat { .. }) => {}
-            Ok(WireFrame::Result { iter, result }) if iter == expect => {
-                // From the batch write (first run) or the previous
-                // result (later runs) to this result's arrival.
-                ipc.transport_ns.record(mark.elapsed().as_nanos() as u64);
-                worker.runs += 1;
-                ipc.runs.inc();
-                out.push(*result);
-                mark = Instant::now();
-            }
-            Ok(WireFrame::Result { iter, .. }) => {
-                kill_worker(&mut worker);
-                fill_infra!(
-                    out,
-                    format!("worker protocol violation: result for iter {iter}, expected {expect}")
-                );
-            }
-            Ok(WireFrame::Ready) => {
-                kill_worker(&mut worker);
-                fill_infra!(out, "worker protocol violation: unexpected Ready".to_string());
-            }
-            Ok(other) => {
-                kill_worker(&mut worker);
-                fill_infra!(out, format!("worker protocol violation: unexpected {other:?}"));
-            }
-            Err(ReadFail::Corrupt(e)) => {
-                kill_worker(&mut worker);
-                fill_infra!(out, format!("worker sent a corrupt frame: {e}"));
-            }
-            Err(ReadFail::Eof) => {
-                let forensics = autopsy(&mut worker, last_ack, None);
-                goat_metrics::global().counter("isolate.workers_died").inc();
-                out.push(synth_result(RunOutcome::Crashed { forensics }));
-                fill_infra!(out, "worker died mid-batch before reaching this run".to_string());
-            }
-            Err(ReadFail::Silent) => {
-                kill_worker(&mut worker);
-                let forensics = autopsy(&mut worker, last_ack, Some(grace));
-                out.push(synth_result(RunOutcome::Crashed { forensics }));
-                fill_infra!(out, "worker died mid-batch before reaching this run".to_string());
-            }
-        }
-    }
-    checkin(&cmd, worker);
-    Some(out)
+    let mut lane = Lane::open(cmd)?;
+    lane.send(program, runs);
+    lane.recv()
 }
 
 #[cfg(test)]

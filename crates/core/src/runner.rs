@@ -1248,14 +1248,18 @@ impl Goat {
         arms: &[Option<Arm>],
         sink: &mut dyn FnMut(goat_runtime::RunResult),
     ) {
-        let runs = arms
-            .iter()
-            .enumerate()
-            .map(|(k, arm)| ((lo + k + 1) as u64, self.cfg.runtime_config(lo + k, arm.as_ref())))
-            .collect();
-        self.execute(program, runs, &mut |k, r| {
+        self.execute(program, self.batch_runs(lo, arms), &mut |k, r| {
             sink(self.supervise_from(lo + k, program, arms[k], r));
         });
+    }
+
+    /// The (iteration number, config) of each run of the iterations
+    /// `lo..lo + arms.len()`.
+    pub(crate) fn batch_runs(&self, lo: usize, arms: &[Option<Arm>]) -> Vec<(u64, Config)> {
+        arms.iter()
+            .enumerate()
+            .map(|(k, arm)| ((lo + k + 1) as u64, self.cfg.runtime_config(lo + k, arm.as_ref())))
+            .collect()
     }
 
     /// Execute `runs` (iteration number, config) in order and pass each
@@ -1290,7 +1294,7 @@ impl Goat {
     /// [`GoatConfig::max_retries`] times with deterministic backoff,
     /// through the same isolation path. Anything else — including kernel
     /// crashes, hangs and timeouts — is a result, never retried.
-    fn supervise_from(
+    pub(crate) fn supervise_from(
         &self,
         i: usize,
         program: &Arc<dyn Program>,

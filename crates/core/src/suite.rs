@@ -63,7 +63,7 @@
 //! flight, cross-kernel steals, budget donated/granted, warm-pool reuse
 //! — and a `suite` JSONL event when telemetry is on.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex, PoisonError};
@@ -74,6 +74,7 @@ use goat_runtime::RunResult;
 
 use crate::bandit::{Arm, Bandit, GUIDED_LAG};
 use crate::checkpoint;
+use crate::isolate::{Lane, LANE_DEPTH};
 use crate::plane::EctBuffers;
 use crate::program::Program;
 use crate::runner::{CampaignResult, Checkpointer, Goat, GoatConfig, MergeState};
@@ -272,19 +273,21 @@ struct Stream {
 ///
 /// In-process runs are claimed one at a time, at most `jobs · 4` ahead
 /// of the merge point. Under process isolation a claim is the batch of
-/// `Run` frames shipped to a worker in one write, so the window grows to
-/// at least [`GUIDED_LAG`] and each of the `jobs` workers claims an even
-/// share of it: 8 runs at one job, 4 at two or four. A guided campaign's
-/// window is capped at [`GUIDED_LAG`] in both modes: an arm selection
-/// may only read rewards merged at least that many iterations behind
-/// it.
+/// `Run` frames shipped to a worker in one write, and each worker keeps
+/// [`LANE_DEPTH`] batches outstanding on its worker process. So the
+/// window is `LANE_DEPTH` times `max(jobs · 4, GUIDED_LAG)`, and each of
+/// the `jobs` workers' batches is an even share of it: 8 runs at one job,
+/// 4 at two or more. A guided campaign's window is capped at
+/// [`GUIDED_LAG`] in both modes, which halves its batch under isolation:
+/// an arm selection may only read rewards merged at least that many
+/// iterations behind it.
 fn claim_shape(cfg: &GoatConfig, jobs: usize) -> (usize, usize) {
     let proc = cfg.isolate == crate::isolate::IsolateMode::Proc;
-    let mut window = if proc { (jobs * 4).max(GUIDED_LAG) } else { jobs * 4 };
+    let mut window = if proc { LANE_DEPTH * (jobs * 4).max(GUIDED_LAG) } else { jobs * 4 };
     if cfg.guided {
         window = window.min(GUIDED_LAG);
     }
-    let batch = if proc { (window / jobs).max(1) } else { 1 };
+    let batch = if proc { (window / (LANE_DEPTH * jobs)).max(1) } else { 1 };
     (window, batch)
 }
 
@@ -336,41 +339,56 @@ impl SuiteQueue {
             if st.shutdown {
                 return None;
             }
-            let n = st.streams.len();
-            let mut pick = last.filter(|&k| claimable(&st.streams[k]));
-            if pick.is_none() {
-                for off in 0..n {
-                    let k = (st.cursor + off) % n;
-                    if claimable(&st.streams[k]) {
-                        pick = Some(k);
-                        break;
-                    }
-                }
-            }
-            if let Some(k) = pick {
-                if last != Some(k) {
-                    // A fresh worker's first claim is placement, not
-                    // theft; switching kernels mid-suite is a steal.
-                    st.cursor = (k + 1) % n;
-                    if last.is_some() {
-                        st.steals += 1;
-                    }
-                }
-                let s = &mut st.streams[k];
-                let (lo, hi) = s.returned.pop().unwrap_or_else(|| {
-                    let lo = s.next;
-                    let hi = (s.merged + s.window).min(s.cutoff).min(lo + s.batch);
-                    s.next = hi;
-                    (lo, hi)
-                });
-                s.inflight += hi - lo;
-                let inflight_now = st.streams.iter().filter(|s| s.inflight > 0).count();
-                st.inflight_max = st.inflight_max.max(inflight_now);
-                return Some((k, lo, hi));
+            if let Some(c) = pick(&mut st, last) {
+                return Some(c);
             }
             st = self.work_cv.wait(st).expect("suite queue");
         }
     }
+
+    /// [`SuiteQueue::claim`] without the wait: `None` when nothing is
+    /// claimable right now.
+    fn try_claim(&self, last: Option<usize>) -> Option<(usize, usize, usize)> {
+        let mut st = self.state.lock().expect("suite queue");
+        if st.shutdown {
+            return None;
+        }
+        pick(&mut st, last)
+    }
+
+    /// The campaign's stream stopped early: its outstanding results are
+    /// speculative and will be discarded.
+    fn halted(&self, k: usize) -> bool {
+        self.state.lock().expect("suite queue").streams[k].halted
+    }
+}
+
+/// Take the next batch for a worker whose previous campaign was `last`,
+/// if any stream is claimable.
+fn pick(st: &mut QueueState, last: Option<usize>) -> Option<(usize, usize, usize)> {
+    let n = st.streams.len();
+    let k = last
+        .filter(|&k| claimable(&st.streams[k]))
+        .or_else(|| (0..n).map(|off| (st.cursor + off) % n).find(|&k| claimable(&st.streams[k])))?;
+    if last != Some(k) {
+        // A fresh worker's first claim is placement, not theft;
+        // switching kernels mid-suite is a steal.
+        st.cursor = (k + 1) % n;
+        if last.is_some() {
+            st.steals += 1;
+        }
+    }
+    let s = &mut st.streams[k];
+    let (lo, hi) = s.returned.pop().unwrap_or_else(|| {
+        let lo = s.next;
+        let hi = (s.merged + s.window).min(s.cutoff).min(lo + s.batch);
+        s.next = hi;
+        (lo, hi)
+    });
+    s.inflight += hi - lo;
+    let inflight_now = st.streams.iter().filter(|s| s.inflight > 0).count();
+    st.inflight_max = st.inflight_max.max(inflight_now);
+    Some((k, lo, hi))
 }
 
 /// Accounts a worker's exit. When it unwinds, it shuts the queue down,
@@ -381,9 +399,17 @@ struct WorkerExit<'a>(&'a SuiteQueue, &'a StdMutex<Progress>);
 
 impl Drop for WorkerExit<'_> {
     fn drop(&mut self) {
-        if self.1.lock().unwrap_or_else(PoisonError::into_inner).abandoned {
-            return;
-        }
+        let lane = {
+            let mut p = self.1.lock().unwrap_or_else(PoisonError::into_inner);
+            if p.abandoned {
+                return;
+            }
+            p.lane.take()
+        };
+        // The worker process goes back to the pool (or, with results
+        // unread, is killed) before the coordinator can see this worker
+        // leave.
+        drop(lane);
         let mut st = self.0.state.lock().unwrap_or_else(PoisonError::into_inner);
         st.workers -= 1;
         if std::thread::panicking() {
@@ -395,13 +421,28 @@ impl Drop for WorkerExit<'_> {
     }
 }
 
-/// One worker's claim in progress, shared with its abandon hook.
+/// A claimed batch: iterations `lo..hi` of campaign `k`.
+struct Claim {
+    k: usize,
+    lo: usize,
+    hi: usize,
+    /// The arm each iteration runs under, taken when the batch runs.
+    arms: Vec<Option<Arm>>,
+    /// When the batch was claimed (telemetry on).
+    t: Option<Instant>,
+}
+
+/// One worker's claims in progress, shared with its abandon hook.
 #[derive(Default)]
 struct Progress {
-    /// The claimed batch being run: (campaign, lo, hi).
-    claim: Option<(usize, usize, usize)>,
-    /// Results of the claim's finished iterations, in order.
+    /// Claimed batches not yet delivered, oldest first: the batch being
+    /// run or read, then, on a lane, the batch queued behind it.
+    claims: VecDeque<Claim>,
+    /// Results of the oldest claim's finished iterations, in order.
     done: Vec<RunResult>,
+    /// Under process isolation, the worker process this worker holds,
+    /// with each claim's `Run` frames written to it.
+    lane: Option<Lane>,
     /// The supervisor wrote this worker off: nothing it still holds may
     /// be delivered.
     abandoned: bool,
@@ -700,26 +741,36 @@ fn spawn_worker(e: &Arc<Engine>, first: Option<Partial>) {
 
 /// The supervisor abandoned one of this worker's inline runs and built
 /// its result `r` (a wedged run: `TimedOut { phase: Wedged }`). The
-/// worker is written off; a replacement delivers the claim's finished
-/// iterations plus `r`, and the unrun rest of the claim goes back to the
-/// queue.
+/// worker is written off; a replacement delivers the oldest claim's
+/// finished iterations plus `r`. The unrun rest of that claim and every
+/// claim queued behind it go back to the queue, and the lane's worker
+/// process is killed.
 fn abandon(e: &Arc<Engine>, progress: &StdMutex<Progress>, r: RunResult) {
-    let partial = {
+    let (partial, lane) = {
         let mut p = progress.lock().expect("worker progress");
         p.abandoned = true;
-        p.claim.take().map(|(k, lo, hi)| {
+        let mut claims = std::mem::take(&mut p.claims);
+        let mut back: Vec<(usize, usize, usize)> = Vec::new();
+        let partial = claims.pop_front().map(|c| {
             let mut done = std::mem::take(&mut p.done);
             done.push(r);
-            let next = lo + done.len();
-            if next < hi {
-                let mut st = e.queue.state.lock().expect("suite queue");
-                st.streams[k].inflight -= hi - next;
-                st.streams[k].returned.push((next, hi));
-                e.queue.work_cv.notify_all();
+            if c.lo + done.len() < c.hi {
+                back.push((c.k, c.lo + done.len(), c.hi));
             }
-            (k, lo, done)
-        })
+            (c.k, c.lo, done)
+        });
+        back.extend(claims.iter().map(|c| (c.k, c.lo, c.hi)));
+        if !back.is_empty() {
+            let mut st = e.queue.state.lock().expect("suite queue");
+            for (k, lo, hi) in back {
+                st.streams[k].inflight -= hi - lo;
+                st.streams[k].returned.push((lo, hi));
+            }
+            e.queue.work_cv.notify_all();
+        }
+        (partial, p.lane.take())
     };
+    drop(lane);
     spawn_worker(e, partial);
     e.queue.state.lock().expect("suite queue").workers -= 1;
     // The replacement may already have delivered the last iteration and
@@ -728,8 +779,49 @@ fn abandon(e: &Arc<Engine>, progress: &StdMutex<Progress>, r: RunResult) {
     e.queue.done_cv.notify_all();
 }
 
+/// Claim until this worker holds its depth of claims: one, or
+/// [`LANE_DEPTH`] on a lane, where each new batch's `Run` frames are
+/// written to the worker process at once. Blocks in the claim only while
+/// it holds none; `false` once the queue shut down and it holds none.
+fn top_up(e: &Engine, progress: &StdMutex<Progress>, last: &mut Option<usize>) -> bool {
+    loop {
+        let held = {
+            let p = progress.lock().expect("worker progress");
+            let depth = if p.lane.is_some() { LANE_DEPTH } else { 1 };
+            if p.claims.len() >= depth {
+                return true;
+            }
+            p.claims.len()
+        };
+        let t_claim = e.telemetry_on.then(Instant::now);
+        let claimed = if held == 0 { e.queue.claim(*last) } else { e.queue.try_claim(*last) };
+        let Some((k, lo, hi)) = claimed else { return held > 0 };
+        let slot = &e.slots[k];
+        if let Some(t) = t_claim {
+            slot.claim_wait.record(t.elapsed().as_nanos() as u64);
+        }
+        *last = Some(k);
+        // Arm selection happens at claim time in iteration order; the
+        // lag-capped window guarantees the rewards `select(i)` reads
+        // are already merged.
+        let arms: Vec<Option<Arm>> = (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
+        let mut p = progress.lock().expect("worker progress");
+        if let Some(lane) = p.lane.as_mut() {
+            lane.send(slot.program.name(), &slot.goat.batch_runs(lo, &arms));
+        }
+        p.claims.push_back(Claim { k, lo, hi, arms, t: e.telemetry_on.then(Instant::now) });
+    }
+}
+
 /// One worker: claim a batch, run it, deliver it — until the queue
 /// shuts down.
+///
+/// Under process isolation the worker holds one worker process (a
+/// [`Lane`]) and keeps [`LANE_DEPTH`] batches written to it: it claims
+/// and sends the next batch before it supervises and merges the batch it
+/// just read, so the worker process runs while the merge does. Every
+/// campaign of one call shares its isolation settings (a suite clones one
+/// base config).
 fn work(e: &Engine, progress: &StdMutex<Progress>, first: Option<Partial>) {
     let _exit = WorkerExit(&e.queue, progress);
     let mut last: Option<usize> = None;
@@ -737,29 +829,40 @@ fn work(e: &Engine, progress: &StdMutex<Progress>, first: Option<Partial>) {
         last = Some(k);
         deliver(e, k, lo, results);
     }
-    loop {
-        let t_claim = e.telemetry_on.then(Instant::now);
-        let Some((k, lo, hi)) = e.queue.claim(last) else { return };
-        let slot = &e.slots[k];
-        if let Some(t) = t_claim {
-            slot.claim_wait.record(t.elapsed().as_nanos() as u64);
+    if let Some(cfg) = e.slots.first().map(|s| s.goat.config()) {
+        if cfg.isolate == crate::isolate::IsolateMode::Proc {
+            progress.lock().expect("worker progress").lane = Lane::open(cfg.worker_cmd.as_deref());
         }
-        last = Some(k);
-        // Arm selection happens at claim time in iteration order; the
-        // lag-capped window guarantees the rewards `select(i)` reads
-        // are already merged.
-        let arms: Vec<Option<Arm>> = (lo..hi).map(|i| Goat::select_arm(&slot.guided, i)).collect();
-        let t_iter = e.telemetry_on.then(Instant::now);
-        progress.lock().expect("worker progress").claim = Some((k, lo, hi));
-        slot.goat.run_batch_supervised(lo, &slot.program, &arms, &mut |r| {
-            progress.lock().expect("worker progress").done.push(r);
-        });
+    }
+    while top_up(e, progress, &mut last) {
+        let (k, lo, arms, t, read) = {
+            let mut p = progress.lock().expect("worker progress");
+            let read = p.lane.as_mut().map(Lane::recv);
+            if matches!(read, Some(None)) {
+                // The worker command broke: the rest runs in-process.
+                p.lane = None;
+            }
+            let c = p.claims.front_mut().expect("top_up holds a claim");
+            (c.k, c.lo, std::mem::take(&mut c.arms), c.t, read.flatten())
+        };
+        let slot = &e.slots[k];
+        let mut sink = |r| progress.lock().expect("worker progress").done.push(r);
+        match read {
+            // Past a halt the results are discarded unmerged: no retry.
+            Some(results) if e.queue.halted(k) => results.into_iter().for_each(sink),
+            Some(results) => {
+                for (j, r) in results.into_iter().enumerate() {
+                    sink(slot.goat.supervise_from(lo + j, &slot.program, arms[j], r));
+                }
+            }
+            None => slot.goat.run_batch_supervised(lo, &slot.program, &arms, &mut sink),
+        }
         let results = {
             let mut p = progress.lock().expect("worker progress");
-            p.claim = None;
+            p.claims.pop_front();
             std::mem::take(&mut p.done)
         };
-        if let Some(t) = t_iter {
+        if let Some(t) = t {
             // Per-iteration share of the batch wall time: one sample
             // per iteration, which the telemetry schema pins.
             let per = t.elapsed().as_nanos() as u64 / arms.len() as u64;
@@ -1038,12 +1141,13 @@ mod tests {
     fn claim_shape_derives_the_ipc_batch_from_the_window() {
         use crate::isolate::IsolateMode;
         let proc = GoatConfig::default().with_isolate(IsolateMode::Proc).with_guided(false);
-        // (jobs, window, batch): no worker sits idle at any job count.
-        for (jobs, window, batch) in [(1, 8, 8), (2, 8, 4), (4, 16, 4), (8, 32, 4)] {
+        // (jobs, window, batch): every worker keeps two batches
+        // outstanding, so no worker process sits idle at any job count.
+        for (jobs, window, batch) in [(1, 16, 8), (2, 16, 4), (4, 32, 4), (8, 64, 4)] {
             assert_eq!(claim_shape(&proc, jobs), (window, batch), "proc, jobs {jobs}");
         }
         let guided = proc.clone().with_guided(true);
-        for (jobs, batch) in [(1, 8), (2, 4), (4, 2), (8, 1), (16, 1)] {
+        for (jobs, batch) in [(1, 4), (2, 2), (4, 1), (8, 1), (16, 1)] {
             assert_eq!(claim_shape(&guided, jobs), (GUIDED_LAG, batch), "guided, jobs {jobs}");
         }
         // In-process: one run per claim, `jobs · 4` ahead, as always.

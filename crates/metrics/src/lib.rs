@@ -31,7 +31,7 @@
 //! | `campaign.*` | `iterations`, `reorder_depth_max` (deepest per-campaign reorder buffer; every campaign runs on the shared engine, so parallelism 1 reports its batch depth too, as the telemetry block's `claim_wait_ns` carries samples there — telemetry only, stripped reports are unchanged), `memo_hits` / `memo_misses` (duplicate-schedule analysis memo) |
 //! | `supervision.*` | `timeouts`, `retries`, `infra_failures`, `quarantines`, `faults_injected`, `checkpoint_writes`, `checkpoint_resumes` |
 //! | `guided.*` | `arm_pulls`, `arm_new_coverage` (labelled `arm<idx>:<strategy>`; guided campaigns only) |
-//! | `isolate.*` (process-isolation worker pool) | `workers_spawned`, `workers_reused`, `workers_killed`, `workers_died`, `workers_drained` (idle pool teardown: per campaign for lone runs, per suite in suite mode), `runs`; IPC data plane: `ipc_ser_ns` / `ipc_transport_ns` / `ipc_deser_ns` (per-run encode, write→result-arrival, decode histograms), `ipc_bytes_tx` / `ipc_bytes_rx` (bytes on the wire, counters) |
+//! | `isolate.*` (process-isolation worker pool) | `workers_spawned`, `workers_reused`, `workers_killed`, `workers_died`, `workers_drained` (idle pool teardown: per campaign for lone runs, per suite in suite mode), `runs`; lanes: `workers_out` (gauge: workers checked out of the pool), `batch_writes` (one write per batch of `Run` frames), `batches_outstanding` (gauge: batches written and not yet read, at most two per lane); IPC data plane: `ipc_ser_ns` / `ipc_transport_ns` / `ipc_deser_ns` (per-run encode, the campaign thread's wait for each `Result` — from the start of its batch's read or the previous `Result` —, decode histograms), `ipc_bytes_tx` / `ipc_bytes_rx` (bytes on the wire, counters) |
 //! | `suite.*` (suite orchestrator, `-target all`) | `kernels`, `jobs`, `steals` (cross-kernel claim switches), `kernels_inflight_max`, `budget_donated` / `budget_granted` (adaptive reallocation), `warm_bufs_reused` (analysis scratch recycled across kernels), `isolate_workers_reused` (sandboxed-worker checkouts served warm during the suite) |
 //! | `telemetry.*` | `events_dropped` (sink back-pressure) |
 

@@ -298,6 +298,7 @@ fn isolated_summary_json(
     iterations: usize,
     stop_on_bug: bool,
     isolate: IsolateMode,
+    jobs: Option<usize>,
 ) -> String {
     let mut cfg = GoatConfig::default()
         .with_delay_bound(d)
@@ -307,6 +308,9 @@ fn isolated_summary_json(
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
     if !stop_on_bug {
         cfg = cfg.keep_running();
+    }
+    if let Some(jobs) = jobs {
+        cfg = cfg.with_parallelism(jobs);
     }
     Goat::new(cfg)
         .test(Arc::new(KernelProgram(kernel)))
@@ -323,14 +327,23 @@ fn campaign_summaries_identical_with_process_isolation() {
         ("grpc1424", 0, 3, 10, false),
     ] {
         let kernel = goat::goker::by_name(name).expect("kernel");
-        let off =
-            isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off);
-        let proc_ =
-            isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Proc);
+        let summary = |isolate| {
+            isolated_summary_json(kernel, d, seed0, iterations, stop_on_bug, isolate, None)
+        };
         assert_eq!(
-            off, proc_,
+            summary(IsolateMode::Off),
+            summary(IsolateMode::Proc),
             "{name}: campaign report must be byte-identical across isolation modes"
         );
+    }
+    // 40 runs keep two batches in flight on every worker at jobs 1, 2
+    // and 4.
+    let kernel = goat::goker::by_name("etcd6708").expect("kernel");
+    let summary =
+        |isolate, jobs| isolated_summary_json(kernel, 1, 11, 40, false, isolate, Some(jobs));
+    let off = summary(IsolateMode::Off, 1);
+    for jobs in [1, 2, 4] {
+        assert_eq!(off, summary(IsolateMode::Proc, jobs), "etcd6708: proc, jobs {jobs}");
     }
 }
 
@@ -406,9 +419,10 @@ fn sigkilled_isolated_campaign_resumes_byte_identically() {
 // ---------------------------------------------------------------------
 // IPC data-plane equivalence: run batching is a transport
 // optimization — campaign reports must be byte-identical however many
-// Run frames share one pipe write. The batch is derived from the claim
-// window; guided campaigns cap the window at GUIDED_LAG = 8, so jobs 8,
-// 2 and 1 ship batches of 1, 4 and 8.
+// Run frames share one pipe write and however many batches a worker
+// holds. The batch is derived from the claim window; guided campaigns
+// cap the window at GUIDED_LAG = 8 and each worker holds two batches,
+// so jobs 8, 4, 2 and 1 ship batches of 1, 1, 2 and 4.
 // ---------------------------------------------------------------------
 
 fn guided_summary_json(
@@ -446,7 +460,7 @@ fn campaign_summaries_identical_across_ipc_modes() {
         let kernel = goat::goker::by_name(name).expect("kernel");
         let off =
             guided_summary_json(kernel, d, seed0, iterations, stop_on_bug, IsolateMode::Off, 1);
-        for (jobs, batch) in [(8usize, 1usize), (2, 4), (1, 8)] {
+        for (jobs, batch) in [(8usize, 1usize), (4, 1), (2, 2), (1, 4)] {
             let got = guided_summary_json(
                 kernel,
                 d,
@@ -653,7 +667,7 @@ fn pooled_workers_run_each_campaigns_config() {
     let off = tiny_budget_summary(IsolateMode::Off);
     // The tiny budget must actually change behavior, or this test proves
     // nothing about which config a reused worker runs.
-    let default_budget_off = isolated_summary_json(kernel, 1, 11, 6, false, IsolateMode::Off);
+    let default_budget_off = isolated_summary_json(kernel, 1, 11, 6, false, IsolateMode::Off, None);
     assert_ne!(off, default_budget_off, "an 8-step budget must bite on this kernel");
 
     let proc_ = tiny_budget_summary(IsolateMode::Proc);

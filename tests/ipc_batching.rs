@@ -1,10 +1,11 @@
 //! IPC run batching through the campaign engine: under `-isolate proc`
-//! one job claims batches of eight runs, each shipped in one worker
-//! checkout, whether the campaign comes from `Goat::test` or from
-//! `run_suite`.
+//! one job claims batches of eight runs, ships each batch whole in one
+//! write to the worker process it holds, and keeps two batches
+//! outstanding on it, whether the campaign comes from `Goat::test` or
+//! from `run_suite`.
 //!
-//! One test in its own binary: it counts process-wide `isolate.*`
-//! checkouts, which a concurrently running isolated test would skew.
+//! One test in its own binary: it reads process-wide `isolate.*`
+//! metrics, which a concurrently running isolated test would skew.
 
 use goat::core::{run_suite, Goat, GoatConfig, IsolateMode, Program, SuiteConfig};
 use std::sync::Arc;
@@ -20,11 +21,10 @@ impl Program for KernelProgram {
     }
 }
 
-/// Worker checkouts so far: one per batch shipped to a worker, whether
-/// the pool served it warm or spawned a fresh worker for it.
-fn checkouts() -> u64 {
+/// Batch writes and isolated runs so far.
+fn shipped() -> (u64, u64) {
     let reg = goat::metrics::global();
-    reg.counter("isolate.workers_spawned").get() + reg.counter("isolate.workers_reused").get()
+    (reg.counter("isolate.batch_writes").get(), reg.counter("isolate.runs").get())
 }
 
 #[test]
@@ -33,24 +33,41 @@ fn ipc_batches_are_not_split_by_the_claim_window() {
         Arc::new(KernelProgram(goat::goker::by_name("etcd6708").expect("kernel")));
     let cfg = GoatConfig::default()
         .with_delay_bound(1)
-        .with_iterations(16)
+        .with_iterations(24)
         .with_seed0(11)
         .keep_running()
         .with_parallelism(1)
         .with_guided(false)
         .with_isolate(IsolateMode::Proc)
         .with_worker_cmd(env!("CARGO_BIN_EXE_goat"));
+    let reg = goat::metrics::global();
+    let outstanding = reg.gauge("isolate.batches_outstanding");
 
-    let before = checkouts();
+    let (writes, runs) = shipped();
     let r = Goat::new(cfg.clone()).test(Arc::clone(&kernel));
-    assert_eq!(r.records.len(), 16);
-    assert_eq!(checkouts() - before, 2, "Goat::test: 16 runs at one job are 2 batches");
+    assert_eq!(r.records.len(), 24);
+    assert_eq!(
+        (shipped().0 - writes, shipped().1 - runs),
+        (3, 24),
+        "Goat::test: 24 runs at one job are 3 batches of 8, each in one write"
+    );
+    assert!(
+        outstanding.high_water() >= 2,
+        "the next batch is written before the previous one is merged"
+    );
+    assert_eq!(outstanding.get(), 0, "every written batch was read");
 
-    let before = checkouts();
-    let mut runs = 0;
+    let (writes, runs) = shipped();
+    let mut n = 0;
     run_suite(&cfg, &SuiteConfig::default().with_jobs(1), &[kernel], &mut |_, _, r| {
-        runs = r.records.len();
+        n = r.records.len();
     });
-    assert_eq!(runs, 16);
-    assert_eq!(checkouts() - before, 2, "run_suite: 16 runs at one job are 2 batches");
+    assert_eq!(n, 24);
+    assert_eq!(
+        (shipped().0 - writes, shipped().1 - runs),
+        (3, 24),
+        "run_suite: 24 runs at one job are 3 batches of 8, each in one write"
+    );
+    assert_eq!(outstanding.get(), 0);
+    assert_eq!(reg.gauge("isolate.workers_out").get(), 0, "every lane returned its worker");
 }
